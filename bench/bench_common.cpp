@@ -80,7 +80,7 @@ std::vector<std::unique_ptr<Mapper>> paper_mappers(ParallelConfig parallel) {
 }
 
 ParallelConfig bench_parallel_config() {
-  ParallelConfig config;  // deterministic, hardware threads
+  ParallelConfig config;  // hardware threads
   if (const char* env = std::getenv("NOCMAP_THREADS")) {
     config.num_threads =
         static_cast<std::size_t>(std::strtoul(env, nullptr, 10));

@@ -2,8 +2,8 @@
 // (16x16 mesh, 4 applications x 64 threads, C1..C8 rate statistics) — the
 // "tens to hundreds of cores" future the paper's introduction motivates.
 // Also the headline scenario for the parallel engine: per configuration,
-// the SSS sweep is timed serial and parallel (deterministic mode, so both
-// produce the same mapping) and the speedups are saved as JSON.
+// the SSS sweep is timed serial and parallel (both produce the same
+// mapping) and the speedups are saved as JSON.
 #include <chrono>
 #include <functional>
 #include <iostream>
@@ -28,7 +28,7 @@ int main() {
                       "scale extension of the paper's 8x8 evaluation");
   const ParallelConfig parallel = bench::bench_parallel_config();
   std::cout << "Parallel MC/SA/SSS: " << parallel.resolved_threads()
-            << " worker(s), deterministic\n";
+            << " worker(s)\n";
 
   TextTable t({"cfg", "Global max-APL", "MC max-APL", "SA max-APL",
                "SSS max-APL", "Global dev", "SSS dev", "SSS [ms]",

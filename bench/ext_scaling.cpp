@@ -28,7 +28,7 @@ int main() {
 
   const ParallelConfig parallel = bench::bench_parallel_config();
   std::cout << "Parallel SSS: " << parallel.resolved_threads()
-            << " worker(s), deterministic\n";
+            << " worker(s)\n";
 
   TextTable t({"mesh", "threads", "Global max-APL", "SSS max-APL",
                "SSS vs Global", "Global [ms]", "SSS [ms]", "SSS par [ms]",

@@ -98,7 +98,8 @@ BENCHMARK(BM_AnnealingPerIteration);
 
 void BM_EvaluatorSwap(benchmark::State& state) {
   const ObmProblem problem = problem_for_mesh(8);
-  MappingEvaluator eval(problem, problem.identity_mapping());
+  const ThreadCostCache cache(problem.workload(), problem.model());
+  MappingEvaluator eval(problem, problem.identity_mapping(), cache);
   Rng rng(7);
   const auto n = static_cast<std::uint32_t>(problem.num_threads());
   for (auto _ : state) {

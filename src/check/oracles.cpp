@@ -96,7 +96,7 @@ OracleResult run_mapper_sanity(const ScenarioSpec& spec) {
     }
 
     // Incremental evaluator vs the batch metrics path.
-    MappingEvaluator eval(problem, mapping);
+    MappingEvaluator eval(problem, mapping, cache);
     const LatencyReport report = evaluate(problem, mapping);
     if (!rel_close(eval.max_apl(), report.max_apl)) {
       std::ostringstream os;
@@ -115,7 +115,7 @@ OracleResult run_mapper_sanity(const ScenarioSpec& spec) {
   // Evaluator purity: after a storm of incremental swaps the live state
   // must equal a from-scratch recomputation (the parallel engine's
   // bit-identity contract rests on this).
-  MappingEvaluator eval(problem, problem.identity_mapping());
+  MappingEvaluator eval(problem, problem.identity_mapping(), cache);
   Rng rng(spec.seed, 0x73776170ULL);
   const auto n = static_cast<std::uint32_t>(problem.num_threads());
   for (int i = 0; i < 64; ++i) {
@@ -362,11 +362,9 @@ OracleResult run_netsim_rank(const ScenarioSpec& spec) {
 // batch_eval
 
 /// Differential check of every batched scoring path against the scalar
-/// evaluator it replaces. The batched paths advertise bit-identity (except
-/// the annealer's delta-substitution prescore, which advertises ulp-level
-/// agreement), so the comparisons here are ==, not rel_close: any rounding
-/// reordering introduced into the batch kernels fails the fuzz campaign
-/// immediately.
+/// evaluator it replaces. The batched paths advertise bit-identity, so the
+/// comparisons here are ==, not rel_close: any rounding reordering
+/// introduced into the batch kernels fails the fuzz campaign immediately.
 OracleResult run_batch_eval(const ScenarioSpec& spec) {
   const ObmProblem problem = build_problem(spec);
   const ThreadCostCache cache(problem.workload(), problem.model());
@@ -483,28 +481,6 @@ OracleResult run_batch_eval(const ScenarioSpec& spec) {
         return fail(os.str());
       }
     }
-
-    // score_swap_candidates (the annealer's prescore) advertises ulp-level
-    // agreement with swap + objective + revert, not bit-identity.
-    std::vector<SwapProposal> proposals(24);
-    for (SwapProposal& p : proposals) {
-      p.j1 = rng.uniform_u32(un);
-      p.j2 = rng.uniform_u32(un);
-    }
-    std::vector<double> swap_scores(proposals.size());
-    eval.score_swap_candidates(proposals, swap_scores);
-    for (std::size_t p = 0; p < proposals.size(); ++p) {
-      eval.swap_threads(proposals[p].j1, proposals[p].j2);
-      const double truth = eval.objective();
-      eval.swap_threads(proposals[p].j1, proposals[p].j2);  // revert
-      if (!rel_close(swap_scores[p], truth)) {
-        std::ostringstream os;
-        os << "score_swap_candidates[" << p << "] (" << proposals[p].j1
-           << "<->" << proposals[p].j2 << ") = " << swap_scores[p]
-           << " not within 1e-9 of the canonical objective " << truth;
-        return fail(os.str());
-      }
-    }
   }
   return {};
 }
@@ -542,7 +518,7 @@ OracleResult run_service_replay(const ScenarioSpec& spec) {
   // workers must emit the identical decision stream (the engine's
   // bit-identity contract, checked event by event).
   service::ServiceConfig sibling_config = config;
-  sibling_config.sss.parallel = {2, true};
+  sibling_config.sss.parallel = {2};
   service::MappingService sibling(chip, sibling_config);
 
   SssOptions fresh_options;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <utility>
 
 #include "core/cost_cache.h"
@@ -42,44 +43,35 @@ std::string AnnealingMapper::name() const {
 
 namespace {
 
-/// Scalar objective (minimized) from the evaluator's per-app APLs.
-double objective_value(const MappingEvaluator& eval, std::size_t num_apps,
-                       AnnealObjective kind) {
-  switch (kind) {
-    case AnnealObjective::kMaxApl:
-      return eval.objective();
-    case AnnealObjective::kDevApl: {
-      // Population stddev over applications with traffic.
-      double sum = 0.0, sum_sq = 0.0;
-      std::size_t count = 0;
-      for (std::size_t a = 0; a < num_apps; ++a) {
-        const double apl = eval.apl(a);
-        if (apl > 0.0) {
-          sum += apl;
-          sum_sq += apl * apl;
-          ++count;
-        }
-      }
-      if (count == 0) return 0.0;
-      const double mean = sum / static_cast<double>(count);
-      return std::sqrt(
-          std::max(0.0, sum_sq / static_cast<double>(count) - mean * mean));
-    }
-    case AnnealObjective::kMinToMax: {
-      double lo = std::numeric_limits<double>::infinity();
-      double hi = 0.0;
-      for (std::size_t a = 0; a < num_apps; ++a) {
-        const double apl = eval.apl(a);
-        if (apl > 0.0) {
-          lo = std::min(lo, apl);
-          hi = std::max(hi, apl);
-        }
-      }
-      if (hi == 0.0) return 0.0;
-      return -lo / hi;  // maximize the ratio => minimize its negation
+/// The rejected Section-III.A objectives over per-application APLs, with
+/// applications a1 and a2 taking the candidate values v1 and v2 (a1 may
+/// equal a2, then v1 == v2). Applications whose APL is 0 carry no traffic
+/// and are skipped. O(A).
+double balance_objective(AnnealObjective kind, std::span<const double> apl,
+                         std::size_t a1, double v1, std::size_t a2,
+                         double v2) {
+  double sum = 0.0, sum_sq = 0.0;
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = 0.0;
+  std::size_t count = 0;
+  for (std::size_t a = 0; a < apl.size(); ++a) {
+    const double v = a == a1 ? v1 : a == a2 ? v2 : apl[a];
+    if (v > 0.0) {
+      sum += v;
+      sum_sq += v * v;
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
+      ++count;
     }
   }
-  return 0.0;
+  if (count == 0) return 0.0;
+  if (kind == AnnealObjective::kDevApl) {
+    // Population stddev.
+    const double mean = sum / static_cast<double>(count);
+    return std::sqrt(
+        std::max(0.0, sum_sq / static_cast<double>(count) - mean * mean));
+  }
+  return -lo / hi;  // maximize min-to-max => minimize its negation
 }
 
 }  // namespace
@@ -90,6 +82,7 @@ Mapping AnnealingMapper::map(const ObmProblem& problem) {
   const obs::ScopedTimer map_scope(t_map);
   const std::size_t n = problem.num_threads();
   const std::size_t num_apps = problem.num_applications();
+  const AnnealObjective kind = params_.objective;
   const ThreadCostCache cache(problem.workload(), problem.model());
 
   struct ChainResult {
@@ -97,48 +90,28 @@ Mapping AnnealingMapper::map(const ObmProblem& problem) {
     double obj = std::numeric_limits<double>::infinity();
   };
 
-  // Random initial state, shuffled directly in the mapping's own storage.
-  auto initial_mapping = [&](Rng& rng) {
-    Mapping initial;
-    initial.thread_to_tile.resize(n);
-    std::iota(initial.thread_to_tile.begin(), initial.thread_to_tile.end(),
-              TileId{0});
-    rng.shuffle(initial.thread_to_tile);
-    return initial;
-  };
-
-  // Cooling schedule shared by both chain variants: relative to the
-  // max-APL magnitude so acceptance probabilities stay meaningful for all
-  // objectives.
-  auto cooling = [&](const MappingEvaluator& eval) {
-    const double scale = std::max(eval.max_apl(), 1.0);
-    const double t0 = std::max(params_.initial_temp_fraction * scale, 1e-9);
-    const double t_end = std::max(t0 * params_.final_temp_fraction, 1e-12);
-    const double alpha =
-        std::pow(t_end / t0, 1.0 / static_cast<double>(params_.iterations));
-    return std::pair<double, double>(t0, alpha);
-  };
-
-  // Flat max-APL chain: the hot configuration (the paper's OBM objective).
+  // One annealing chain driven by its own RNG stream. Chains share only the
+  // problem and the read-only cost cache, so any number of them can run
+  // concurrently.
+  //
   // The chain owns its whole state as flat arrays — permutation, per-app
-  // numerators, per-app weighted APLs — and fuses move scoring into the
-  // walk: each proposal is scored against the *current* state by the same
-  // delta substitution MappingEvaluator::score_swap_candidates performs
-  // (4 cost-row lookups, affected numerators re-derived, weighted max over
-  // applications), so there is never a stale prescore to discard, and an
-  // accepted move commits with a handful of stores instead of a canonical
-  // O(N/A) recompute. Proposals are pre-drawn in blocks of 64 (two bounded
-  // indices per raw PCG draw, multiply-shift, bias < 1e-6 — irrelevant for
-  // a Metropolis walk) so the generator's serial dependency chain is off
-  // the scoring path.
+  // numerators, per-app APL values — and fuses move scoring into the walk:
+  // each proposal is scored against the *current* state by delta
+  // substitution (4 cost-row lookups, the two affected numerators
+  // re-derived, the objective reduced over applications in O(A)), so there
+  // is never a stale prescore to discard, and an accepted move commits with
+  // a handful of stores instead of a canonical O(N/A) recompute. Proposals
+  // are pre-drawn in blocks of 64 (two bounded indices per raw PCG draw,
+  // multiply-shift, bias < 1e-6 — irrelevant for a Metropolis walk) so the
+  // generator's serial dependency chain is off the scoring path.
   //
   // Numerators evolve by delta arithmetic here — the annealer trades the
   // evaluator's purity invariant (which exists for the parallel SSS sweep's
-  // apply/revert exactness, not needed inside a sequential chain) for
-  // per-move cost; every 8192 consumed iterations the numerators are
-  // re-derived from the permutation to keep the accumulated rounding drift
-  // bounded, and the returned best mapping is re-scored canonically so the
-  // cross-restart argmin merge sees exact objectives.
+  // exactness, not needed inside a sequential chain) for per-move cost;
+  // every 8192 consumed iterations the numerators are re-derived from the
+  // permutation to keep the accumulated rounding drift bounded, and the
+  // returned best mapping is re-scored canonically so the cross-restart
+  // argmin merge sees exact objectives.
   //
   // Uphill acceptance compares a single-draw uniform32() variate (2^-32
   // resolution) against fast_exp_neg — deterministic arithmetic, no libm.
@@ -146,55 +119,77 @@ Mapping AnnealingMapper::map(const ObmProblem& problem) {
   // resolution: the chain accepts only the exact-zero draw (and only while
   // exp(-delta/temp) is still positive, i.e. delta < ~700·temp), the same
   // decision the comparison would make, without the polynomial.
-  //
-  // The RNG draw pattern differs from the classic loop's (paired bounded
-  // draws, one uniform32 lazily per uphill move), so chains were
-  // re-goldened against the classic annealer: equal mapping quality on the
-  // bench workloads, with the batch_eval / mapper_relations oracles as the
-  // safety net.
-  auto run_chain_max_apl = [&](Rng rng) -> ChainResult {
-    Mapping state = initial_mapping(rng);
+  auto run_chain = [&](Rng rng) -> ChainResult {
+    // Random initial state, shuffled directly in the mapping's own storage.
+    Mapping state;
     std::vector<TileId>& perm = state.thread_to_tile;
+    perm.resize(n);
+    std::iota(perm.begin(), perm.end(), TileId{0});
+    rng.shuffle(perm);
 
-    // Frozen per-app tables. inv_wden folds the zero-traffic guard: apps
-    // with no traffic get factor 0, contributing 0 to the max exactly as
-    // the canonical objective() skips them (all weighted APLs are >= 0).
+    // Frozen per-app tables. scale turns a cost numerator into the value
+    // the objective reduces: the weighted APL for max-APL, the plain APL
+    // for the balance objectives. It folds the zero-traffic guard: apps
+    // with no traffic get factor 0, contributing 0 exactly as the canonical
+    // objective() skips them (all APLs are >= 0).
     const Workload& wl = problem.workload();
     std::vector<std::uint32_t> app_of(n);
     for (std::size_t j = 0; j < n; ++j) {
       app_of[j] = static_cast<std::uint32_t>(wl.application_of(j));
     }
-    std::vector<double> inv_wden(num_apps, 0.0);
-    std::vector<double> den(num_apps, 0.0);
+    std::vector<double> scale(num_apps, 0.0);
     for (std::size_t a = 0; a < num_apps; ++a) {
+      double den = 0.0;
       for (std::size_t j = wl.first_thread(a); j < wl.last_thread(a); ++j) {
-        den[a] += wl.thread(j).total_rate();
+        den += wl.thread(j).total_rate();
       }
-      if (den[a] > 0.0) inv_wden[a] = problem.app_weight(a) / den[a];
+      if (den > 0.0) {
+        scale[a] = kind == AnnealObjective::kMaxApl
+                       ? problem.app_weight(a) / den
+                       : 1.0 / den;
+      }
     }
 
     std::vector<double> num(num_apps);
-    std::vector<double> wapl(num_apps);
-    // (Re)derives numerators and weighted APLs from the permutation in
-    // canonical thread-ascending order; returns the current objective.
+    std::vector<double> val(num_apps);
+    // Objective with apps a1/a2 at the candidate values v1/v2 and every
+    // other app at its current value.
+    auto objective_with = [&](std::size_t a1, double v1, std::size_t a2,
+                              double v2) -> double {
+      if (kind != AnnealObjective::kMaxApl) {
+        return balance_objective(kind, val, a1, v1, a2, v2);
+      }
+      double worst = v1 > v2 ? v1 : v2;
+      for (std::size_t a = 0; a < num_apps; ++a) {
+        if (a != a1 && a != a2 && val[a] > worst) worst = val[a];
+      }
+      return worst;
+    };
+    // (Re)derives numerators and values from the permutation in canonical
+    // thread-ascending order; returns the current objective.
     auto renormalize = [&]() -> double {
-      double worst = 0.0;
       for (std::size_t a = 0; a < num_apps; ++a) {
         double sum = 0.0;
         for (std::size_t j = wl.first_thread(a); j < wl.last_thread(a); ++j) {
           sum += cache.cost(j, perm[j]);
         }
         num[a] = sum;
-        wapl[a] = sum * inv_wden[a];
-        worst = std::max(worst, wapl[a]);
+        val[a] = sum * scale[a];
       }
-      return worst;
+      return objective_with(0, val[0], 0, val[0]);  // nothing substituted
     };
     double current = renormalize();
     ChainResult result{state, current};
 
-    const MappingEvaluator cooling_eval(problem, state, cache);
-    const auto [t0, alpha] = cooling(cooling_eval);
+    // Geometric cooling relative to the initial max-APL magnitude, so
+    // acceptance probabilities stay meaningful for all objectives.
+    const double initial_max_apl =
+        MappingEvaluator(problem, state, cache).max_apl();
+    const double t0 = std::max(
+        params_.initial_temp_fraction * std::max(initial_max_apl, 1.0), 1e-9);
+    const double t_end = std::max(t0 * params_.final_temp_fraction, 1e-12);
+    const double alpha =
+        std::pow(t_end / t0, 1.0 / static_cast<double>(params_.iterations));
 
     constexpr std::size_t kBlock = 64;
     std::uint32_t j1s[kBlock];
@@ -233,13 +228,10 @@ Mapping AnnealingMapper::map(const ObmProblem& problem) {
           n1 = num[a1] - c11 + c12;
           n2 = num[a2] - c22 + c21;
         }
-        const double v1 = n1 * inv_wden[a1];
-        const double v2 = n2 * inv_wden[a2];
-        double worst = v1 > v2 ? v1 : v2;
-        for (std::size_t a = 0; a < num_apps; ++a) {
-          if (a != a1 && a != a2 && wapl[a] > worst) worst = wapl[a];
-        }
-        const double delta = worst - current;
+        const double v1 = n1 * scale[a1];
+        const double v2 = n2 * scale[a2];
+        const double candidate = objective_with(a1, v1, a2, v2);
+        const double delta = candidate - current;
         bool take = delta <= 0.0;
         if (!take) {
           const double u = rng.uniform32();
@@ -253,9 +245,9 @@ Mapping AnnealingMapper::map(const ObmProblem& problem) {
           perm[j2] = t1;
           num[a1] = n1;
           num[a2] = n2;
-          wapl[a1] = v1;
-          wapl[a2] = v2;
-          current = worst;
+          val[a1] = v1;
+          val[a2] = v2;
+          current = candidate;
           if (current < result.obj) {
             result.obj = current;
             result.best = state;  // copy-on-improvement
@@ -271,64 +263,19 @@ Mapping AnnealingMapper::map(const ObmProblem& problem) {
     }
     // Canonical objective of the best mapping, so the restart merge (and
     // the reported quality) never carries delta-arithmetic drift.
-    result.obj = MappingEvaluator(problem, result.best, cache).objective();
+    if (kind == AnnealObjective::kMaxApl) {
+      result.obj = MappingEvaluator(problem, result.best, cache).objective();
+    } else {
+      perm = result.best.thread_to_tile;
+      result.obj = renormalize();
+    }
     c_chains.add();
     c_iterations.add(params_.iterations);
     c_accepts.add(accepts);
     return result;
   };
 
-  // Classic one-swap-at-a-time chain for the alternative objectives, whose
-  // scalarizations need the evaluator's per-app APLs after the move.
-  auto run_chain_classic = [&](Rng rng) -> ChainResult {
-    MappingEvaluator eval(problem, initial_mapping(rng), cache);
-    double current = objective_value(eval, num_apps, params_.objective);
-    ChainResult result{eval.mapping(), current};
-    const auto [t0, alpha] = cooling(eval);
-
-    double temp = t0;
-    std::uint64_t iterations = 0;
-    std::uint64_t accepts = 0;
-    for (std::size_t it = 0; it < params_.iterations; ++it, temp *= alpha) {
-      ++iterations;
-      const auto j1 = static_cast<std::size_t>(
-          rng.uniform_u32(static_cast<std::uint32_t>(n)));
-      const auto j2 = static_cast<std::size_t>(
-          rng.uniform_u32(static_cast<std::uint32_t>(n)));
-      if (j1 == j2) continue;
-
-      eval.swap_threads(j1, j2);
-      const double candidate = objective_value(eval, num_apps,
-                                               params_.objective);
-      const double delta = candidate - current;
-      if (delta <= 0.0 || rng.uniform() < std::exp(-delta / temp)) {
-        ++accepts;
-        current = candidate;
-        if (current < result.obj) {
-          result.obj = current;
-          result.best = eval.mapping();
-        }
-      } else {
-        eval.swap_threads(j1, j2);  // revert
-      }
-    }
-    c_chains.add();
-    c_iterations.add(iterations);
-    c_accepts.add(accepts);
-    return result;
-  };
-
-  // One full annealing chain driven by its own RNG stream. Chains share
-  // only the problem and the read-only cost cache, so any number of them
-  // can run concurrently.
-  auto run_chain = [&](Rng rng) -> ChainResult {
-    return params_.objective == AnnealObjective::kMaxApl
-               ? run_chain_max_apl(std::move(rng))
-               : run_chain_classic(std::move(rng));
-  };
-
-  // The single-restart path is the canonical chain, seeded exactly as the
-  // classic serial annealer.
+  // The single-restart path is the canonical chain, seeded directly.
   if (params_.restarts == 1) return run_chain(Rng(params_.seed)).best;
 
   const std::vector<Rng> streams =

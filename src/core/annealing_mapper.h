@@ -1,12 +1,13 @@
 // Simulated-annealing baseline for OBM (paper Section V.A algorithm 3).
 //
 // State: a thread-to-tile permutation. Move: swap the tiles of two uniformly
-// random threads (the paper's definition of a "move"). Objective: max-APL,
-// evaluated incrementally in O(A) per move via MappingEvaluator. Cooling is
-// geometric from an initial temperature proportional to the starting
-// objective down to a fixed terminal fraction; the iteration budget is a
-// parameter so Figure 12 (solution quality vs. allowed runtime) can sweep
-// it.
+// random threads (the paper's definition of a "move"). Objective: max-APL
+// (or one of the rejected balance metrics), scored in O(A) per move by
+// delta substitution on the chain's own per-application numerators.
+// Cooling is geometric from an initial temperature proportional to the
+// starting max-APL down to a fixed terminal fraction; the iteration budget
+// is a parameter so Figure 12 (solution quality vs. allowed runtime) can
+// sweep it.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +39,8 @@ struct AnnealingParams {
   std::uint64_t seed = 1;
   AnnealObjective objective = AnnealObjective::kMaxApl;
   /// Independent chains; the best final state wins (ties to the lowest
-  /// chain index). One restart (the default) is the classic single chain
-  /// seeded with `seed` exactly as before; with R > 1, chain r draws from
+  /// chain index). One restart (the default) is a single chain seeded
+  /// with `seed` directly; with R > 1, chain r draws from
   /// the forked stream Rng(seed).fork(r), so the result depends only on
   /// (seed, R) — never on how chains are scheduled onto workers.
   std::size_t restarts = 1;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <vector>
 
+#include "core/cost_cache.h"
 #include "core/evaluator.h"
 #include "util/rng.h"
 
@@ -42,7 +43,8 @@ Mapping ClusterSaMapper::map(const ObmProblem& problem) {
       initial.thread_to_tile[j] = static_cast<TileId>(perm[j]);
     }
   }
-  MappingEvaluator eval(problem, std::move(initial));
+  const ThreadCostCache cache(problem.workload(), problem.model());
+  MappingEvaluator eval(problem, std::move(initial), cache);
 
   Mapping best = eval.mapping();
   double best_obj = eval.objective();

@@ -8,19 +8,11 @@ namespace nocmap {
 
 MappingEvaluator::MappingEvaluator(const ObmProblem& problem, Mapping initial,
                                    const ThreadCostCache& cache)
-    : MappingEvaluator(problem, std::move(initial), &cache) {}
-
-MappingEvaluator::MappingEvaluator(const ObmProblem& problem, Mapping initial)
-    : MappingEvaluator(problem, std::move(initial), nullptr) {}
-
-MappingEvaluator::MappingEvaluator(const ObmProblem& problem, Mapping initial,
-                                   const ThreadCostCache* cache)
-    : problem_(&problem), cache_(cache), mapping_(std::move(initial)) {
+    : problem_(&problem), cache_(&cache), mapping_(std::move(initial)) {
   NOCMAP_REQUIRE(mapping_.is_valid_permutation(problem.num_threads()),
                  "initial mapping must be a valid permutation");
-  NOCMAP_REQUIRE(cache == nullptr ||
-                     (cache->num_threads() == problem.num_threads() &&
-                      cache->num_tiles() == problem.num_tiles()),
+  NOCMAP_REQUIRE(cache.num_threads() == problem.num_threads() &&
+                     cache.num_tiles() == problem.num_tiles(),
                  "cost cache does not match the problem");
   const Workload& wl = problem.workload();
   const std::size_t num_apps = wl.num_applications();
@@ -29,14 +21,6 @@ MappingEvaluator::MappingEvaluator(const ObmProblem& problem, Mapping initial,
   for (std::size_t j = 0; j < mapping_.size(); ++j) {
     tile_to_thread_[mapping_.tile_of(j)] = j;
   }
-  // Memoized thread -> application lookup: the annealer's prescore resolves
-  // two applications per proposed swap, and the out-of-line
-  // Workload::application_of call is measurable at that rate.
-  app_of_.resize(mapping_.size());
-  for (std::size_t j = 0; j < mapping_.size(); ++j) {
-    app_of_[j] = static_cast<std::uint32_t>(wl.application_of(j));
-  }
-
   numerator_.assign(num_apps, 0.0);
   denominator_.assign(num_apps, 0.0);
   for (std::size_t i = 0; i < num_apps; ++i) {
@@ -79,13 +63,6 @@ double MappingEvaluator::g_apl() const {
   double total_numerator = 0.0;
   for (const double n : numerator_) total_numerator += n;
   return total_numerator / total_denominator_;
-}
-
-double MappingEvaluator::thread_cost(std::size_t j, TileId tile) const {
-  if (cache_ != nullptr) return cache_->cost(j, tile);
-  const ThreadProfile& t = problem_->workload().thread(j);
-  const TileLatencyModel& model = problem_->model();
-  return t.cache_rate * model.tc(tile) + t.memory_rate * model.tm(tile);
 }
 
 void MappingEvaluator::place_thread(std::size_t j, TileId tile) {
@@ -199,15 +176,10 @@ void MappingEvaluator::score_group_candidates(
         if (x == threads.size()) {
           const double c = thread_cost(j, mapping_.tile_of(j));
           for (std::size_t b = 0; b < lanes; ++b) acc[b] += c;
-        } else if (cache_ != nullptr) {
+        } else {
           const double* row = cache_->row(j);
           const TileId* cand = tiles + x * count + b0;
           for (std::size_t b = 0; b < lanes; ++b) acc[b] += row[cand[b]];
-        } else {
-          const TileId* cand = tiles + x * count + b0;
-          for (std::size_t b = 0; b < lanes; ++b) {
-            acc[b] += thread_cost(j, cand[b]);
-          }
         }
       }
       if (denominator_[app] > 0.0) {
@@ -220,60 +192,6 @@ void MappingEvaluator::score_group_candidates(
       }
     }
     for (std::size_t b = 0; b < lanes; ++b) out[b0 + b] = worst[b];
-  }
-}
-
-void MappingEvaluator::score_swap_candidates(
-    std::span<const SwapProposal> proposals, std::span<double> out) {
-  NOCMAP_REQUIRE(out.size() >= proposals.size(),
-                 "score output span too small");
-  const std::size_t num_apps = numerator_.size();
-  // Weighted APL of every application in the current state, refreshed once
-  // per block (the state is frozen while a block is prescored).
-  swap_wapl_.resize(num_apps);
-  for (std::size_t i = 0; i < num_apps; ++i) {
-    swap_wapl_[i] = denominator_[i] > 0.0
-                        ? problem_->app_weight(i) * numerator_[i] /
-                              denominator_[i]
-                        : 0.0;
-  }
-  for (std::size_t p = 0; p < proposals.size(); ++p) {
-    const std::size_t j1 = proposals[p].j1;
-    const std::size_t j2 = proposals[p].j2;
-    NOCMAP_ASSERT(j1 < mapping_.size() && j2 < mapping_.size());
-    const std::size_t a1 = app_of_[j1];
-    const std::size_t a2 = app_of_[j2];
-    const TileId t1 = mapping_.tile_of(j1);
-    const TileId t2 = mapping_.tile_of(j2);
-    double v1 = swap_wapl_[a1];
-    double v2 = swap_wapl_[a2];
-    if (j1 != j2) {
-      const double c11 = thread_cost(j1, t1);
-      const double c12 = thread_cost(j1, t2);
-      const double c22 = thread_cost(j2, t2);
-      const double c21 = thread_cost(j2, t1);
-      if (a1 == a2) {
-        if (denominator_[a1] > 0.0) {
-          const double num = numerator_[a1] - c11 - c22 + c12 + c21;
-          v1 = v2 = problem_->app_weight(a1) * num / denominator_[a1];
-        }
-      } else {
-        if (denominator_[a1] > 0.0) {
-          const double num = numerator_[a1] - c11 + c12;
-          v1 = problem_->app_weight(a1) * num / denominator_[a1];
-        }
-        if (denominator_[a2] > 0.0) {
-          const double num = numerator_[a2] - c22 + c21;
-          v2 = problem_->app_weight(a2) * num / denominator_[a2];
-        }
-      }
-    }
-    double worst = 0.0;
-    for (std::size_t a = 0; a < num_apps; ++a) {
-      const double v = a == a1 ? v1 : a == a2 ? v2 : swap_wapl_[a];
-      if (v > worst) worst = v;
-    }
-    out[p] = worst;
   }
 }
 

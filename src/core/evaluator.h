@@ -1,7 +1,7 @@
 // Incremental mapping evaluator.
 //
 // The sliding-window swap stage of sort-select-swap evaluates 24
-// permutations per window over O(N²) windows, and simulated annealing
+// permutations per window over O(N²) windows, and cluster-based annealing
 // evaluates one two-thread swap per iteration; recomputing eq. 5 from
 // scratch each time would cost O(N) per evaluation. This evaluator keeps
 // per-application weighted-latency numerators (denominators are mapping-
@@ -16,12 +16,12 @@
 // numerator is recomputed from scratch in canonical (thread-ascending)
 // order, never updated by adding a delta. The numerators are therefore a
 // pure function of the current mapping — bit-identical no matter which
-// sequence of swaps produced it. This is what makes the parallel SSS sweep
-// exact: an apply/revert pair restores the evaluator bit-perfectly (a
-// delta-based update would leave (n + d) - d != n rounding residue that
-// accumulates with evaluation history), so a snapshot copy that evaluates
-// and reverts candidate permutations sees exactly the state the serial
-// sweep would see. See DESIGN.md, "Parallelism & determinism".
+// sequence of mutations produced it (a delta-based update would leave
+// (n + d) - d != n rounding residue that accumulates with history). Window
+// scoring (score_group_candidates) re-sums the same way, which is what
+// makes the parallel SSS sweep exact: every worker scores through this one
+// const evaluator and sees exactly the state the serial sweep would see.
+// See DESIGN.md, "Parallelism & determinism".
 #pragma once
 
 #include <cstddef>
@@ -33,25 +33,12 @@
 
 namespace nocmap {
 
-/// One proposed two-thread swap, the annealer's move type.
-struct SwapProposal {
-  std::uint32_t j1 = 0;
-  std::uint32_t j2 = 0;
-};
-
 class MappingEvaluator {
  public:
-  /// Takes the problem (kept by reference; must outlive the evaluator) and
-  /// an initial valid mapping.
-  MappingEvaluator(const ObmProblem& problem, Mapping initial);
-
-  /// Cache-backed variant: thread_cost reads the shared memoized matrix
-  /// instead of recomputing eq. 13 from the model on every query. The cache
-  /// (which must outlive the evaluator and match the problem's workload and
-  /// model) stores exactly the values the uncached path computes, so results
-  /// are identical; it is read-only here, so any number of evaluators —
-  /// including per-worker snapshot copies in the parallel SSS sweep — can
-  /// share one cache concurrently.
+  /// Takes the problem, an initial valid mapping, and the problem's eq.-13
+  /// cost table, which thread_cost reads. The problem and the cache are
+  /// kept by reference and must outlive the evaluator; the cache is
+  /// read-only here, so any number of evaluators can share it concurrently.
   MappingEvaluator(const ObmProblem& problem, Mapping initial,
                    const ThreadCostCache& cache);
 
@@ -78,7 +65,9 @@ class MappingEvaluator {
 
   /// Cost contribution of thread j when placed on `tile`
   /// (c_j·TC + m_j·TM, eq. 13).
-  double thread_cost(std::size_t j, TileId tile) const;
+  double thread_cost(std::size_t j, TileId tile) const {
+    return cache_->cost(j, tile);
+  }
 
   /// Scores `count` candidate re-assignments of one thread group without
   /// mutating the evaluator. All candidates share the thread set: candidate
@@ -90,31 +79,16 @@ class MappingEvaluator {
   /// thread-ascending order with the candidate's tiles substituted — never
   /// by delta arithmetic — and folded with the untouched applications'
   /// stored numerators. Being const, any number of workers may score
-  /// windows through one shared evaluator concurrently; the SSS sweep uses
-  /// this instead of mutating per-worker snapshot copies.
+  /// windows through one shared evaluator concurrently.
   void score_group_candidates(std::span<const std::size_t> threads,
                               const TileId* tiles, std::size_t count,
                               std::span<double> out) const;
-
-  /// Deterministic objective estimates for a block of proposed swaps
-  /// against the current state: out[i] is the OBM objective after applying
-  /// proposal i alone. Computed by delta substitution on the cached
-  /// per-application numerators (4 cost lookups per proposal), so values
-  /// may differ from the canonical objective() in the last ulps — callers
-  /// (the annealer's batched proposal loop) treat them as the acceptance
-  /// score and recompute canonically on accept. Non-const because it
-  /// refreshes an internal weighted-APL scratch; the evaluator must not be
-  /// shared across workers while prescoring (each SA chain owns its own).
-  void score_swap_candidates(std::span<const SwapProposal> proposals,
-                             std::span<double> out);
 
   /// Recomputes everything from scratch; used by tests to check that the
   /// incremental state never drifts.
   double recomputed_max_apl() const;
 
  private:
-  MappingEvaluator(const ObmProblem& problem, Mapping initial,
-                   const ThreadCostCache* cache);
   /// Updates position state only; callers must recompute_app afterwards.
   void place_thread(std::size_t j, TileId tile);
   /// Rebuilds one application's numerator from the live mapping in
@@ -122,14 +96,12 @@ class MappingEvaluator {
   void recompute_app(std::size_t app);
 
   const ObmProblem* problem_;
-  const ThreadCostCache* cache_ = nullptr;  // optional, not owned
+  const ThreadCostCache* cache_;  // not owned
   Mapping mapping_;
   std::vector<std::size_t> tile_to_thread_;
-  std::vector<std::uint32_t> app_of_;  // thread -> application, memoized
   std::vector<double> numerator_;    // per app: Σ c_j TC(π(j)) + m_j TM(π(j))
   std::vector<double> denominator_;  // per app: Σ c_j + m_j (constant)
   std::vector<std::size_t> group_apps_;  // apply_group scratch
-  std::vector<double> swap_wapl_;        // score_swap_candidates scratch
   double total_denominator_ = 0.0;
 };
 

@@ -28,26 +28,20 @@
 
 namespace nocmap {
 
-/// Parallelism policy for a mapper.
+/// Parallelism policy for a mapper: a worker count. Every algorithm follows
+/// its canonical serial protocol at any count, so the mapping is
+/// bit-identical to the 1-thread run.
 struct ParallelConfig {
   /// Worker count: 0 means std::thread::hardware_concurrency(), 1 runs
   /// everything inline on the calling thread (the serial path).
   std::size_t num_threads = 0;
-  /// When true (the default) every algorithm follows its canonical serial
-  /// protocol exactly, so the mapping is bit-identical to the 1-thread run.
-  /// When false, SSS may commit window swaps evaluated against a stale
-  /// snapshot (batched commits with revalidation): still reproducible
-  /// run-to-run and race-free, but following the batched protocol rather
-  /// than the canonical one, trading a little solution quality for fewer
-  /// discarded speculative evaluations.
-  bool deterministic = true;
 
   /// The concrete worker count (resolves 0 to the hardware concurrency).
   std::size_t resolved_threads() const;
   /// True when everything runs inline on the calling thread.
   bool serial() const { return resolved_threads() == 1; }
 
-  static ParallelConfig serial_config() { return {1, true}; }
+  static ParallelConfig serial_config() { return {1}; }
 };
 
 /// Runs batches of independent work units for a mapper, inline when the

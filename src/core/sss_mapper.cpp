@@ -43,6 +43,10 @@ std::vector<TileId> SortSelectSwapMapper::sorted_tiles(
 
 namespace {
 
+/// Largest enumerable window: the transposed candidate block holds
+/// w·(w!-1) tile ids, ~1.3 MB at w = 8 but ~13 MB at 9 and ~23 GB at 12.
+constexpr std::size_t kMaxWindowSize = 8;
+
 /// One stage-3 window: tiles sorted[start + x*step] for x in [0, w).
 struct Window {
   std::size_t start = 0;
@@ -80,7 +84,7 @@ struct WindowScratch {
 
   explicit WindowScratch(std::size_t w)
       : perm_idx(w), window_tiles(w), window_threads(w), best_tiles(w) {
-    NOCMAP_REQUIRE(w <= 12, "window size too large to enumerate");
+    NOCMAP_ASSERT(w <= kMaxWindowSize);
     std::size_t fact = 1;
     for (std::size_t i = 2; i <= w; ++i) fact *= i;
     num_candidates = fact - 1;
@@ -100,9 +104,8 @@ struct WindowScratch {
 /// mapping — is bit-identical to the old mutating probe loop, at a fraction
 /// of the work (no per-candidate numerator rebuilds for apply and revert).
 ///
-/// Because evaluation is read-only, the parallel speculation workers score
-/// windows directly against the shared evaluator instead of mutating
-/// per-worker snapshot copies.
+/// Because evaluation is read-only, the parallel speculation workers all
+/// score windows through the one shared evaluator.
 bool evaluate_window(const MappingEvaluator& eval,
                      std::span<const TileId> sorted, const Window& win,
                      WindowScratch& s) {
@@ -163,20 +166,17 @@ void sweep_windows_serial(MappingEvaluator& eval,
   c_windows_committed.add(committed);
 }
 
-/// Speculative parallel sweep (snapshot-evaluate-commit rounds).
+/// Speculative parallel sweep (speculate-then-commit rounds).
 ///
 /// Each round speculatively evaluates a block of upcoming windows in
 /// parallel against the current evaluator state, then walks the results in
 /// canonical order. Windows that found no improvement are exact — a serial
 /// sweep would have evaluated them against the same state and left it
 /// untouched. The first improving window is therefore also exact and its
-/// permutation is committed verbatim. In deterministic mode the rest of the
-/// round is discarded (their snapshots are stale) and the next round starts
+/// permutation is committed verbatim. The rest of the round is discarded
+/// (it was scored against the pre-commit state) and the next round starts
 /// after the commit, which replays the serial greedy protocol bit-exactly
-/// at any thread count. In batched mode the walk instead continues,
-/// revalidating each later improving window against the live state before
-/// committing — fewer discarded evaluations, but the protocol (and hence
-/// the mapping) follows the round geometry rather than the serial order.
+/// at any thread count.
 ///
 /// The round size adapts: it shrinks to a couple of windows per worker
 /// while commits are frequent (early, step-1 windows) and doubles while
@@ -185,7 +185,7 @@ void sweep_windows_serial(MappingEvaluator& eval,
 void sweep_windows_parallel(MappingEvaluator& eval,
                             std::span<const TileId> sorted,
                             std::span<const Window> windows, std::size_t w,
-                            ParallelTrialRunner& runner, bool deterministic) {
+                            ParallelTrialRunner& runner) {
   struct WindowResult {
     bool improved = false;
     std::vector<TileId> best_tiles;
@@ -195,7 +195,7 @@ void sweep_windows_parallel(MappingEvaluator& eval,
   const std::size_t min_round = threads * 4;
   const std::size_t max_round = std::max<std::size_t>(min_round, 2048);
   std::vector<WindowResult> results(windows.size());
-  WindowScratch commit_scratch(w);
+  std::vector<std::size_t> window_threads(w);
 
   std::uint64_t rounds = 0;
   std::uint64_t evaluated = 0;
@@ -228,38 +228,24 @@ void sweep_windows_parallel(MappingEvaluator& eval,
       }
     });
 
-    // Serial canonical commit walk.
-    std::size_t next = end;
-    bool committed = false;
-    for (std::size_t i = pos; i < end; ++i) {
-      if (!results[i].improved) continue;
-      if (!committed) {
-        // Every earlier window in the round left the state untouched, so
-        // this speculation saw the exact serial state: commit verbatim.
-        const Window& win = windows[i];
-        for (std::size_t x = 0; x < w; ++x) {
-          commit_scratch.window_tiles[x] = sorted[win.start + x * win.step];
-          commit_scratch.window_threads[x] =
-              eval.thread_on(commit_scratch.window_tiles[x]);
-        }
-        eval.apply_group(commit_scratch.window_threads,
-                         results[i].best_tiles);
-        committed = true;
-        ++n_committed;
-        if (deterministic) {
-          next = i + 1;  // later speculations are stale; restart after i
-          stale += end - next;
-          break;
-        }
-      } else if (evaluate_window(eval, sorted, windows[i], commit_scratch)) {
-        // Batched mode: the state moved since the snapshot, so revalidate
-        // on the live evaluator before committing.
-        eval.apply_group(commit_scratch.window_threads,
-                         commit_scratch.best_tiles);
-        ++n_committed;
+    // Serial canonical commit walk: every window before the first improving
+    // one left the state untouched, so that speculation saw the exact serial
+    // state and commits verbatim; later speculations are stale.
+    std::size_t i = pos;
+    while (i < end && !results[i].improved) ++i;
+    const bool committed = i < end;
+    if (committed) {
+      const Window& win = windows[i];
+      for (std::size_t x = 0; x < w; ++x) {
+        window_threads[x] = eval.thread_on(sorted[win.start + x * win.step]);
       }
+      eval.apply_group(window_threads, results[i].best_tiles);
+      ++n_committed;
+      stale += end - (i + 1);
+      pos = i + 1;
+    } else {
+      pos = end;
     }
-    pos = next;
     round = committed ? min_round : std::min(round * 2, max_round);
   }
 
@@ -273,6 +259,8 @@ void sweep_windows_parallel(MappingEvaluator& eval,
 
 Mapping SortSelectSwapMapper::map(const ObmProblem& problem) {
   NOCMAP_REQUIRE(options_.window_size >= 2, "window size must be >= 2");
+  NOCMAP_REQUIRE(options_.window_size <= kMaxWindowSize,
+                 "window size must be <= 8 (w! permutations per window)");
   c_maps.add();
   const Workload& wl = problem.workload();
   const std::size_t n = problem.num_threads();
@@ -347,8 +335,7 @@ Mapping SortSelectSwapMapper::map(const ObmProblem& problem) {
                               : std::max<std::size_t>(n / 4, 1);
     const std::vector<Window> windows = window_schedule(n, w, max_step);
     if (runner.parallel()) {
-      sweep_windows_parallel(eval, sorted, windows, w, runner,
-                             options_.parallel.deterministic);
+      sweep_windows_parallel(eval, sorted, windows, w, runner);
     } else {
       sweep_windows_serial(eval, sorted, windows, w);
     }

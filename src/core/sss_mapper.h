@@ -31,15 +31,15 @@ struct SssOptions {
   /// Stage 4 on/off (ablation: no final SAM repair).
   bool final_sam = true;
   /// Window size w; the paper uses 4 (w! permutations per window, so keep
-  /// small). Must be >= 2.
+  /// small). Must be in [2, 8].
   std::size_t window_size = 4;
   /// Largest window step; 0 means the paper's N/4.
   std::size_t max_step = 0;
-  /// Parallel execution policy. The default (hardware threads,
-  /// deterministic) produces a mapping bit-identical to the serial sweep:
-  /// stage 2/4 SAM solves fan out per application, and the stage-3 sweep
-  /// speculatively evaluates window rounds against snapshots, committing in
-  /// canonical serial order (see DESIGN.md, "Parallelism & determinism").
+  /// Worker count. Any count (default: hardware threads) produces a mapping
+  /// bit-identical to the serial sweep: stage 2/4 SAM solves fan out per
+  /// application, and the stage-3 sweep speculatively scores window rounds
+  /// through the one shared const evaluator, committing in canonical serial
+  /// order (see DESIGN.md, "Parallelism & determinism").
   ParallelConfig parallel = {};
 };
 

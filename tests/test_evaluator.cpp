@@ -31,7 +31,8 @@ TEST(Evaluator, InitialStateMatchesEvaluate) {
   const ObmProblem p = c1_problem();
   Rng rng(1);
   const Mapping m = random_mapping(p.num_threads(), rng);
-  const MappingEvaluator eval(p, m);
+  const ThreadCostCache cache(p.workload(), p.model());
+  const MappingEvaluator eval(p, m, cache);
   const LatencyReport r = evaluate(p, m);
   EXPECT_NEAR(eval.max_apl(), r.max_apl, 1e-9);
   EXPECT_NEAR(eval.g_apl(), r.g_apl, 1e-9);
@@ -44,14 +45,16 @@ TEST(Evaluator, InvalidInitialMappingRejected) {
   const ObmProblem p = c1_problem();
   Mapping bad;
   bad.thread_to_tile.assign(p.num_threads(), 0);
-  EXPECT_THROW(MappingEvaluator(p, bad), Error);
+  const ThreadCostCache cache(p.workload(), p.model());
+  EXPECT_THROW(MappingEvaluator(p, bad, cache), Error);
 }
 
 TEST(Evaluator, TileToThreadConsistent) {
   const ObmProblem p = c1_problem();
   Rng rng(2);
   const Mapping m = random_mapping(p.num_threads(), rng);
-  const MappingEvaluator eval(p, m);
+  const ThreadCostCache cache(p.workload(), p.model());
+  const MappingEvaluator eval(p, m, cache);
   for (std::size_t j = 0; j < p.num_threads(); ++j) {
     EXPECT_EQ(eval.thread_on(m.tile_of(j)), j);
   }
@@ -59,7 +62,8 @@ TEST(Evaluator, TileToThreadConsistent) {
 
 TEST(Evaluator, SwapUpdatesMapping) {
   const ObmProblem p = c1_problem();
-  MappingEvaluator eval(p, p.identity_mapping());
+  const ThreadCostCache cache(p.workload(), p.model());
+  MappingEvaluator eval(p, p.identity_mapping(), cache);
   eval.swap_threads(3, 9);
   EXPECT_EQ(eval.mapping().tile_of(3), 9u);
   EXPECT_EQ(eval.mapping().tile_of(9), 3u);
@@ -69,7 +73,8 @@ TEST(Evaluator, SwapUpdatesMapping) {
 
 TEST(Evaluator, SwapSelfIsNoOp) {
   const ObmProblem p = c1_problem();
-  MappingEvaluator eval(p, p.identity_mapping());
+  const ThreadCostCache cache(p.workload(), p.model());
+  MappingEvaluator eval(p, p.identity_mapping(), cache);
   const double before = eval.max_apl();
   eval.swap_threads(5, 5);
   EXPECT_DOUBLE_EQ(eval.max_apl(), before);
@@ -78,7 +83,8 @@ TEST(Evaluator, SwapSelfIsNoOp) {
 
 TEST(Evaluator, SwapIsInvolution) {
   const ObmProblem p = c1_problem();
-  MappingEvaluator eval(p, p.identity_mapping());
+  const ThreadCostCache cache(p.workload(), p.model());
+  MappingEvaluator eval(p, p.identity_mapping(), cache);
   const double before = eval.max_apl();
   eval.swap_threads(1, 50);
   eval.swap_threads(1, 50);
@@ -93,7 +99,8 @@ class EvaluatorDriftProperty : public ::testing::TestWithParam<int> {};
 TEST_P(EvaluatorDriftProperty, NoDriftAfterRandomSwaps) {
   const ObmProblem p = c1_problem();
   Rng rng(static_cast<std::uint64_t>(GetParam()) + 100);
-  MappingEvaluator eval(p, random_mapping(p.num_threads(), rng));
+  const ThreadCostCache cache(p.workload(), p.model());
+  MappingEvaluator eval(p, random_mapping(p.num_threads(), rng), cache);
   const auto n = static_cast<std::uint32_t>(p.num_threads());
   for (int step = 0; step < 500; ++step) {
     eval.swap_threads(rng.uniform_u32(n), rng.uniform_u32(n));
@@ -107,7 +114,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EvaluatorDriftProperty,
 
 TEST(Evaluator, ApplyGroupPermutesWithinGroup) {
   const ObmProblem p = c1_problem();
-  MappingEvaluator eval(p, p.identity_mapping());
+  const ThreadCostCache cache(p.workload(), p.model());
+  MappingEvaluator eval(p, p.identity_mapping(), cache);
   const std::vector<std::size_t> threads{2, 7, 11, 30};
   const std::vector<TileId> rotated{7, 11, 30, 2};  // rotate assignments
   eval.apply_group(threads, rotated);
@@ -121,7 +129,8 @@ TEST(Evaluator, ApplyGroupPermutesWithinGroup) {
 
 TEST(Evaluator, ApplyGroupRevert) {
   const ObmProblem p = c1_problem();
-  MappingEvaluator eval(p, p.identity_mapping());
+  const ThreadCostCache cache(p.workload(), p.model());
+  MappingEvaluator eval(p, p.identity_mapping(), cache);
   const double before = eval.max_apl();
   const std::vector<std::size_t> threads{1, 2, 3, 4};
   const std::vector<TileId> perm{4, 3, 2, 1};
@@ -133,7 +142,8 @@ TEST(Evaluator, ApplyGroupRevert) {
 
 TEST(Evaluator, ApplyGroupArityChecked) {
   const ObmProblem p = c1_problem();
-  MappingEvaluator eval(p, p.identity_mapping());
+  const ThreadCostCache cache(p.workload(), p.model());
+  MappingEvaluator eval(p, p.identity_mapping(), cache);
   const std::vector<std::size_t> threads{1, 2};
   const std::vector<TileId> tiles{1};
   EXPECT_THROW(eval.apply_group(threads, tiles), Error);
@@ -141,7 +151,8 @@ TEST(Evaluator, ApplyGroupArityChecked) {
 
 TEST(Evaluator, ThreadCostMatchesFormula) {
   const ObmProblem p = c1_problem();
-  const MappingEvaluator eval(p, p.identity_mapping());
+  const ThreadCostCache cache(p.workload(), p.model());
+  const MappingEvaluator eval(p, p.identity_mapping(), cache);
   const ThreadProfile& t = p.workload().thread(5);
   const double expected = t.cache_rate * p.model().tc(20) +
                           t.memory_rate * p.model().tm(20);
@@ -184,7 +195,8 @@ void run_mixed_op_sweep(const ObmProblem& p, std::uint64_t seed) {
   for (std::size_t v : random_permutation(n, rng)) {
     start.thread_to_tile.push_back(static_cast<TileId>(v));
   }
-  MappingEvaluator eval(p, start);
+  const ThreadCostCache cache(p.workload(), p.model());
+  MappingEvaluator eval(p, start, cache);
   for (int step = 1; step <= 10000; ++step) {
     random_op(eval, n, rng);
     if (step % 500 == 0) {
@@ -197,7 +209,7 @@ void run_mixed_op_sweep(const ObmProblem& p, std::uint64_t seed) {
   ASSERT_TRUE(eval.mapping().is_valid_permutation(n));
   // Purity: the state must be bit-identical to a fresh evaluator built from
   // the final mapping — 10k mutations may leave no floating-point residue.
-  const MappingEvaluator fresh(p, eval.mapping());
+  const MappingEvaluator fresh(p, eval.mapping(), cache);
   EXPECT_EQ(eval.objective(), fresh.objective());
   EXPECT_EQ(eval.max_apl(), fresh.max_apl());
   EXPECT_EQ(eval.g_apl(), fresh.g_apl());
@@ -221,23 +233,21 @@ TEST(EvaluatorProperty, TenThousandMixedOpsWeightedQos) {
   run_mixed_op_sweep(p, 777);
 }
 
-TEST(EvaluatorProperty, CachedAndUncachedEvaluatorsAgree) {
+TEST(EvaluatorProperty, CacheStoresTheModelCostExactly) {
+  // The evaluator reads eq. 13 only through the cache, so every entry must
+  // be bit-identical to c_j·TC(k) + m_j·TM(k) computed from the model.
   const ObmProblem p = c1_problem();
   const ThreadCostCache cache(p.workload(), p.model());
-  Rng rng(9);
-  const Mapping m = random_mapping(p.num_threads(), rng);
-  MappingEvaluator plain(p, m);
-  MappingEvaluator cached(p, m, cache);
-  Rng ops_a(55), ops_b(55);
-  for (int step = 0; step < 2000; ++step) {
-    random_op(plain, p.num_threads(), ops_a);
-    random_op(cached, p.num_threads(), ops_b);
-    ASSERT_EQ(plain.mapping().thread_to_tile, cached.mapping().thread_to_tile);
+  const MappingEvaluator eval(p, p.identity_mapping(), cache);
+  for (std::size_t j = 0; j < p.num_threads(); ++j) {
+    const ThreadProfile& t = p.workload().thread(j);
+    for (TileId k = 0; k < p.num_tiles(); ++k) {
+      const double model_cost =
+          t.cache_rate * p.model().tc(k) + t.memory_rate * p.model().tm(k);
+      ASSERT_EQ(cache.cost(j, k), model_cost) << "thread " << j << " tile " << k;
+      ASSERT_EQ(eval.thread_cost(j, k), model_cost);
+    }
   }
-  // The cache stores exactly the values the uncached path computes, so the
-  // two evaluators agree bit-for-bit, not just within tolerance.
-  EXPECT_EQ(plain.objective(), cached.objective());
-  EXPECT_EQ(plain.max_apl(), cached.max_apl());
 }
 
 TEST(EvaluatorProperty, ZeroTrafficApplicationIsIgnoredByMaxApl) {
@@ -250,7 +260,8 @@ TEST(EvaluatorProperty, ZeroTrafficApplicationIsIgnoredByMaxApl) {
                                8, ThreadProfile{0.0, 0.0})};
   ObmProblem p(TileLatencyModel(mesh, LatencyParams{}),
                Workload({busy, idle}));
-  MappingEvaluator eval(p, p.identity_mapping());
+  const ThreadCostCache cache(p.workload(), p.model());
+  MappingEvaluator eval(p, p.identity_mapping(), cache);
   EXPECT_EQ(eval.apl(1), 0.0);
   EXPECT_GT(eval.apl(0), 0.0);
   EXPECT_EQ(eval.max_apl(), eval.apl(0));
@@ -262,7 +273,7 @@ TEST(EvaluatorProperty, ZeroTrafficApplicationIsIgnoredByMaxApl) {
     random_op(eval, p.num_threads(), rng);
     ASSERT_EQ(eval.apl(1), 0.0);
   }
-  const MappingEvaluator fresh(p, eval.mapping());
+  const MappingEvaluator fresh(p, eval.mapping(), cache);
   EXPECT_EQ(eval.max_apl(), fresh.max_apl());
   EXPECT_NEAR(eval.max_apl(), eval.recomputed_max_apl(), 1e-9);
 }
@@ -273,7 +284,8 @@ TEST(EvaluatorProperty, StateIsIndependentOfMutationHistory) {
   // snapshot that churns through candidates and reverts equals one that
   // never touched them).
   const ObmProblem p = c1_problem();
-  MappingEvaluator churned(p, p.identity_mapping());
+  const ThreadCostCache cache(p.workload(), p.model());
+  MappingEvaluator churned(p, p.identity_mapping(), cache);
   Rng rng(12);
   for (int step = 0; step < 200; ++step) {
     const auto j1 =
@@ -283,7 +295,7 @@ TEST(EvaluatorProperty, StateIsIndependentOfMutationHistory) {
     churned.swap_threads(j1, j2);
     churned.swap_threads(j1, j2);  // and immediately undo
   }
-  const MappingEvaluator untouched(p, p.identity_mapping());
+  const MappingEvaluator untouched(p, p.identity_mapping(), cache);
   EXPECT_EQ(churned.objective(), untouched.objective());
   EXPECT_EQ(churned.mapping().thread_to_tile,
             untouched.mapping().thread_to_tile);
@@ -293,7 +305,8 @@ TEST(Evaluator, SwapAcrossAppsChangesBothApls) {
   const ObmProblem p = c1_problem();
   // Threads 0 and 63 are in different applications (4 x 16 layout).
   ASSERT_NE(p.workload().application_of(0), p.workload().application_of(63));
-  MappingEvaluator eval(p, p.identity_mapping());
+  const ThreadCostCache cache(p.workload(), p.model());
+  MappingEvaluator eval(p, p.identity_mapping(), cache);
   const double a0 = eval.apl(p.workload().application_of(0));
   const double a3 = eval.apl(p.workload().application_of(63));
   eval.swap_threads(0, 63);

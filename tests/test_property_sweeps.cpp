@@ -97,7 +97,8 @@ TEST_P(TopologySweep, SssNeverWorseThanSelectOnly) {
 
 TEST_P(TopologySweep, EvaluatorConsistentAfterSwapStorm) {
   const ObmProblem p = make_problem();
-  MappingEvaluator eval(p, p.identity_mapping());
+  const ThreadCostCache cache(p.workload(), p.model());
+  MappingEvaluator eval(p, p.identity_mapping(), cache);
   Rng rng(17);
   const auto n = static_cast<std::uint32_t>(p.num_threads());
   for (int i = 0; i < 200; ++i) {

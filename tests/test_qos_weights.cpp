@@ -61,7 +61,8 @@ TEST(QosWeights, ObjectiveIsWeightedMax) {
 
 TEST(QosWeights, EvaluatorObjectiveMatchesEvaluate) {
   const ObmProblem p(chip8(), c1_workload(), {2.0, 1.0, 1.5, 1.0});
-  const MappingEvaluator eval(p, p.identity_mapping());
+  const ThreadCostCache cache(p.workload(), p.model());
+  const MappingEvaluator eval(p, p.identity_mapping(), cache);
   const LatencyReport r = evaluate(p, p.identity_mapping());
   EXPECT_NEAR(eval.objective(), r.objective, 1e-9);
   EXPECT_NEAR(eval.max_apl(), r.max_apl, 1e-9);

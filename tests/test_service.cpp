@@ -52,7 +52,7 @@ TEST(ServiceReplay, DecisionsBitIdenticalAcrossWorkerCounts) {
     ServiceConfig config;
     config.migration_budget = 6;
     config.degradation_threshold = 1.05;
-    config.sss.parallel = {workers, true};
+    config.sss.parallel = {workers};
     MappingService engine(test_chip(), config);
     runs.push_back(replay_trace(engine, events));
   }

@@ -110,8 +110,11 @@ TEST(Sss, WindowSizeTwoStillValid) {
 
 TEST(Sss, InvalidWindowSizeRejected) {
   const ObmProblem p = make_problem("C1", 8);
-  SortSelectSwapMapper sss(SssOptions{.window_size = 1});
-  EXPECT_THROW(sss.map(p), Error);
+  // Too small to permute, and too large to enumerate (9! candidates).
+  for (const std::size_t w : {1u, 9u}) {
+    SortSelectSwapMapper sss(SssOptions{.window_size = w});
+    EXPECT_THROW(sss.map(p), Error) << w;
+  }
 }
 
 TEST(Sss, MaxStepOverride) {

@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
         service_config.degradation_threshold = std::stod(value());
       } else if (arg == "--workers") {
         workers = std::stoul(value());
-        service_config.sss.parallel = {workers, true};
+        service_config.sss.parallel = {workers};
       } else if (arg == "--config") {
         trace_config.config = value();
       } else if (arg == "--max-app") {
