@@ -7,8 +7,8 @@
 #include <span>
 #include <utility>
 
+#include "core/batch_eval.h"
 #include "core/cost_cache.h"
-#include "core/evaluator.h"
 #include "obs/metrics.h"
 #include "util/fastmath.h"
 #include "util/rng.h"
@@ -81,9 +81,9 @@ Mapping AnnealingMapper::map(const ObmProblem& problem) {
   NOCMAP_REQUIRE(params_.restarts > 0, "SA needs at least one restart");
   const obs::ScopedTimer map_scope(t_map);
   const std::size_t n = problem.num_threads();
-  const std::size_t num_apps = problem.num_applications();
   const AnnealObjective kind = params_.objective;
   const ThreadCostCache cache(problem.workload(), problem.model());
+  const BatchEvaluator table(problem, cache);
 
   struct ChainResult {
     Mapping best;
@@ -91,8 +91,8 @@ Mapping AnnealingMapper::map(const ObmProblem& problem) {
   };
 
   // One annealing chain driven by its own RNG stream. Chains share only the
-  // problem and the read-only cost cache, so any number of them can run
-  // concurrently.
+  // problem, the read-only cost cache and the per-application table, so any
+  // number of them can run concurrently.
   //
   // The chain owns its whole state as flat arrays — permutation, per-app
   // numerators, per-app APL values — and fuses move scoring into the walk:
@@ -110,8 +110,9 @@ Mapping AnnealingMapper::map(const ObmProblem& problem) {
   // exactness, not needed inside a sequential chain) for per-move cost;
   // every 8192 consumed iterations the numerators are re-derived from the
   // permutation to keep the accumulated rounding drift bounded, and the
-  // returned best mapping is re-scored canonically so the cross-restart
-  // argmin merge sees exact objectives.
+  // returned best mapping is re-scored canonically (the table's objective()
+  // fold for max-APL) so the cross-restart argmin merge sees exact
+  // objectives.
   //
   // Uphill acceptance compares a single-draw uniform32() variate (2^-32
   // resolution) against fast_exp_neg — deterministic arithmetic, no libm.
@@ -127,37 +128,32 @@ Mapping AnnealingMapper::map(const ObmProblem& problem) {
     std::iota(perm.begin(), perm.end(), TileId{0});
     rng.shuffle(perm);
 
-    // Frozen per-app tables. scale turns a cost numerator into the value
-    // the objective reduces: the weighted APL for max-APL, the plain APL
-    // for the balance objectives. It folds the zero-traffic guard: apps
-    // with no traffic get factor 0, contributing 0 exactly as the canonical
-    // objective() skips them (all APLs are >= 0).
-    const Workload& wl = problem.workload();
-    std::vector<std::uint32_t> app_of(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      app_of[j] = static_cast<std::uint32_t>(wl.application_of(j));
-    }
-    std::vector<double> scale(num_apps, 0.0);
+    // Frozen per-slot tables, held in chain locals like all the hot loop
+    // reads, so their pointers stay in registers across the loop's calls.
+    // scale turns a cost numerator into the value the objective reduces:
+    // the weighted APL for max-APL, the plain APL for the balance
+    // objectives. The spare slot of zero-volume applications gets factor 0,
+    // so its threads' moves never touch a reduced value.
+    const std::span<const BatchEvaluator::App> apps = table.apps();
+    const std::span<const std::uint32_t> app_of = table.slots();
+    const std::size_t num_apps = apps.size();
+    std::vector<double> scale(num_apps + 1, 0.0);
     for (std::size_t a = 0; a < num_apps; ++a) {
-      double den = 0.0;
-      for (std::size_t j = wl.first_thread(a); j < wl.last_thread(a); ++j) {
-        den += wl.thread(j).total_rate();
-      }
-      if (den > 0.0) {
-        scale[a] = kind == AnnealObjective::kMaxApl
-                       ? problem.app_weight(a) / den
-                       : 1.0 / den;
-      }
+      scale[a] = kind == AnnealObjective::kMaxApl
+                     ? apps[a].weight / apps[a].volume
+                     : 1.0 / apps[a].volume;
     }
 
-    std::vector<double> num(num_apps);
-    std::vector<double> val(num_apps);
+    // Per-slot numerators and reduced values, spare slot included.
+    std::vector<double> num(num_apps + 1, 0.0);
+    std::vector<double> val(num_apps + 1, 0.0);
     // Objective with apps a1/a2 at the candidate values v1/v2 and every
     // other app at its current value.
     auto objective_with = [&](std::size_t a1, double v1, std::size_t a2,
                               double v2) -> double {
       if (kind != AnnealObjective::kMaxApl) {
-        return balance_objective(kind, val, a1, v1, a2, v2);
+        return balance_objective(kind, {val.data(), num_apps}, a1, v1, a2,
+                                 v2);
       }
       double worst = v1 > v2 ? v1 : v2;
       for (std::size_t a = 0; a < num_apps; ++a) {
@@ -169,12 +165,8 @@ Mapping AnnealingMapper::map(const ObmProblem& problem) {
     // thread-ascending order; returns the current objective.
     auto renormalize = [&]() -> double {
       for (std::size_t a = 0; a < num_apps; ++a) {
-        double sum = 0.0;
-        for (std::size_t j = wl.first_thread(a); j < wl.last_thread(a); ++j) {
-          sum += cache.cost(j, perm[j]);
-        }
-        num[a] = sum;
-        val[a] = sum * scale[a];
+        num[a] = table.numerator(a, perm.data());
+        val[a] = num[a] * scale[a];
       }
       return objective_with(0, val[0], 0, val[0]);  // nothing substituted
     };
@@ -183,8 +175,7 @@ Mapping AnnealingMapper::map(const ObmProblem& problem) {
 
     // Geometric cooling relative to the initial max-APL magnitude, so
     // acceptance probabilities stay meaningful for all objectives.
-    const double initial_max_apl =
-        MappingEvaluator(problem, state, cache).max_apl();
+    const double initial_max_apl = table.max_apl(num);
     const double t0 = std::max(
         params_.initial_temp_fraction * std::max(initial_max_apl, 1.0), 1e-9);
     const double t_end = std::max(t0 * params_.final_temp_fraction, 1e-12);
@@ -263,12 +254,9 @@ Mapping AnnealingMapper::map(const ObmProblem& problem) {
     }
     // Canonical objective of the best mapping, so the restart merge (and
     // the reported quality) never carries delta-arithmetic drift.
-    if (kind == AnnealObjective::kMaxApl) {
-      result.obj = MappingEvaluator(problem, result.best, cache).objective();
-    } else {
-      perm = result.best.thread_to_tile;
-      result.obj = renormalize();
-    }
+    perm = result.best.thread_to_tile;
+    result.obj = renormalize();
+    if (kind == AnnealObjective::kMaxApl) result.obj = table.objective(num);
     c_chains.add();
     c_iterations.add(params_.iterations);
     c_accepts.add(accepts);

@@ -1,7 +1,6 @@
 #include "core/batch_eval.h"
 
 #include <algorithm>
-#include <limits>
 
 namespace nocmap {
 
@@ -14,49 +13,70 @@ void CandidateBatch::load(std::size_t lane, std::span<const TileId> perm) {
   }
 }
 
-void CandidateBatch::extract(std::size_t lane, std::span<TileId> perm) const {
-  NOCMAP_REQUIRE(lane < capacity_, "candidate lane out of range");
-  NOCMAP_REQUIRE(perm.size() == num_threads_,
-                 "candidate arity does not match the batch");
-  for (std::size_t j = 0; j < num_threads_; ++j) {
-    perm[j] = tiles_[j * capacity_ + lane];
-  }
-}
-
 BatchEvaluator::BatchEvaluator(const ObmProblem& problem,
                                const ThreadCostCache& cache)
-    : cache_(&cache), num_threads_(problem.num_threads()) {
+    : cache_(&cache), slot_of_(problem.num_threads()) {
   NOCMAP_REQUIRE(cache.num_threads() == problem.num_threads() &&
                      cache.num_tiles() == problem.num_tiles(),
                  "cost cache does not match the problem");
   const Workload& wl = problem.workload();
   apps_.reserve(wl.num_applications());
   for (std::size_t i = 0; i < wl.num_applications(); ++i) {
-    AppSlice app;
+    App app;
     app.first = static_cast<std::uint32_t>(wl.first_thread(i));
     app.last = static_cast<std::uint32_t>(wl.last_thread(i));
     app.weight = problem.app_weight(i);
-    // Thread-ascending summation, exactly as the scalar reduction
-    // accumulates it (the cache's prefix sums round differently).
-    double volume = 0.0;
     for (std::uint32_t j = app.first; j < app.last; ++j) {
-      volume += cache.rate(j);
+      app.volume += cache.rate(j);
     }
-    app.volume = volume;
-    // Zero-volume applications never contribute to the objective; dropping
-    // them here mirrors the scalar `volume > 0` guard.
-    if (volume > 0.0) apps_.push_back(app);
+    if (app.volume > 0.0) apps_.push_back(app);
+  }
+  // Threads of zero-volume applications keep the spare slot.
+  std::fill(slot_of_.begin(), slot_of_.end(),
+            static_cast<std::uint32_t>(apps_.size()));
+  for (std::uint32_t s = 0; s < apps_.size(); ++s) {
+    std::fill(slot_of_.begin() + apps_[s].first,
+              slot_of_.begin() + apps_[s].last, s);
   }
 }
 
-template <bool Pruned, typename TileAt>
-void BatchEvaluator::score_block(std::size_t lanes, double cutoff, double* out,
+double BatchEvaluator::numerator(std::size_t slot, const TileId* perm) const {
+  const App& app = apps_[slot];
+  double sum = 0.0;
+  for (std::uint32_t j = app.first; j < app.last; ++j) {
+    sum += cache_->cost(j, perm[j]);
+  }
+  return sum;
+}
+
+double BatchEvaluator::objective(std::span<const double> num) const {
+  NOCMAP_ASSERT(num.size() >= apps_.size());
+  double worst = 0.0;
+  for (std::size_t s = 0; s < apps_.size(); ++s) {
+    const double apl = apps_[s].weight * num[s] / apps_[s].volume;
+    if (apl > worst) worst = apl;
+  }
+  return worst;
+}
+
+double BatchEvaluator::max_apl(std::span<const double> num) const {
+  NOCMAP_ASSERT(num.size() >= apps_.size());
+  double worst = 0.0;
+  for (std::size_t s = 0; s < apps_.size(); ++s) {
+    const double apl = num[s] / apps_[s].volume;
+    if (apl > worst) worst = apl;
+  }
+  return worst;
+}
+
+template <typename TileAt>
+void BatchEvaluator::score_block(std::size_t lanes, double* out,
                                  const TileAt& tile_at) const {
   NOCMAP_ASSERT(lanes <= kMaxLanes);
   double worst[kMaxLanes];
   double acc[kMaxLanes];
   for (std::size_t b = 0; b < lanes; ++b) worst[b] = 0.0;
-  for (const AppSlice& app : apps_) {
+  for (const App& app : apps_) {
     for (std::size_t b = 0; b < lanes; ++b) acc[b] = 0.0;
     for (std::uint32_t j = app.first; j < app.last; ++j) {
       const double* row = cache_->row(j);
@@ -64,16 +84,10 @@ void BatchEvaluator::score_block(std::size_t lanes, double cutoff, double* out,
         acc[b] += row[tile_at(j, b)];
       }
     }
+    // objective()'s fold, one lane per accumulator.
     for (std::size_t b = 0; b < lanes; ++b) {
       const double apl = app.weight * acc[b] / app.volume;
       if (apl > worst[b]) worst[b] = apl;
-    }
-    if constexpr (Pruned) {
-      // The per-lane max only grows with later applications, so once every
-      // lane has reached the cutoff none of them can come back under it.
-      double live = worst[0];
-      for (std::size_t b = 1; b < lanes; ++b) live = std::min(live, worst[b]);
-      if (live >= cutoff) break;
     }
   }
   for (std::size_t b = 0; b < lanes; ++b) out[b] = worst[b];
@@ -81,50 +95,31 @@ void BatchEvaluator::score_block(std::size_t lanes, double cutoff, double* out,
 
 void BatchEvaluator::score(const CandidateBatch& batch, std::size_t count,
                            std::span<double> out) const {
-  NOCMAP_REQUIRE(batch.num_threads() == num_threads_,
+  NOCMAP_REQUIRE(batch.num_threads() == num_threads(),
                  "batch arity does not match the problem");
   NOCMAP_REQUIRE(count <= batch.capacity() && out.size() >= count,
                  "batch score count out of range");
   for (std::size_t b0 = 0; b0 < count; b0 += kMaxLanes) {
     const std::size_t lanes = std::min(kMaxLanes, count - b0);
-    score_block<false>(
-        lanes, 0.0, out.data() + b0,
-        [&batch, b0](std::uint32_t j, std::size_t b) {
-          return batch.lane_row(j)[b0 + b];
-        });
-  }
-}
-
-void BatchEvaluator::score_pruned(const CandidateBatch& batch,
-                                  std::size_t count, double cutoff,
-                                  std::span<double> out) const {
-  NOCMAP_REQUIRE(batch.num_threads() == num_threads_,
-                 "batch arity does not match the problem");
-  NOCMAP_REQUIRE(count <= batch.capacity() && out.size() >= count,
-                 "batch score count out of range");
-  for (std::size_t b0 = 0; b0 < count; b0 += kPruneLanes) {
-    const std::size_t lanes = std::min(kPruneLanes, count - b0);
-    score_block<true>(
-        lanes, cutoff, out.data() + b0,
-        [&batch, b0](std::uint32_t j, std::size_t b) {
-          return batch.lane_row(j)[b0 + b];
-        });
+    score_block(lanes, out.data() + b0,
+                [&batch, b0](std::uint32_t j, std::size_t b) {
+                  return batch.lane_row(j)[b0 + b];
+                });
   }
 }
 
 void BatchEvaluator::score_rows(const TileId* rows, std::size_t stride,
                                 std::size_t count,
                                 std::span<double> out) const {
-  NOCMAP_REQUIRE(stride >= num_threads_,
+  NOCMAP_REQUIRE(stride >= num_threads(),
                  "candidate row stride shorter than the thread count");
   NOCMAP_REQUIRE(out.size() >= count, "batch score count out of range");
   for (std::size_t b0 = 0; b0 < count; b0 += kMaxLanes) {
     const std::size_t lanes = std::min(kMaxLanes, count - b0);
-    score_block<false>(
-        lanes, 0.0, out.data() + b0,
-        [rows, stride, b0](std::uint32_t j, std::size_t b) {
-          return rows[(b0 + b) * stride + j];
-        });
+    score_block(lanes, out.data() + b0,
+                [rows, stride, b0](std::uint32_t j, std::size_t b) {
+                  return rows[(b0 + b) * stride + j];
+                });
   }
 }
 

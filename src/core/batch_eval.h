@@ -1,40 +1,43 @@
-// Batched candidate-mapping evaluation (ROADMAP item 2).
+// The OBM objective scorer: one per-application table, two folds, and the
+// batched candidate kernel (ROADMAP item 2).
 //
-// Every search mapper scores permutations through the same reduction: per
-// application, sum the eq.-13 costs of its threads' tiles in thread order,
-// divide by the (mapping-independent) traffic volume, and take the weighted
-// max over applications. Scored one candidate at a time that reduction is
-// latency-bound: each += waits ~4 cycles on the previous one, and the cost
-// row pointer chases the candidate's tiles.
+// Every mapper ranks mappings by the same reduction: per application, sum
+// the eq.-13 costs of its threads' tiles in thread order (the application's
+// cost numerator), divide by its mapping-independent traffic volume V_i, and
+// take the max over applications — weighted, w_i·Σcost/V_i, for the
+// objective (eq. 6 under QoS weights), unweighted for the max-APL that the
+// annealers scale their temperature by. BatchEvaluator owns that
+// reduction's per-application table (thread range, weight, thread-ascending
+// volume, and each thread's slot in it) and both folds from numerators, so
+// MappingEvaluator, the GA's tracked numerators, the SA chain and the exact
+// solver all read one table instead of building their own. Applications
+// with zero volume (pad threads, idle applications) have no table entry:
+// they never contribute to either fold.
 //
-// BatchEvaluator restructures the pass around *transposed* candidate
-// storage (CandidateBatch): a batch of K candidate mappings is stored
-// tile-major, tiles[j·K + b] = candidate b's tile for thread j, so the
+// Scored one candidate at a time the reduction is latency-bound: each +=
+// waits ~4 cycles on the previous one, and the cost row pointer chases the
+// candidate's tiles. score() restructures the pass around *transposed*
+// candidate storage (CandidateBatch): a batch of K candidate mappings is
+// stored tile-major, tiles[j·K + b] = candidate b's tile for thread j, so the
 // scorer makes ONE contiguous pass over the padded cost rows (thread-outer,
 // candidate-inner) with K independent accumulators. The inner loop is a
 // contiguous gather-and-add with no cross-iteration dependence, which the
 // compiler auto-vectorizes and the core overlaps — ~6× per candidate versus
 // the scalar loop at K ≥ 8.
 //
-// Bit-identity contract: for every candidate b, score() performs the
-// floating-point operations of the scalar reduction in the identical order
-// (per application, costs added thread-ascending; objective combined as
-// (w·Σcost)/Σrate; max over applications). The result is therefore
-// bit-identical to MappingEvaluator::objective() on the same permutation —
-// the `batch_eval` fuzz oracle and tests/test_evaluator_batch.cpp hold the
-// two implementations to exact equality. Volumes are pre-summed at
-// construction in the same thread-ascending order (not from the cache's
-// prefix sums, which round differently).
-//
-// score_pruned() adds the Monte-Carlo search refinement: given a cutoff
-// (the best objective seen so far), a sub-block of candidates whose partial
-// weighted-max already reaches the cutoff after some application can never
-// win, so the remaining applications are skipped. Pruning is exact: a lane
-// returns either its bit-identical full score (when that score < cutoff) or
-// a partial max that is provably >= cutoff.
+// Bit-identity contract: for every lane b, score() and score_rows() perform
+// the floating-point operations of objective() on the lane's canonical
+// numerators (numerator() of every slot) in the identical order, so the
+// batched and scalar scores are the same double. evaluate() (core/metrics.h)
+// recomputes the objective from the raw model and is the reference: the
+// `batch_eval` fuzz oracle and tests/test_evaluator_batch.cpp hold every
+// lane to exact equality with it on unweighted problems. Volumes are summed
+// thread-ascending, as evaluate() does (the cache's prefix sums round
+// differently).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -45,9 +48,7 @@ namespace nocmap {
 
 /// Transposed (tile-major) storage for a batch of candidate mappings:
 /// lane b of K holds one thread→tile permutation, stored so that all lanes'
-/// tiles for one thread are contiguous. Mappers that generate candidates
-/// in place (the Monte-Carlo shuffle) write through at(); callers with
-/// candidate-major data use load()/extract().
+/// tiles for one thread are contiguous. Candidates enter through load().
 class CandidateBatch {
  public:
   CandidateBatch(std::size_t num_threads, std::size_t capacity)
@@ -57,29 +58,14 @@ class CandidateBatch {
   std::size_t num_threads() const { return num_threads_; }
   std::size_t capacity() const { return capacity_; }
 
-  TileId& at(std::size_t thread, std::size_t lane) {
-    NOCMAP_ASSERT(thread < num_threads_ && lane < capacity_);
-    return tiles_[thread * capacity_ + lane];
-  }
-  TileId at(std::size_t thread, std::size_t lane) const {
-    NOCMAP_ASSERT(thread < num_threads_ && lane < capacity_);
-    return tiles_[thread * capacity_ + lane];
-  }
-
   /// All lanes' tiles for one thread (capacity() entries, contiguous).
   const TileId* lane_row(std::size_t thread) const {
-    NOCMAP_ASSERT(thread < num_threads_);
-    return &tiles_[thread * capacity_];
-  }
-  TileId* lane_row(std::size_t thread) {
     NOCMAP_ASSERT(thread < num_threads_);
     return &tiles_[thread * capacity_];
   }
 
   /// Scatters a candidate-major permutation into lane b.
   void load(std::size_t lane, std::span<const TileId> perm);
-  /// Gathers lane b back out as a candidate-major permutation.
-  void extract(std::size_t lane, std::span<TileId> perm) const;
 
  private:
   std::size_t num_threads_;
@@ -92,52 +78,61 @@ class BatchEvaluator {
   /// Lanes scored per internal pass; score()/score_rows() accept any count
   /// and loop over sub-blocks of this width on the stack.
   static constexpr std::size_t kMaxLanes = 128;
-  /// Sub-block width used by score_pruned: narrower blocks prune earlier
-  /// (a block skips an application only once every live lane is over the
-  /// cutoff), and 8 doubles still fill a vector register file.
-  static constexpr std::size_t kPruneLanes = 8;
+
+  /// One application with traffic, in application order.
+  struct App {
+    std::uint32_t first = 0;  // global thread range [first, last)
+    std::uint32_t last = 0;
+    double weight = 1.0;
+    double volume = 0.0;  // Σ rate, summed thread-ascending; always > 0
+  };
 
   /// Problem and cache are kept by reference and must outlive the
   /// evaluator. The evaluator is immutable after construction, so any
   /// number of workers may score through it concurrently.
   BatchEvaluator(const ObmProblem& problem, const ThreadCostCache& cache);
 
-  /// Scores lanes [0, count) of the batch; out[b] is bit-identical to the
-  /// scalar OBM objective (MappingEvaluator::objective()) of lane b.
+  std::span<const App> apps() const { return apps_; }
+
+  /// Per global thread, the index into apps() of its application, or
+  /// apps().size() for threads of zero-volume applications. Callers that
+  /// track numerators per slot keep one spare entry at apps().size(), so a
+  /// thread's update needs no branch; the folds never read it.
+  std::span<const std::uint32_t> slots() const { return slot_of_; }
+
+  /// Canonical cost numerator of apps()[slot] under the thread→tile
+  /// permutation `perm`: its threads' costs added thread-ascending.
+  double numerator(std::size_t slot, const TileId* perm) const;
+
+  /// The OBM objective max_s w_s·num[s]/V_s from per-slot cost numerators
+  /// (num holds at least apps().size() entries).
+  double objective(std::span<const double> num) const;
+  /// The unweighted max-APL max_s num[s]/V_s.
+  double max_apl(std::span<const double> num) const;
+
+  /// Scores lanes [0, count) of the batch; out[b] is bit-identical to
+  /// objective() of lane b's canonical numerators.
   void score(const CandidateBatch& batch, std::size_t count,
              std::span<double> out) const;
-
-  /// Like score(), but skips the tail of any kPruneLanes sub-block whose
-  /// lanes have all reached `cutoff`. Post-condition per lane:
-  /// out[b] < cutoff implies out[b] is the exact (bit-identical) score;
-  /// out[b] >= cutoff implies the true score is also >= cutoff.
-  void score_pruned(const CandidateBatch& batch, std::size_t count,
-                    double cutoff, std::span<double> out) const;
 
   /// Scores `count` candidate-major permutations stored in consecutive
   /// rows: candidate b's tile for thread j is rows[b·stride + j]. Same
   /// bit-identity contract as score(); used where candidates already live
-  /// candidate-major (the GA's genome pool) so no transpose is paid.
+  /// candidate-major (the GA's genome pool, MC's shuffled rows) so no
+  /// transpose is paid.
   void score_rows(const TileId* rows, std::size_t stride, std::size_t count,
                   std::span<double> out) const;
 
-  std::size_t num_threads() const { return num_threads_; }
+  std::size_t num_threads() const { return slot_of_.size(); }
 
  private:
-  struct AppSlice {
-    std::uint32_t first = 0;  // global thread range [first, last)
-    std::uint32_t last = 0;
-    double weight = 1.0;
-    double volume = 0.0;  // Σ rate, summed thread-ascending
-  };
-
-  template <bool Pruned, typename TileAt>
-  void score_block(std::size_t lanes, double cutoff, double* out,
+  template <typename TileAt>
+  void score_block(std::size_t lanes, double* out,
                    const TileAt& tile_at) const;
 
   const ThreadCostCache* cache_;
-  std::vector<AppSlice> apps_;  // only applications with volume > 0
-  std::size_t num_threads_;
+  std::vector<App> apps_;  // only applications with volume > 0
+  std::vector<std::uint32_t> slot_of_;
 };
 
 }  // namespace nocmap

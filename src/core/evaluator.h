@@ -1,12 +1,14 @@
-// Incremental mapping evaluator.
+// Live-mapping evaluator for the local searches.
 //
 // The sliding-window swap stage of sort-select-swap evaluates 24
 // permutations per window over O(N²) windows, and cluster-based annealing
 // evaluates one two-thread swap per iteration; recomputing eq. 5 from
 // scratch each time would cost O(N) per evaluation. This evaluator keeps
-// per-application weighted-latency numerators (denominators are mapping-
-// independent) so a move costs O(N/A) — only the affected applications —
-// and a max-APL query is O(A).
+// the live mapping, its inverse and one cost numerator per application, so
+// a move costs O(N/A) — only the affected applications — and an objective
+// query is O(A). Every weight, volume and fold comes from the shared
+// per-application table of BatchEvaluator (core/batch_eval.h), so the
+// values it reports are the batch scorer's.
 //
 // The evaluator owns a live mapping that always remains a valid permutation:
 // mutations are expressed as swaps of two threads' tiles or as group
@@ -28,17 +30,16 @@
 #include <span>
 #include <vector>
 
-#include "core/cost_cache.h"
-#include "core/problem.h"
+#include "core/batch_eval.h"
 
 namespace nocmap {
 
 class MappingEvaluator {
  public:
   /// Takes the problem, an initial valid mapping, and the problem's eq.-13
-  /// cost table, which thread_cost reads. The problem and the cache are
-  /// kept by reference and must outlive the evaluator; the cache is
-  /// read-only here, so any number of evaluators can share it concurrently.
+  /// cost table. The problem and the cache are kept by reference and must
+  /// outlive the evaluator; the cache is read-only here, so any number of
+  /// evaluators can share it concurrently.
   MappingEvaluator(const ObmProblem& problem, Mapping initial,
                    const ThreadCostCache& cache);
 
@@ -46,13 +47,11 @@ class MappingEvaluator {
   /// Thread currently running on `tile`.
   std::size_t thread_on(TileId tile) const { return tile_to_thread_[tile]; }
 
-  double apl(std::size_t app) const;
-  /// Max over applications with non-zero traffic; O(A).
-  double max_apl() const;
-  /// The OBM objective max_i w_i·APL_i; equals max_apl() when the problem
-  /// is unweighted. Algorithms minimize this.
-  double objective() const;
-  double g_apl() const;
+  /// The OBM objective max_i w_i·APL_i of the live mapping; equals
+  /// max_apl() when the problem is unweighted. Algorithms minimize this.
+  double objective() const { return table_.objective(numerator_); }
+  /// Max APL over applications with non-zero traffic.
+  double max_apl() const { return table_.max_apl(numerator_); }
 
   /// Swaps the tiles of threads j1 and j2 (j1 == j2 is a no-op).
   void swap_threads(std::size_t j1, std::size_t j2);
@@ -62,12 +61,6 @@ class MappingEvaluator {
   /// is a permutation within the group), which keeps the mapping valid.
   void apply_group(std::span<const std::size_t> threads,
                    std::span<const TileId> tiles);
-
-  /// Cost contribution of thread j when placed on `tile`
-  /// (c_j·TC + m_j·TM, eq. 13).
-  double thread_cost(std::size_t j, TileId tile) const {
-    return cache_->cost(j, tile);
-  }
 
   /// Scores `count` candidate re-assignments of one thread group without
   /// mutating the evaluator. All candidates share the thread set: candidate
@@ -84,25 +77,20 @@ class MappingEvaluator {
                               const TileId* tiles, std::size_t count,
                               std::span<double> out) const;
 
-  /// Recomputes everything from scratch; used by tests to check that the
-  /// incremental state never drifts.
-  double recomputed_max_apl() const;
-
  private:
-  /// Updates position state only; callers must recompute_app afterwards.
+  /// Updates position state only; callers must recompute afterwards.
   void place_thread(std::size_t j, TileId tile);
-  /// Rebuilds one application's numerator from the live mapping in
-  /// canonical thread order (the purity invariant above).
-  void recompute_app(std::size_t app);
+  /// Rebuilds one table slot's numerator from the live mapping in
+  /// canonical thread order (the purity invariant above); the spare slot
+  /// of zero-volume applications has no numerator and is skipped.
+  void recompute(std::size_t slot);
 
-  const ObmProblem* problem_;
+  BatchEvaluator table_;
   const ThreadCostCache* cache_;  // not owned
   Mapping mapping_;
   std::vector<std::size_t> tile_to_thread_;
-  std::vector<double> numerator_;    // per app: Σ c_j TC(π(j)) + m_j TM(π(j))
-  std::vector<double> denominator_;  // per app: Σ c_j + m_j (constant)
-  std::vector<std::size_t> group_apps_;  // apply_group scratch
-  double total_denominator_ = 0.0;
+  std::vector<double> numerator_;     // per table slot: Σ cost(j, π(j))
+  std::vector<std::size_t> touched_;  // apply_group scratch
 };
 
 }  // namespace nocmap

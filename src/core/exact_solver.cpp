@@ -4,6 +4,7 @@
 #include <limits>
 #include <numeric>
 
+#include "core/batch_eval.h"
 #include "core/bounds.h"
 #include "core/cost_cache.h"
 #include "core/metrics.h"
@@ -14,14 +15,11 @@ namespace nocmap {
 namespace {
 
 struct SearchState {
-  const ObmProblem* problem;
+  const BatchEvaluator* table;  // objective fold; numerators are per slot
   const ThreadCostCache* cache;
   ExactSolverOptions options;
 
   std::vector<std::size_t> thread_order;  // descending total rate
-  std::vector<double> app_denominator;
-  std::vector<double> app_weight;
-  std::vector<std::size_t> app_of;
 
   // Per thread: the tiles 0..n-1 sorted by that thread's cost, ascending.
   // Costs never change during the search, so the per-node sort the solver
@@ -29,7 +27,7 @@ struct SearchState {
   // allocation and an O(n log n) sort at every node.
   std::vector<std::vector<TileId>> tile_order;
 
-  // Per (depth, app): minimal possible remaining numerator if every not-
+  // Per (depth, slot): minimal possible remaining numerator if every not-
   // yet-assigned thread of the app took its global cheapest tile.
   std::vector<std::vector<double>> optimistic_tail;
 
@@ -38,8 +36,9 @@ struct SearchState {
   // at its first node and the search ends immediately.
   double global_lb = 0.0;
 
-  std::vector<double> app_numerator;
-  std::vector<TileId> assigned_tile;  // by order position
+  std::vector<double> app_numerator;    // spare slot included
+  std::vector<double> bound_numerator;  // lower_bound scratch
+  std::vector<TileId> assigned_tile;    // by order position
   std::vector<char> tile_used;
 
   double best_obj = std::numeric_limits<double>::infinity();
@@ -51,30 +50,14 @@ struct SearchState {
     return cache->cost(thread, tile);
   }
 
-  double objective() const {
-    double worst = 0.0;
-    for (std::size_t a = 0; a < app_numerator.size(); ++a) {
-      if (app_denominator[a] > 0.0) {
-        worst = std::max(
-            worst, app_weight[a] * app_numerator[a] / app_denominator[a]);
-      }
-    }
-    return worst;
-  }
-
   /// Optimistic lower bound for the subtree at `depth` (threads
-  /// thread_order[depth..] unassigned).
-  double lower_bound(std::size_t depth) const {
-    double worst = global_lb;
-    for (std::size_t a = 0; a < app_numerator.size(); ++a) {
-      if (app_denominator[a] > 0.0) {
-        worst = std::max(worst,
-                         app_weight[a] *
-                             (app_numerator[a] + optimistic_tail[depth][a]) /
-                             app_denominator[a]);
-      }
+  /// thread_order[depth..] unassigned): the objective of the optimistic
+  /// completion, or the problem-wide bound if that is higher.
+  double lower_bound(std::size_t depth) {
+    for (std::size_t s = 0; s < bound_numerator.size(); ++s) {
+      bound_numerator[s] = app_numerator[s] + optimistic_tail[depth][s];
     }
-    return worst;
+    return std::max(global_lb, table->objective(bound_numerator));
   }
 
   void dfs(std::size_t depth) {
@@ -84,7 +67,7 @@ struct SearchState {
       return;
     }
     if (depth == thread_order.size()) {
-      const double obj = objective();
+      const double obj = table->objective(app_numerator);
       if (obj < best_obj) {
         best_obj = obj;
         best_assignment = assigned_tile;
@@ -94,16 +77,16 @@ struct SearchState {
     if (lower_bound(depth) >= best_obj) return;  // prune
 
     const std::size_t j = thread_order[depth];
-    const std::size_t app = app_of[j];
+    const std::size_t slot = table->slots()[j];
 
     // Cheapest-first for this thread so good incumbents come early.
     for (TileId tile : tile_order[j]) {
       if (tile_used[tile]) continue;
       tile_used[tile] = 1;
       assigned_tile[depth] = tile;
-      app_numerator[app] += cost(j, tile);
+      app_numerator[slot] += cost(j, tile);
       dfs(depth + 1);
-      app_numerator[app] -= cost(j, tile);
+      app_numerator[slot] -= cost(j, tile);
       tile_used[tile] = 0;
       if (budget_hit) return;
     }
@@ -118,24 +101,14 @@ ExactResult solve_obm_exact(const ObmProblem& problem,
   NOCMAP_REQUIRE(n <= options.max_threads,
                  "instance too large for the exact solver");
 
-  const Workload& wl = problem.workload();
-  const ThreadCostCache cache(wl, problem.model());
+  const ThreadCostCache cache(problem.workload(), problem.model());
+  const BatchEvaluator table(problem, cache);
+  const std::size_t num_slots = table.apps().size() + 1;  // + spare slot
 
   SearchState st;
-  st.problem = &problem;
+  st.table = &table;
   st.cache = &cache;
   st.options = options;
-
-  st.app_of.resize(n);
-  st.app_denominator.assign(wl.num_applications(), 0.0);
-  st.app_weight.resize(wl.num_applications());
-  for (std::size_t a = 0; a < wl.num_applications(); ++a) {
-    st.app_weight[a] = problem.app_weight(a);
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    st.app_of[j] = wl.application_of(j);
-    st.app_denominator[st.app_of[j]] += cache.rate(j);
-  }
 
   // Branch on hot threads first: their placement moves the bound most.
   st.thread_order.resize(n);
@@ -154,14 +127,14 @@ ExactResult solve_obm_exact(const ObmProblem& problem,
               [row](TileId x, TileId y) { return row[x] < row[y]; });
   }
 
-  // optimistic_tail[d][a]: sum over order positions >= d of the cheapest
+  // optimistic_tail[d][s]: sum over order positions >= d of the cheapest
   // tile cost of that thread (relaxation: ignores tile exclusivity).
-  st.optimistic_tail.assign(n + 1,
-                            std::vector<double>(wl.num_applications(), 0.0));
+  st.optimistic_tail.assign(n + 1, std::vector<double>(num_slots, 0.0));
   for (std::size_t d = n; d-- > 0;) {
     st.optimistic_tail[d] = st.optimistic_tail[d + 1];
     const std::size_t j = st.thread_order[d];
-    st.optimistic_tail[d][st.app_of[j]] += cache.row(j)[st.tile_order[j][0]];
+    st.optimistic_tail[d][table.slots()[j]] +=
+        cache.row(j)[st.tile_order[j][0]];
   }
 
   // Problem-wide bound from the warm-started assignment relaxations.
@@ -179,7 +152,8 @@ ExactResult solve_obm_exact(const ObmProblem& problem,
     st.best_assignment[d] = warm.tile_of(st.thread_order[d]);
   }
 
-  st.app_numerator.assign(wl.num_applications(), 0.0);
+  st.app_numerator.assign(num_slots, 0.0);
+  st.bound_numerator.assign(num_slots, 0.0);
   st.assigned_tile.assign(n, 0);
   st.tile_used.assign(n, 0);
   st.dfs(0);

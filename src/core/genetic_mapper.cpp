@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
 
 #include "core/batch_eval.h"
 #include "core/cost_cache.h"
-#include "core/metrics.h"
 #include "obs/metrics.h"
 #include "util/rng.h"
 
@@ -46,19 +44,6 @@ inline std::pair<std::uint32_t, std::uint32_t> bounded_pair(
   return {static_cast<std::uint32_t>(m1 >> 32),
           static_cast<std::uint32_t>(m2 >> 32)};
 }
-
-/// Per-application view used by the delta-tracked fitness: the same slices
-/// the batch evaluator scores (zero-volume applications dropped, volume
-/// summed thread-ascending, objective term (weight · numerator) / volume),
-/// so a fitness value derived from tracked numerators bit-matches a fresh
-/// scalar or batched evaluation of the same genome up to the accumulated
-/// delta rounding (bounded far below any selection-relevant difference).
-struct GaApp {
-  std::uint32_t first = 0;
-  std::uint32_t last = 0;
-  double weight = 0.0;
-  double volume = 0.0;
-};
 
 /// Partially mapped crossover in the copy-then-repair formulation: the
 /// child starts as a full row copy of parent b, the segment [lo, hi] is
@@ -143,42 +128,16 @@ Mapping GeneticMapper::map(const ObmProblem& problem) {
   const BatchEvaluator evaluator(problem, cache);
   ParallelTrialRunner runner(params_.parallel);
 
-  // Per-application slices for the delta-tracked fitness, constructed
-  // exactly as the batch evaluator builds its own (thread-ascending volume
-  // sums, zero-volume applications dropped), so numerator-derived fitness
-  // values bit-match the batched scorer on identical genomes. Threads of
-  // dropped applications route their (never-read) contributions to a dummy
-  // trailing slot, keeping the per-position delta updates branch-free.
-  const Workload& wl = problem.workload();
-  std::vector<GaApp> apps;
-  apps.reserve(wl.num_applications());
-  for (std::size_t i = 0; i < wl.num_applications(); ++i) {
-    GaApp app;
-    app.first = static_cast<std::uint32_t>(wl.first_thread(i));
-    app.last = static_cast<std::uint32_t>(wl.last_thread(i));
-    app.weight = problem.app_weight(i);
-    double volume = 0.0;
-    for (std::uint32_t j = app.first; j < app.last; ++j) {
-      volume += cache.rate(j);
-    }
-    app.volume = volume;
-    if (volume > 0.0) apps.push_back(app);
-  }
-  const std::size_t num_slots = apps.size() + 1;  // + dummy slot
-  std::vector<std::uint32_t> app_slot(n,
-                                      static_cast<std::uint32_t>(apps.size()));
-  for (std::size_t a = 0; a < apps.size(); ++a) {
-    for (std::uint32_t j = apps[a].first; j < apps[a].last; ++j) {
-      app_slot[j] = static_cast<std::uint32_t>(a);
-    }
-  }
-  auto fitness_from = [&](const double* num) {
-    double worst = 0.0;
-    for (std::size_t a = 0; a < apps.size(); ++a) {
-      const double apl = apps[a].weight * num[a] / apps[a].volume;
-      if (apl > worst) worst = apl;
-    }
-    return worst;
+  // Delta-tracked fitness keeps one cost numerator per slot of the batch
+  // evaluator's table, plus its spare slot: threads of zero-volume
+  // applications route their (never-read) contributions there, keeping the
+  // per-position delta updates branch-free. Fitness is the evaluator's own
+  // objective() fold, so it bit-matches the batched scorer on identical
+  // genomes up to the accumulated delta rounding.
+  const std::uint32_t* app_slot = evaluator.slots().data();
+  const std::size_t num_slots = evaluator.apps().size() + 1;
+  auto fitness = [&](const double* num) {
+    return evaluator.objective({num, num_slots});
   };
 
   // Two persistent generations as flat genome pools (row k = genome k),
@@ -213,7 +172,7 @@ Mapping GeneticMapper::map(const ObmProblem& problem) {
     TileId* inv = &pop_inv[k * n];
     for (std::size_t i = 0; i < n; ++i) inv[row[i]] = static_cast<TileId>(i);
     // Thread-ascending accumulation lands each slot's additions in the
-    // same order the batched scorer uses, so fitness_from(num) reproduces
+    // same order the batched scorer uses, so the objective() fold reproduces
     // score_rows bit-for-bit on the initial population.
     double* num = &pop_num[k * num_slots];
     std::fill_n(num, num_slots, 0.0);
@@ -324,12 +283,12 @@ Mapping GeneticMapper::map(const ObmProblem& problem) {
         // a row copy of) and pmx_into folds in the divergence deltas.
         std::copy_n(&pop_num[pb * num_slots], num_slots, c1_num);
         pmx_into(&pop[pa * n], &pop[pb * n], &pop_inv[pa * n],
-                 &pop_inv[pb * n], lo, hi, n, cache, app_slot.data(), c1,
+                 &pop_inv[pb * n], lo, hi, n, cache, app_slot, c1,
                  c1_inv, c1_num, pmx_displaced.data(), pmx_diffs.data());
         if (twins) {
           std::copy_n(&pop_num[pa * num_slots], num_slots, c2_num);
           pmx_into(&pop[pb * n], &pop[pa * n], &pop_inv[pb * n],
-                   &pop_inv[pa * n], lo, hi, n, cache, app_slot.data(), c2,
+                   &pop_inv[pa * n], lo, hi, n, cache, app_slot, c2,
                    c2_inv, c2_num, pmx_displaced.data(), pmx_diffs.data());
         }
       } else {
@@ -343,10 +302,10 @@ Mapping GeneticMapper::map(const ObmProblem& problem) {
         }
       }
       mutate(c1, c1_inv, c1_num);
-      next_fit[k] = fitness_from(c1_num);
+      next_fit[k] = fitness(c1_num);
       if (twins) {
         mutate(c2, c2_inv, c2_num);
-        next_fit[k + 1] = fitness_from(c2_num);
+        next_fit[k + 1] = fitness(c2_num);
       }
     }
     evaluations += offspring;

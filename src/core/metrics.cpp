@@ -6,22 +6,6 @@
 
 namespace nocmap {
 
-double application_apl(const ObmProblem& problem, const Mapping& mapping,
-                       std::size_t app_index) {
-  const Workload& wl = problem.workload();
-  const TileLatencyModel& model = problem.model();
-  double weighted = 0.0;
-  double volume = 0.0;
-  for (std::size_t j = wl.first_thread(app_index);
-       j < wl.last_thread(app_index); ++j) {
-    const ThreadProfile& t = wl.thread(j);
-    const TileId k = mapping.tile_of(j);
-    weighted += t.cache_rate * model.tc(k) + t.memory_rate * model.tm(k);
-    volume += t.total_rate();
-  }
-  return volume > 0.0 ? weighted / volume : 0.0;
-}
-
 LatencyReport evaluate(const ObmProblem& problem, const Mapping& mapping) {
   NOCMAP_REQUIRE(mapping.is_valid_permutation(problem.num_threads()),
                  "mapping must be a valid permutation");

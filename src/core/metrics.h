@@ -33,10 +33,6 @@ struct LatencyReport {
   double objective = 0.0;
 };
 
-/// APL of application i under `mapping` (eq. 5).
-double application_apl(const ObmProblem& problem, const Mapping& mapping,
-                       std::size_t app_index);
-
 /// Evaluates every metric for the mapping. Requires a valid permutation.
 LatencyReport evaluate(const ObmProblem& problem, const Mapping& mapping);
 

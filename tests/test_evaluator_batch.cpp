@@ -1,12 +1,12 @@
-// Bit-identity contract of the batched candidate evaluator (DESIGN.md §:
-// "Batched candidate evaluation"): every lane scored by BatchEvaluator must
-// equal the scalar MappingEvaluator's objective on the same permutation to
-// the last bit — the mappers' search decisions are rewired through the
-// batched pass on that guarantee. Also covers the pruned variant's
-// postcondition, the candidate-major score_rows path, the const group/swap
-// prescoring entry points on MappingEvaluator, worker-count invariance of a
-// fitness fan-out through ParallelTrialRunner::for_each_batch, and the
-// fast_exp_neg kernel the annealer's acceptance test runs on.
+// Bit-identity contract of the objective scorer (DESIGN.md §14.1): every
+// lane scored by BatchEvaluator must equal evaluate()'s objective on the
+// same permutation to the last bit — the mappers' search decisions are
+// rewired through the batched pass on that guarantee. Also covers the
+// candidate-major score_rows path, the table's folds from numerators, the
+// zero-volume slot, MappingEvaluator's window kernel against apply_group,
+// worker-count invariance of a fitness fan-out through
+// ParallelTrialRunner::for_each_batch, and the fast_exp_neg kernel the
+// annealer's acceptance test runs on.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,6 +17,7 @@
 #include "core/batch_eval.h"
 #include "core/cost_cache.h"
 #include "core/evaluator.h"
+#include "core/metrics.h"
 #include "core/parallel.h"
 #include "core/problem.h"
 #include "util/fastmath.h"
@@ -44,11 +45,10 @@ std::vector<TileId> random_perm(std::size_t n, Rng& rng) {
   return perm;
 }
 
-double scalar_objective(const ObmProblem& p, const ThreadCostCache& cache,
-                        std::vector<TileId> perm) {
+double reference_objective(const ObmProblem& p, std::vector<TileId> perm) {
   Mapping m;
   m.thread_to_tile = std::move(perm);
-  return MappingEvaluator(p, std::move(m), cache).objective();
+  return evaluate(p, m).objective;
 }
 
 TEST(BatchEvaluator, BitIdenticalToScalarAcrossSizes) {
@@ -69,7 +69,7 @@ TEST(BatchEvaluator, BitIdenticalToScalarAcrossSizes) {
     std::vector<double> scores(kCount);
     evaluator.score(batch, kCount, scores);
     for (std::size_t b = 0; b < kCount; ++b) {
-      EXPECT_EQ(scores[b], scalar_objective(p, cache, perms[b]))
+      EXPECT_EQ(scores[b], reference_objective(p, perms[b]))
           << "lane " << b << " side " << side;
     }
   }
@@ -95,7 +95,7 @@ TEST(BatchEvaluator, RaggedFinalBlockAndSingleLane) {
     std::vector<double> scores(count, -1.0);
     evaluator.score(batch, count, scores);
     for (std::size_t b = 0; b < count; ++b) {
-      EXPECT_EQ(scores[b], scalar_objective(p, cache, perms[b]))
+      EXPECT_EQ(scores[b], reference_objective(p, perms[b]))
           << "lane " << b << " of " << count;
     }
   }
@@ -124,33 +124,49 @@ TEST(BatchEvaluator, ScoreRowsMatchesTransposedScore) {
   }
 }
 
-TEST(BatchEvaluator, PrunedScoresKeepTheExactWinner) {
+TEST(BatchEvaluator, FoldsMatchEvaluateOnCanonicalNumerators) {
   const ObmProblem p = make_problem(8, 3);
-  const std::size_t n = p.num_threads();
   const ThreadCostCache cache(p.workload(), p.model());
   const BatchEvaluator evaluator(p, cache);
   Rng rng(37);
+  const std::vector<TileId> perm = random_perm(p.num_threads(), rng);
 
-  constexpr std::size_t kCount = 96;
-  CandidateBatch batch(n, kCount);
-  for (std::size_t b = 0; b < kCount; ++b) batch.load(b, random_perm(n, rng));
-  std::vector<double> exact(kCount), pruned(kCount);
-  evaluator.score(batch, kCount, exact);
-
-  // Sweep cutoffs from permissive to aggressive; the postcondition must
-  // hold for each: below-cutoff lanes are bit-exact, at-or-above-cutoff
-  // lanes are only guaranteed to be >= cutoff (like the true score).
-  std::vector<double> cutoffs = {1e300, exact[0], exact[kCount / 2], 0.0};
-  for (const double cutoff : cutoffs) {
-    evaluator.score_pruned(batch, kCount, cutoff, pruned);
-    for (std::size_t b = 0; b < kCount; ++b) {
-      if (pruned[b] < cutoff) {
-        EXPECT_EQ(pruned[b], exact[b]) << "lane " << b;
-      } else {
-        EXPECT_GE(exact[b], cutoff) << "lane " << b;
-      }
-    }
+  std::vector<double> num(evaluator.apps().size());
+  for (std::size_t s = 0; s < num.size(); ++s) {
+    num[s] = evaluator.numerator(s, perm.data());
   }
+  const LatencyReport r = evaluate(p, Mapping{perm});
+  EXPECT_EQ(evaluator.objective(num), r.objective);
+  EXPECT_EQ(evaluator.max_apl(num), r.max_apl);
+  std::vector<double> score(1);
+  evaluator.score_rows(perm.data(), perm.size(), 1, score);
+  EXPECT_EQ(score[0], evaluator.objective(num));
+}
+
+TEST(BatchEvaluator, ZeroVolumeApplicationsTakeTheSpareSlot) {
+  const Mesh mesh = Mesh::square(4);
+  const Application busy{"busy",
+                         std::vector<ThreadProfile>(6, ThreadProfile{0.4, 0.1})};
+  const Application idle{"idle",
+                         std::vector<ThreadProfile>(4, ThreadProfile{0.0, 0.0})};
+  const Application tail{"tail",
+                         std::vector<ThreadProfile>(6, ThreadProfile{0.2, 0.3})};
+  const ObmProblem p(TileLatencyModel(mesh, LatencyParams{}),
+                     Workload({busy, idle, tail}));
+  const ThreadCostCache cache(p.workload(), p.model());
+  const BatchEvaluator evaluator(p, cache);
+
+  ASSERT_EQ(evaluator.apps().size(), 2u);
+  EXPECT_EQ(evaluator.apps()[1].first, 10u);
+  for (std::size_t j = 0; j < p.num_threads(); ++j) {
+    const std::uint32_t want = j < 6 ? 0 : j < 10 ? 2 : 1;
+    EXPECT_EQ(evaluator.slots()[j], want) << "thread " << j;
+  }
+  Rng rng(5);
+  const std::vector<TileId> perm = random_perm(p.num_threads(), rng);
+  std::vector<double> score(1);
+  evaluator.score_rows(perm.data(), perm.size(), 1, score);
+  EXPECT_EQ(score[0], evaluate(p, Mapping{perm}).objective);
 }
 
 TEST(MappingEvaluatorBatch, GroupCandidatesBitMatchApplyGroup) {

@@ -4,7 +4,6 @@
 
 #include <numeric>
 
-#include "util/rng.h"
 
 namespace nocmap {
 namespace {
@@ -110,20 +109,6 @@ TEST(Metrics, MemoryTrafficUsesTm) {
   for (TileId t = 0; t < 16; ++t) expected += model.tm(t);
   expected /= 16.0;
   EXPECT_NEAR(r.apl[0], expected, 1e-12);
-}
-
-TEST(Metrics, ApplicationAplMatchesEvaluate) {
-  const ObmProblem p = make_problem_4x4();
-  Rng rng(5);
-  Mapping m;
-  const auto perm = random_permutation(16, rng);
-  for (std::size_t v : perm) {
-    m.thread_to_tile.push_back(static_cast<TileId>(v));
-  }
-  const LatencyReport r = evaluate(p, m);
-  for (std::size_t i = 0; i < p.num_applications(); ++i) {
-    EXPECT_NEAR(application_apl(p, m, i), r.apl[i], 1e-12);
-  }
 }
 
 TEST(Metrics, GaplIsVolumeWeightedAverageOfApls) {
