@@ -24,8 +24,7 @@ double optimal_gapl(const ObmProblem& problem) {
 }
 
 double relaxed_min_apl(const ObmProblem& problem, std::size_t app,
-                       const ThreadCostCache& cache, AssignmentWorkspace& ws,
-                       bool warm) {
+                       const ThreadCostCache& cache, AssignmentWorkspace& ws) {
   const Workload& wl = problem.workload();
   const std::size_t lo = wl.first_thread(app);
   const std::size_t dn = wl.last_thread(app) - lo;
@@ -37,8 +36,7 @@ double relaxed_min_apl(const ObmProblem& problem, std::size_t app,
   // classic zero-cost dummy-row padding, at a fraction of the work).
   const CostView view(cache.row(lo), dn, problem.num_tiles(),
                       cache.row_stride());
-  const Assignment& a = warm ? ws.solve_warm(view) : ws.solve(view);
-  return a.total_cost / volume;
+  return ws.solve(view).total_cost / volume;
 }
 
 double relaxed_min_apl(const ObmProblem& problem, std::size_t app) {
@@ -58,15 +56,10 @@ double max_apl_lower_bound(const ObmProblem& problem,
   }
   double bound = min_weight * optimal_gapl(problem, cache, ws);
   // Per-application bound: application i can never beat its uncontested
-  // relaxed minimum, scaled by its own weight. These rectangular solves run
-  // cold inside the kernel regardless of the warm flag — carried column
-  // potentials are unsound when columns may stay unmatched — so `warm` now
-  // only spares re-priming the workspace metadata.
+  // relaxed minimum, scaled by its own weight.
   for (std::size_t a = 0; a < problem.num_applications(); ++a) {
-    bound = std::max(bound,
-                     problem.app_weight(a) *
-                         relaxed_min_apl(problem, a, cache, ws,
-                                         /*warm=*/a > 0));
+    bound = std::max(bound, problem.app_weight(a) *
+                                relaxed_min_apl(problem, a, cache, ws));
   }
   return bound;
 }

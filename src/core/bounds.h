@@ -34,8 +34,7 @@ double optimal_gapl(const ObmProblem& problem, const ThreadCostCache& cache,
 /// Relaxed minimum APL of application `app` if it alone chose its tiles.
 double relaxed_min_apl(const ObmProblem& problem, std::size_t app);
 double relaxed_min_apl(const ObmProblem& problem, std::size_t app,
-                       const ThreadCostCache& cache, AssignmentWorkspace& ws,
-                       bool warm = false);
+                       const ThreadCostCache& cache, AssignmentWorkspace& ws);
 
 /// Combined lower bound on the optimal objective (max-APL, or the weighted
 /// variant when the problem carries QoS weights).

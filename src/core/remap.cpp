@@ -1,9 +1,12 @@
 #include "core/remap.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "assign/hungarian.h"
+#include "core/sam.h"
 
 namespace nocmap {
 
@@ -13,60 +16,44 @@ namespace {
 /// threads onto the fresh tile sets with the migration penalty λ folded into
 /// the cost (see the header comment). Factored out so remap_budgeted can
 /// re-run it under different penalties without repeating the SSS solve.
-RemapResult assign_within_tile_sets(const ObmProblem& problem,
-                                    const Mapping& fresh,
-                                    const Mapping& old_mapping,
-                                    double migration_penalty_cycles) {
+Mapping assign_within_tile_sets(const ObmProblem& problem,
+                                const Mapping& fresh,
+                                const Mapping& old_mapping,
+                                double migration_penalty_cycles) {
   const Workload& wl = problem.workload();
-  const TileLatencyModel& model = problem.model();
+  const std::span<const TileId> fresh_tiles = fresh.thread_to_tile;
+  const std::span<const TileId> old_tiles = old_mapping.thread_to_tile;
 
-  RemapResult result;
-  result.mapping.thread_to_tile.resize(problem.num_threads());
+  Mapping mapping;
+  mapping.thread_to_tile.resize(problem.num_threads());
   AssignmentWorkspace ws;
   std::vector<double> cost;
-  std::vector<TileId> tiles;
   for (std::size_t a = 0; a < wl.num_applications(); ++a) {
     const std::size_t lo = wl.first_thread(a);
     const std::size_t dn = wl.last_thread(a) - lo;
-    tiles.resize(dn);
+    const std::span<const TileId> tiles = fresh_tiles.subspan(lo, dn);
+    // Threads beyond the old mapping have no old tile to stick to.
+    const Assignment& assignment = ws.solve(sam_cost_view(
+        wl.threads().subspan(lo, dn), tiles, problem.model(), cost,
+        old_tiles.subspan(std::min(lo, old_tiles.size())),
+        migration_penalty_cycles));
     for (std::size_t t = 0; t < dn; ++t) {
-      tiles[t] = fresh.thread_to_tile[lo + t];
-    }
-
-    cost.resize(dn * dn);
-    for (std::size_t t = 0; t < dn; ++t) {
-      const std::size_t j = lo + t;
-      const ThreadProfile& prof = wl.thread(j);
-      const bool has_old = j < old_mapping.thread_to_tile.size();
-      for (std::size_t k = 0; k < dn; ++k) {
-        double c = prof.cache_rate * model.tc(tiles[k]) +
-                   prof.memory_rate * model.tm(tiles[k]);
-        if (has_old && old_mapping.thread_to_tile[j] != tiles[k]) {
-          c += migration_penalty_cycles * prof.total_rate();
-        }
-        cost[t * dn + k] = c;
-      }
-    }
-    const Assignment& assignment =
-        ws.solve(CostView(cost.data(), dn, dn, dn));
-    for (std::size_t t = 0; t < dn; ++t) {
-      result.mapping.thread_to_tile[lo + t] =
-          tiles[assignment.row_to_col[t]];
+      mapping.thread_to_tile[lo + t] = tiles[assignment.row_to_col[t]];
     }
   }
+  return mapping;
+}
 
-  // Count real migrations: zero-rate pad threads are fictitious and move
-  // for free.
-  result.moved_threads = 0;
-  for (std::size_t j = 0; j < problem.num_threads(); ++j) {
-    if (wl.thread(j).total_rate() <= 0.0) continue;
-    const bool has_old = j < old_mapping.thread_to_tile.size();
-    if (!has_old ||
-        old_mapping.thread_to_tile[j] != result.mapping.thread_to_tile[j]) {
-      ++result.moved_threads;
-    }
-  }
-  result.report = evaluate(problem, result.mapping);
+/// The remap result for `mapping`: its migrations away from `old_mapping`
+/// and its metrics under the problem.
+RemapResult finish_remap(const ObmProblem& problem, const Mapping& old_mapping,
+                         Mapping mapping) {
+  RemapResult result;
+  result.moved_threads =
+      count_migrations(problem.workload().threads(),
+                       old_mapping.thread_to_tile, mapping.thread_to_tile);
+  result.report = evaluate(problem, mapping);
+  result.mapping = std::move(mapping);
   return result;
 }
 
@@ -101,15 +88,37 @@ std::size_t count_forced_moves(const ObmProblem& problem,
 
 }  // namespace
 
-std::size_t count_moved_threads(const Mapping& before, const Mapping& after) {
-  const std::size_t overlap =
-      std::min(before.thread_to_tile.size(), after.thread_to_tile.size());
-  std::size_t moved = 0;
-  for (std::size_t j = 0; j < overlap; ++j) {
-    if (before.thread_to_tile[j] != after.thread_to_tile[j]) ++moved;
+double smallest_fitting_penalty(const std::function<bool(double)>& fits) {
+  // Exponential search for a fitting penalty, then bisection down to the
+  // smallest one, so the caller pays no more quality than it must.
+  double lo = 0.0;
+  double hi = 1.0;
+  while (!fits(hi)) {
+    lo = hi;
+    hi *= 16.0;
+    if (hi > 1e30) return std::numeric_limits<double>::infinity();
   }
-  // Threads with no old position count as moved (they must be placed).
-  moved += after.thread_to_tile.size() - overlap;
+  for (int iter = 0; iter < 24; ++iter) {
+    const double mid = 0.5 * (lo + hi);
+    if (fits(mid)) {
+      hi = mid;
+    } else {
+      lo = mid;
+    }
+  }
+  return hi;
+}
+
+std::size_t count_migrations(std::span<const ThreadProfile> threads,
+                             std::span<const TileId> before,
+                             std::span<const TileId> after) {
+  std::size_t moved = 0;
+  for (std::size_t t = 0; t < threads.size(); ++t) {
+    if (threads[t].total_rate() > 0.0 &&
+        (t >= before.size() || before[t] != after[t])) {
+      ++moved;
+    }
+  }
   return moved;
 }
 
@@ -122,8 +131,9 @@ RemapResult remap_balanced(const ObmProblem& problem,
   // Stage 1: fresh balanced solution fixes the per-application tile sets.
   SortSelectSwapMapper sss(sss_options);
   const Mapping fresh = sss.map(problem);
-  return assign_within_tile_sets(problem, fresh, old_mapping,
-                                 migration_penalty_cycles);
+  return finish_remap(problem, old_mapping,
+                      assign_within_tile_sets(problem, fresh, old_mapping,
+                                              migration_penalty_cycles));
 }
 
 BudgetedRemapResult remap_budgeted(const ObmProblem& problem,
@@ -134,59 +144,37 @@ BudgetedRemapResult remap_budgeted(const ObmProblem& problem,
                  "budgeted remap needs a valid old mapping to fall back on");
   SortSelectSwapMapper sss(sss_options);
   const Mapping fresh = sss.map(problem);
+  const auto moves = [&](const Mapping& mapping) {
+    return count_migrations(problem.workload().threads(),
+                            old_mapping.thread_to_tile,
+                            mapping.thread_to_tile);
+  };
 
   BudgetedRemapResult out;
-  RemapResult free_moves =
-      assign_within_tile_sets(problem, fresh, old_mapping, 0.0);
-  if (free_moves.moved_threads <= max_moved_threads) {
-    out.remap = std::move(free_moves);
-    return out;
-  }
-
-  if (count_forced_moves(problem, fresh, old_mapping) > max_moved_threads) {
-    // No penalty can fit the budget: keep everything where it is.
-    out.remap.mapping = old_mapping;
-    out.remap.moved_threads = 0;
-    out.remap.report = evaluate(problem, old_mapping);
-    out.reverted_to_old = true;
-    return out;
-  }
-
-  // Exponential search for a penalty whose sticky solution fits the budget
-  // (one exists: forced moves alone fit, and λ → ∞ moves only those).
-  double lo = 0.0;
-  double hi = 1.0;
-  RemapResult at_hi;
-  for (;;) {
-    at_hi = assign_within_tile_sets(problem, fresh, old_mapping, hi);
-    if (at_hi.moved_threads <= max_moved_threads) break;
-    lo = hi;
-    hi *= 16.0;
-    if (hi > 1e30) {
-      // Defensive only: forced moves fit the budget, so a finite penalty
-      // always exists; never give back an over-budget result regardless.
-      out.remap.mapping = old_mapping;
-      out.remap.moved_threads = 0;
-      out.remap.report = evaluate(problem, old_mapping);
+  Mapping best = assign_within_tile_sets(problem, fresh, old_mapping, 0.0);
+  if (moves(best) > max_moved_threads) {
+    // Forced moves lower-bound every sticky solution: when they alone
+    // exceed the budget no penalty fits, so the search is skipped. (When
+    // they fit, the search always succeeds: λ → ∞ moves only those.)
+    double penalty = std::numeric_limits<double>::infinity();
+    if (count_forced_moves(problem, fresh, old_mapping) <= max_moved_threads) {
+      penalty = smallest_fitting_penalty([&](double lambda) {
+        Mapping sticky =
+            assign_within_tile_sets(problem, fresh, old_mapping, lambda);
+        if (moves(sticky) > max_moved_threads) return false;
+        best = std::move(sticky);
+        return true;
+      });
+    }
+    if (std::isinf(penalty)) {
+      // Keep everything where it is.
+      best = old_mapping;
       out.reverted_to_old = true;
-      return out;
-    }
-  }
-  // Bisect to the smallest budget-respecting penalty, so the remap pays no
-  // more quality than the budget demands.
-  for (int iter = 0; iter < 24; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    RemapResult at_mid =
-        assign_within_tile_sets(problem, fresh, old_mapping, mid);
-    if (at_mid.moved_threads <= max_moved_threads) {
-      hi = mid;
-      at_hi = std::move(at_mid);
     } else {
-      lo = mid;
+      out.penalty_cycles = penalty;
     }
   }
-  out.remap = std::move(at_hi);
-  out.penalty_cycles = hi;
+  out.remap = finish_remap(problem, old_mapping, std::move(best));
   return out;
 }
 

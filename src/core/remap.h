@@ -17,7 +17,13 @@
 //
 // λ = 0 reproduces plain SSS; λ → ∞ keeps every thread whose old tile is
 // in its application's new tile set in place.
+//
+// The λ search and the move count below are shared with the online
+// service; the penalized cost matrix is core/sam.h's sam_cost_view.
 #pragma once
+
+#include <functional>
+#include <span>
 
 #include "core/metrics.h"
 #include "core/sss_mapper.h"
@@ -26,7 +32,8 @@ namespace nocmap {
 
 struct RemapResult {
   Mapping mapping;
-  /// Threads whose tile changed relative to the old mapping.
+  /// Migrations relative to the old mapping, as count_migrations counts
+  /// them (zero-rate pad threads move for free).
   std::size_t moved_threads = 0;
   /// Metrics of the new mapping under the (new) problem.
   LatencyReport report;
@@ -61,9 +68,9 @@ struct BudgetedRemapResult {
 /// not counted, as in remap_balanced):
 ///
 ///   1. Solve the unconstrained remap (λ = 0); done if within budget.
-///   2. Otherwise bisect the migration penalty λ to the smallest value whose
-///      sticky solution fits the budget, so quality degrades no more than
-///      the budget demands.
+///   2. Otherwise search (smallest_fitting_penalty) the migration penalty λ
+///      down to the smallest value whose sticky solution fits the budget,
+///      so quality degrades no more than the budget demands.
 ///   3. Threads whose old tile is not in their application's fresh tile set
 ///      *must* move under any penalty; when those forced moves alone exceed
 ///      the budget, the old mapping is returned unchanged (an identity
@@ -78,7 +85,19 @@ BudgetedRemapResult remap_budgeted(const ObmProblem& problem,
                                    std::size_t max_moved_threads,
                                    const SssOptions& sss_options = {});
 
-/// Number of positions where the two mappings differ.
-std::size_t count_moved_threads(const Mapping& before, const Mapping& after);
+/// Smallest migration penalty λ (cycles) for which `fits(λ)` holds: probes
+/// λ = 1, 16, 256, … until one fits, then bisects 24 times between the last
+/// probe that did not fit and the first that did. Returns the last fitting
+/// probe, so a `fits` that keeps the solution of each fitting call ends up
+/// holding the returned λ's solution. Returns +∞ when no probe up to 1e30
+/// fits. Callers check λ = 0 themselves before searching.
+double smallest_fitting_penalty(const std::function<bool(double)>& fits);
+
+/// Migrations between two placements of `threads`: positive-rate threads
+/// whose tile changed, plus positive-rate threads with no old tile
+/// (t >= before.size()). Zero-rate pad threads move for free.
+std::size_t count_migrations(std::span<const ThreadProfile> threads,
+                             std::span<const TileId> before,
+                             std::span<const TileId> after);
 
 }  // namespace nocmap

@@ -28,24 +28,12 @@ SamResult solve_sam(std::span<const ThreadProfile> threads,
                  "SAM needs as many tiles as threads");
   NOCMAP_REQUIRE(!threads.empty(), "SAM on empty application");
 
-  const std::size_t n = threads.size();
-  CostMatrix cost(n, n);
   double volume = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t k = 0; k < n; ++k) {
-      cost.at(j, k) = threads[j].cache_rate * model.tc(tiles[k]) +
-                      threads[j].memory_rate * model.tm(tiles[k]);
-    }
-    volume += threads[j].total_rate();
-  }
+  for (const ThreadProfile& prof : threads) volume += prof.total_rate();
+  std::vector<double> cost;
   AssignmentWorkspace ws;
-  return finish_sam(ws.solve(CostView::of(cost)), tiles, volume);
-}
-
-SamResult solve_sam(const ThreadCostCache& cache, std::size_t first_thread,
-                    std::span<const TileId> tiles) {
-  AssignmentWorkspace ws;
-  return solve_sam(cache, first_thread, tiles, ws, /*warm=*/false);
+  return finish_sam(ws.solve(sam_cost_view(threads, tiles, model, cost)),
+                    tiles, volume);
 }
 
 SamResult solve_sam(const ThreadCostCache& cache, std::size_t first_thread,

@@ -11,6 +11,7 @@
 #include <span>
 #include <vector>
 
+#include "assign/hungarian.h"
 #include "core/cost_cache.h"
 #include "latency/model.h"
 #include "workload/workload.h"
@@ -24,28 +25,55 @@ struct SamResult {
   double apl = 0.0;
 };
 
+/// Eq. 13 from thread profiles, for every caller that has no cache (the
+/// profile-based solve_sam, core/remap.h and the online service): fills
+/// `cost` row-major with cost[t·|tiles| + k] = c_t·TC(tiles[k]) +
+/// m_t·TM(tiles[k]), plus the migration penalty λ·(c_t + m_t) wherever
+/// thread t has an old tile (t < old_tiles.size()) other than tiles[k], and
+/// returns a dense view of it. Inline because the online service builds one
+/// on every decision.
+inline CostView sam_cost_view(std::span<const ThreadProfile> threads,
+                              std::span<const TileId> tiles,
+                              const TileLatencyModel& model,
+                              std::vector<double>& cost,
+                              std::span<const TileId> old_tiles = {},
+                              double penalty_cycles = 0.0) {
+  const std::size_t rows = threads.size();
+  const std::size_t cols = tiles.size();
+  cost.resize(rows * cols);
+  for (std::size_t t = 0; t < rows; ++t) {
+    const ThreadProfile& prof = threads[t];
+    const bool has_old = t < old_tiles.size();
+    for (std::size_t k = 0; k < cols; ++k) {
+      double c = prof.cache_rate * model.tc(tiles[k]) +
+                 prof.memory_rate * model.tm(tiles[k]);
+      if (has_old && old_tiles[t] != tiles[k]) {
+        c += penalty_cycles * prof.total_rate();
+      }
+      cost[t * cols + k] = c;
+    }
+  }
+  return CostView(cost.data(), rows, cols, cols);
+}
+
 /// Optimally assigns `threads` to `tiles` (equal sizes required).
 SamResult solve_sam(std::span<const ThreadProfile> threads,
                     std::span<const TileId> tiles,
                     const TileLatencyModel& model);
 
 /// Cache-backed variant for the contiguous global thread range
-/// [first_thread, first_thread + tiles.size()): the cost matrix comes from
-/// the shared memoized ThreadCostCache instead of being recomputed from the
-/// model. Pure with respect to the cache, so concurrent calls (e.g. the
-/// per-application SAM solves of the parallel SSS stages) are safe.
-SamResult solve_sam(const ThreadCostCache& cache, std::size_t first_thread,
-                    std::span<const TileId> tiles);
-
-/// Hot-path variant: solves in place over the cache through a lazy CostView
-/// (no matrix materialization) using caller-owned scratch. With `warm` the
-/// workspace's column potentials from its previous solve seed the kernel —
-/// use for repeated near-identical solves of the *same logical site* (e.g.
-/// the same application across SSS passes). Warm starts never change the
-/// optimal APL; on instances with tied optima they may select a different
-/// optimal permutation than a cold solve, so determinism requires the
-/// workspace's solve history to be schedule-independent (key workspaces per
-/// application, not per worker).
+/// [first_thread, first_thread + tiles.size()): solves in place over the
+/// shared memoized ThreadCostCache through a lazy CostView (no matrix
+/// materialization) in a caller-owned workspace. Pure with respect to the
+/// cache, so concurrent calls with distinct workspaces (e.g. the
+/// per-application SAM solves of the parallel SSS stages) are safe. With
+/// `warm` the workspace's column potentials from its previous solve seed
+/// the kernel — use for repeated near-identical solves of the *same logical
+/// site* (e.g. the same application across SSS passes). Warm starts never
+/// change the optimal APL; on instances with tied optima they may select a
+/// different optimal permutation than a cold solve, so determinism requires
+/// the workspace's solve history to be schedule-independent (key workspaces
+/// per application, not per worker).
 SamResult solve_sam(const ThreadCostCache& cache, std::size_t first_thread,
                     std::span<const TileId> tiles, AssignmentWorkspace& ws,
                     bool warm = false);

@@ -1,10 +1,13 @@
 #include "service/mapping_service.h"
 
 #include <algorithm>
+#include <cmath>
+#include <numeric>
 #include <utility>
 
 #include "core/metrics.h"
 #include "core/remap.h"
+#include "core/sam.h"
 #include "obs/metrics.h"
 
 namespace nocmap::service {
@@ -29,6 +32,8 @@ MappingService::MappingService(TileLatencyModel chip, ServiceConfig config)
                  "degradation threshold must exceed 1");
   occupied_.assign(num_tiles(), 0);
   tiles_by_tc_ = SortSelectSwapMapper::sorted_tiles(chip_);
+  all_tiles_.resize(num_tiles());
+  std::iota(all_tiles_.begin(), all_tiles_.end(), TileId{0});
 }
 
 double MappingService::objective() const {
@@ -104,47 +109,22 @@ void MappingService::refresh_relaxed_bound(Resident& r) {
   // The application alone picking its favourite tiles chip-wide: a
   // rectangular n×N assignment (core/bounds.h rationale), solved over the
   // eq.-13 costs. Rates are fixed, so minimizing Σ cost minimizes APL.
-  const std::size_t n = r.app.num_threads();
-  const std::size_t tiles = num_tiles();
-  if (r.volume <= 0.0 || n == 0) {
+  if (r.volume <= 0.0) {
     r.relaxed_bound = 0.0;
     return;
   }
-  cost_buf_.resize(n * tiles);
-  for (std::size_t t = 0; t < n; ++t) {
-    const ThreadProfile& prof = r.app.threads[t];
-    for (TileId k = 0; k < tiles; ++k) {
-      cost_buf_[t * tiles + k] =
-          prof.cache_rate * chip_.tc(k) + prof.memory_rate * chip_.tm(k);
-    }
-  }
-  const CostView view(cost_buf_.data(), n, tiles, tiles);
-  const Assignment& best =
-      config_.warm_start ? bound_ws_.solve_warm(view) : bound_ws_.solve(view);
+  const Assignment& best = bound_ws_.solve_warm(
+      sam_cost_view(r.app.threads, all_tiles_, chip_, cost_buf_));
   r.relaxed_bound = best.total_cost / r.volume;
 }
 
 std::vector<TileId> MappingService::penalized_assign(
-    const Application& app, const std::vector<TileId>& tiles,
-    const std::vector<TileId>& old_tiles, double penalty_cycles) {
-  const std::size_t n = tiles.size();
-  cost_buf_.resize(n * n);
-  for (std::size_t t = 0; t < n; ++t) {
-    const ThreadProfile& prof = app.threads[t];
-    for (std::size_t k = 0; k < n; ++k) {
-      double c = prof.cache_rate * chip_.tc(tiles[k]) +
-                 prof.memory_rate * chip_.tm(tiles[k]);
-      if (!old_tiles.empty() && old_tiles[t] != tiles[k]) {
-        c += penalty_cycles * prof.total_rate();
-      }
-      cost_buf_[t * n + k] = c;
-    }
-  }
-  const CostView view(cost_buf_.data(), n, n, n);
-  const Assignment& assignment =
-      config_.warm_start ? ws_.solve_warm(view) : ws_.solve(view);
-  std::vector<TileId> result(n);
-  for (std::size_t t = 0; t < n; ++t) {
+    const Application& app, std::span<const TileId> tiles,
+    std::span<const TileId> old_tiles, double penalty_cycles) {
+  const Assignment& assignment = ws_.solve_warm(sam_cost_view(
+      app.threads, tiles, chip_, cost_buf_, old_tiles, penalty_cycles));
+  std::vector<TileId> result(tiles.size());
+  for (std::size_t t = 0; t < tiles.size(); ++t) {
     result[t] = tiles[assignment.row_to_col[t]];
   }
   return result;
@@ -154,62 +134,27 @@ std::vector<TileId> MappingService::budgeted_assign(
     const Application& app, const std::vector<TileId>& tiles,
     const std::vector<TileId>& old_tiles, std::size_t budget,
     std::size_t* moved_out) {
-  const auto count_moves = [&](const std::vector<TileId>& chosen) {
-    if (old_tiles.empty()) return std::size_t{0};
-    std::size_t moved = 0;
-    for (std::size_t t = 0; t < chosen.size(); ++t) {
-      if (app.threads[t].total_rate() > 0.0 && chosen[t] != old_tiles[t]) {
-        ++moved;
-      }
-    }
-    return moved;
-  };
-
   std::vector<TileId> best = penalized_assign(app, tiles, old_tiles, 0.0);
-  std::size_t moved = count_moves(best);
-  if (old_tiles.empty() || moved <= budget) {
-    *moved_out = moved;
-    return best;
-  }
-  if (budget == 0) {
-    // `old_tiles` occupies the same tile set (the caller's contract), so
-    // the identity choice is always feasible.
-    *moved_out = 0;
-    return old_tiles;
-  }
-  // Smallest migration penalty whose sticky assignment fits the budget
-  // (same λ search as core/remap.cpp's remap_budgeted, at app scale).
-  double lo = 0.0;
-  double hi = 1.0;
-  for (;;) {
-    std::vector<TileId> sticky = penalized_assign(app, tiles, old_tiles, hi);
-    const std::size_t sticky_moved = count_moves(sticky);
-    if (sticky_moved <= budget) {
+  *moved_out = count_migrations(app.threads, old_tiles, best);
+  if (*moved_out <= budget) return best;
+  if (budget > 0) {
+    const double penalty = smallest_fitting_penalty([&](double lambda) {
+      std::vector<TileId> sticky =
+          penalized_assign(app, tiles, old_tiles, lambda);
+      const std::size_t moved =
+          count_migrations(app.threads, old_tiles, sticky);
+      if (moved > budget) return false;
       best = std::move(sticky);
-      moved = sticky_moved;
-      break;
-    }
-    lo = hi;
-    hi *= 16.0;
-    if (hi > 1e30) {  // defensive; identity is feasible, so unreachable
-      *moved_out = 0;
-      return old_tiles;
-    }
+      *moved_out = moved;
+      return true;
+    });
+    if (std::isfinite(penalty)) return best;
   }
-  for (int iter = 0; iter < 24; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    std::vector<TileId> sticky = penalized_assign(app, tiles, old_tiles, mid);
-    const std::size_t sticky_moved = count_moves(sticky);
-    if (sticky_moved <= budget) {
-      hi = mid;
-      best = std::move(sticky);
-      moved = sticky_moved;
-    } else {
-      lo = mid;
-    }
-  }
-  *moved_out = moved;
-  return best;
+  // `old_tiles` covers the same tile set (the caller's contract), so
+  // staying put is always feasible: the answer for a zero budget, and for
+  // a search that finds no penalty (unreachable, since staying put fits).
+  *moved_out = 0;
+  return old_tiles;
 }
 
 Decision MappingService::handle_arrival(const Event& event, Decision d) {
@@ -241,8 +186,7 @@ Decision MappingService::handle_arrival(const Event& event, Decision d) {
   Resident r;
   r.id = event.app_id;
   r.app = event.app;
-  std::size_t moved = 0;
-  r.tiles = budgeted_assign(r.app, selected, {}, 0, &moved);
+  r.tiles = penalized_assign(r.app, selected, {}, 0.0);
   refresh_apl(r);
   refresh_relaxed_bound(r);
   for (const TileId k : r.tiles) occupied_[k] = 1;

@@ -32,9 +32,10 @@
 //    the decision is flagged `quality_degraded` and fallbacks are
 //    suppressed until the resident set changes again.
 //
-// One AssignmentWorkspace is carried across *all* events
-// (`ServiceConfig::warm_start`), so the kernel's column potentials persist
-// between decisions — the cross-event warm start ROADMAP item 1 asks for.
+// Cost matrices come from core/sam.h's sam_cost_view, and an over-budget
+// phase change runs remap_budgeted's λ search (smallest_fitting_penalty).
+// One always-warm AssignmentWorkspace is carried across *all* events, so
+// the kernel's column potentials persist between decisions.
 //
 // Determinism: decisions are a pure function of (chip, config, event
 // sequence). The only parallel component is the fallback's SSS solve,
@@ -44,6 +45,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "assign/hungarian.h"
@@ -59,8 +61,6 @@ struct ServiceConfig {
   /// Fallback trigger: re-solve from scratch when objective exceeds
   /// threshold × lower bound. Must be > 1.
   double degradation_threshold = 1.25;
-  /// Carry the assignment workspace's column potentials across events.
-  bool warm_start = true;
   /// Options of the fallback's from-scratch SSS solve (its ParallelConfig
   /// is the replay "worker count"; any value gives identical decisions).
   SssOptions sss;
@@ -150,10 +150,10 @@ class MappingService {
   Decision handle_departure(const Event& event, Decision d);
   Decision handle_phase_change(const Event& event, Decision d);
 
-  /// Assigns `app`'s threads onto `tiles` minimizing latency cost, with at
-  /// most `budget` moves away from `old_tiles` (ignored when empty).
-  /// Returns the per-thread tile choice; `moved_out` counts positive-rate
-  /// threads whose tile changed vs old_tiles.
+  /// Re-assigns `app`'s threads onto `tiles` — the set `old_tiles` already
+  /// covers — minimizing latency cost with at most `budget` moves away from
+  /// `old_tiles`. Returns the per-thread tile choice; `moved_out` counts
+  /// positive-rate threads whose tile changed.
   std::vector<TileId> budgeted_assign(const Application& app,
                                       const std::vector<TileId>& tiles,
                                       const std::vector<TileId>& old_tiles,
@@ -161,10 +161,11 @@ class MappingService {
                                       std::size_t* moved_out);
 
   /// Latency-cost assignment of app threads onto `tiles` with migration
-  /// penalty λ against old_tiles; the inner solve of budgeted_assign.
+  /// penalty λ against old_tiles (none when empty): an arrival's placement
+  /// and the inner solve of budgeted_assign.
   std::vector<TileId> penalized_assign(const Application& app,
-                                       const std::vector<TileId>& tiles,
-                                       const std::vector<TileId>& old_tiles,
+                                       std::span<const TileId> tiles,
+                                       std::span<const TileId> old_tiles,
                                        double penalty_cycles);
 
   Resident* find_resident(std::uint64_t app_id);
@@ -182,11 +183,13 @@ class MappingService {
   std::size_t occupied_count_ = 0;
   /// All tiles sorted by TC ascending (SSS stage-1 order), fixed per chip.
   std::vector<TileId> tiles_by_tc_;
+  /// All tiles ascending: the columns of the relaxed-bound solves.
+  std::vector<TileId> all_tiles_;
   /// The cross-event workspace for placement / phase-change solves.
   AssignmentWorkspace ws_;
-  /// Separate workspace for the relaxed-bound solves: their column set is
-  /// always "all N tiles", so keeping them apart preserves warm potentials
-  /// for both solve families instead of invalidating each other.
+  /// Workspace for the relaxed-bound solves. They are n×N and so run cold
+  /// unless one application fills the chip; keeping them apart only stops
+  /// them from overwriting ws_'s column potentials.
   AssignmentWorkspace bound_ws_;
   std::vector<double> cost_buf_;
   /// Fallback suppression while budget-bound (see header comment).

@@ -293,9 +293,12 @@ TEST(Sam, WorkspaceOverloadMatchesClassicPath) {
   const TileLatencyModel model(mesh, LatencyParams{});
   const ThreadCostCache cache(wl, model);
 
+  // The classic path builds its matrix from the thread profiles; its APL
+  // divides by a plain sum where the cache uses a prefix-sum difference.
   const std::size_t lo = wl.first_thread(0);
   const std::vector<TileId> tiles{2, 13, 5, 8, 11, 1, 15, 4};
-  const SamResult classic = solve_sam(cache, lo, tiles);
+  const SamResult classic =
+      solve_sam(wl.application(0).threads, tiles, model);
 
   AssignmentWorkspace ws;
   const SamResult cold = solve_sam(cache, lo, tiles, ws);

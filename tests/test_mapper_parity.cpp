@@ -1,23 +1,30 @@
 // Parity pins: FNV-1a/64 digests of thread_to_tile for fixed mapper runs on
 // C1 8x8 (seed 21), on the QoS-weighted C4 8x8 problem, on a 12-tile exact
-// instance with an idle application, and of a service churn replay whose
-// fallbacks run SSS on padded problems. Any change to an annealing chain's
-// arithmetic or draw order, to the restart merge, to the cluster annealer's
-// scoring, to the SSS window sweep at any worker count, to GA or MC fitness,
-// to the exact solver's objective or bound, or to the handling of
-// zero-traffic applications moves a pin; a refactor that must keep mappings
+// instance with an idle application, of two service churn replays (one whose
+// fallbacks run SSS on padded problems, one with no migration budget), of
+// the migration-aware remaps (a fixed penalty and a budgeted penalty
+// search) and of one profile-based SAM solve. Any change to an annealing
+// chain's arithmetic or draw order, to the restart merge, to the cluster
+// annealer's scoring, to the SSS window sweep at any worker count, to GA or
+// MC fitness, to the exact solver's objective or bound, to the handling of
+// zero-traffic applications, to the eq.-13 cost matrix, the migration
+// penalty or its search moves a pin; a refactor that must keep mappings
 // bit-identical has to leave them all passing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/annealing_mapper.h"
 #include "core/cluster_sa_mapper.h"
 #include "core/exact_solver.h"
 #include "core/genetic_mapper.h"
 #include "core/monte_carlo_mapper.h"
+#include "core/remap.h"
+#include "core/sam.h"
 #include "core/sss_mapper.h"
 #include "service/replay.h"
 #include "util/rng.h"
@@ -164,7 +171,7 @@ TEST(MapperParity, ExactSolverWithIdleApplication) {
   EXPECT_EQ(exact.nodes_explored, 9295u);
 }
 
-TEST(MapperParity, ServiceReplayWithPaddedFallbacks) {
+service::ReplayStats churn_replay(std::size_t migration_budget) {
   // Residents seldom fill the 36 tiles, so the fallback SSS mostly solves
   // snapshots padded with zero-traffic threads.
   service::TraceConfig trace;
@@ -173,15 +180,82 @@ TEST(MapperParity, ServiceReplayWithPaddedFallbacks) {
   trace.num_tiles = 36;
   trace.max_threads_per_app = 9;
   service::ServiceConfig config;
-  config.migration_budget = 6;
+  config.migration_budget = migration_budget;
   config.degradation_threshold = 1.05;
   config.sss.parallel = ParallelConfig::serial_config();
   service::MappingService engine(
       TileLatencyModel(Mesh::square(6), LatencyParams{}), config);
-  const service::ReplayStats stats =
-      service::replay_trace(engine, service::generate_trace(trace));
+  return service::replay_trace(engine, service::generate_trace(trace));
+}
+
+TEST(MapperParity, ServiceReplayWithPaddedFallbacks) {
+  const service::ReplayStats stats = churn_replay(6);
   EXPECT_GT(stats.fallbacks, 0u);
   EXPECT_EQ(hex(stats.digest), "0xc6bb91d7f6b0e036");
+}
+
+TEST(MapperParity, ServiceReplayWithZeroBudget) {
+  // Every over-budget phase change keeps its threads in place, and no
+  // fallback can run.
+  const service::ReplayStats stats = churn_replay(0);
+  EXPECT_EQ(stats.fallbacks, 0u);
+  EXPECT_EQ(stats.moved_threads, 0u);
+  EXPECT_EQ(hex(stats.digest), "0x3ee0bd4b0b091bb1");
+}
+
+TEST(MapperParity, RemapBalancedWithPenalty) {
+  // test_remap's C1 -> C3 application change at a migration penalty of 5.
+  const Mesh mesh = Mesh::square(8);
+  const ObmProblem p_old(TileLatencyModel(mesh, LatencyParams{}),
+                         synthesize_workload(parsec_config("C1"), 51));
+  const ObmProblem p_new(TileLatencyModel(mesh, LatencyParams{}),
+                         synthesize_workload(parsec_config("C3"), 52));
+  const Mapping old = SortSelectSwapMapper().map(p_old);
+  const RemapResult r = remap_balanced(p_new, old, 5.0);
+  EXPECT_EQ(digest(r.mapping), "0x8bc316a15ab7f8a5");
+  EXPECT_EQ(r.moved_threads, 14u);
+}
+
+TEST(MapperParity, RemapBudgetedPenaltySearch) {
+  // The zero-penalty remap of the SSS mapping with three within-application
+  // swaps: no move is forced, undoing the swaps takes six, and a budget of
+  // two makes the penalty search run.
+  const ObmProblem p = c1_problem();
+  const Mapping fresh = SortSelectSwapMapper().map(p);
+  Mapping old = remap_balanced(p, fresh, 0.0).mapping;
+  const Workload& wl = p.workload();
+  for (std::size_t a = 0; a < 3; ++a) {
+    const std::size_t lo = wl.first_thread(a);
+    ASSERT_GT(wl.thread(lo).total_rate(), 0.0);
+    ASSERT_GT(wl.thread(lo + 1).total_rate(), 0.0);
+    std::swap(old.thread_to_tile[lo], old.thread_to_tile[lo + 1]);
+  }
+  ASSERT_EQ(remap_balanced(p, old, 0.0).moved_threads, 6u);
+  const BudgetedRemapResult r = remap_budgeted(p, old, 2);
+  ASSERT_FALSE(r.reverted_to_old);
+  ASSERT_GT(r.penalty_cycles, 0.0);
+  EXPECT_LE(r.remap.moved_threads, 2u);
+  EXPECT_EQ(digest(r.remap.mapping), "0xc10e8262bd60bd75");
+  EXPECT_EQ(hexfloat(r.penalty_cycles), "0x1.f359ep-5");
+}
+
+TEST(MapperParity, ProfileSam) {
+  // Twelve random threads onto every fifth tile of the 8x8 chip.
+  Rng rng(13);
+  std::vector<ThreadProfile> threads(12);
+  for (ThreadProfile& t : threads) {
+    t = {rng.uniform(0.1, 10.0), rng.uniform(0.0, 2.0)};
+  }
+  std::vector<TileId> tiles(threads.size());
+  for (std::size_t t = 0; t < tiles.size(); ++t) {
+    tiles[t] = static_cast<TileId>(5 * t);
+  }
+  const SamResult r = solve_sam(
+      threads, tiles, TileLatencyModel(Mesh::square(8), LatencyParams{}));
+  Mapping m;
+  m.thread_to_tile = r.tiles;
+  EXPECT_EQ(digest(m), "0x6a1ca06fd0991645");
+  EXPECT_EQ(hexfloat(r.apl), "0x1.56769bed637ecp+4");
 }
 
 }  // namespace

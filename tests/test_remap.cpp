@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "workload/synthesis.h"
 
 namespace nocmap {
@@ -14,15 +17,53 @@ ObmProblem c1_problem(std::uint64_t seed = 51) {
 }
 
 TEST(CountMoved, Basics) {
-  Mapping a, b;
-  a.thread_to_tile = {0, 1, 2, 3};
-  b.thread_to_tile = {0, 2, 1, 3};
-  EXPECT_EQ(count_moved_threads(a, b), 2u);
-  EXPECT_EQ(count_moved_threads(a, a), 0u);
-  // Shorter old mapping: the extra threads count as moved.
-  Mapping shorter;
-  shorter.thread_to_tile = {0, 1};
-  EXPECT_EQ(count_moved_threads(shorter, a), 2u);
+  const std::vector<ThreadProfile> threads(4, ThreadProfile{1.0, 0.5});
+  const std::vector<TileId> a = {0, 1, 2, 3};
+  const std::vector<TileId> b = {0, 2, 1, 3};
+  EXPECT_EQ(count_migrations(threads, a, b), 2u);
+  EXPECT_EQ(count_migrations(threads, a, a), 0u);
+  // Shorter old placement: the extra threads count as moved.
+  const std::vector<TileId> shorter = {0, 1};
+  EXPECT_EQ(count_migrations(threads, shorter, a), 2u);
+  // Zero-rate threads move for free.
+  std::vector<ThreadProfile> padded = threads;
+  padded[1] = ThreadProfile{0.0, 0.0};
+  EXPECT_EQ(count_migrations(padded, a, b), 1u);
+  EXPECT_EQ(count_migrations(padded, shorter, a), 2u);
+}
+
+TEST(PenaltySearch, FindsTheSmallestFittingProbe) {
+  // Fits from λ = 20 up: 1 and 16 fail, 256 fits, and 24 bisections of
+  // [16, 256] close in on 20 from above.
+  std::vector<double> probes;
+  const double lambda = smallest_fitting_penalty([&](double penalty) {
+    probes.push_back(penalty);
+    return penalty >= 20.0;
+  });
+  ASSERT_EQ(probes.size(), 3u + 24u);
+  EXPECT_EQ(probes[0], 1.0);
+  EXPECT_EQ(probes[1], 16.0);
+  EXPECT_EQ(probes[2], 256.0);
+  EXPECT_GE(lambda, 20.0);
+  EXPECT_LT(lambda, 20.0 + 240.0 / (1 << 24));
+  // The returned λ is the last probe that fitted.
+  for (std::size_t i = probes.size(); i-- > 0;) {
+    if (probes[i] >= 20.0) {
+      EXPECT_EQ(probes[i], lambda);
+      break;
+    }
+  }
+}
+
+TEST(PenaltySearch, ReturnsInfinityWhenNothingFits) {
+  std::size_t calls = 0;
+  const double lambda = smallest_fitting_penalty([&](double) {
+    ++calls;
+    return false;
+  });
+  EXPECT_TRUE(std::isinf(lambda));
+  // Probes 16^0 .. 16^24; 16^25 exceeds 1e30.
+  EXPECT_EQ(calls, 25u);
 }
 
 TEST(Remap, ZeroPenaltyMatchesSssQuality) {

@@ -1,6 +1,6 @@
 // Online mapping service (src/service/): replay determinism across worker
-// counts, warm-vs-cold workspace agreement, admission control, migration
-// budgets, and the incremental objective vs the batch evaluator.
+// counts, admission control, migration budgets, and the incremental
+// objective vs the batch evaluator.
 #include "service/replay.h"
 
 #include <gtest/gtest.h>
@@ -77,38 +77,6 @@ TEST(ServiceReplay, ReplayIsRunToRunDeterministic) {
   MappingService a(test_chip(), config);
   MappingService b(test_chip(), config);
   EXPECT_EQ(replay_trace(a, events).digest, replay_trace(b, events).digest);
-}
-
-TEST(ServiceReplay, WarmAndColdWorkspacesAgree) {
-  // Warm starts are a speed heuristic: they may pick a different tied
-  // optimum, but never a worse one. Decisions must agree on everything
-  // except (possibly) which equal-cost placement was chosen — same
-  // admissions, same objective, same lower bound, same chip usage.
-  const std::vector<Event> events = test_trace(150, 5);
-  ServiceConfig warm_config;
-  warm_config.migration_budget = 5;
-  ServiceConfig cold_config = warm_config;
-  cold_config.warm_start = false;
-  MappingService warm(test_chip(), warm_config);
-  MappingService cold(test_chip(), cold_config);
-  const ReplayStats w = replay_trace(warm, events);
-  const ReplayStats c = replay_trace(cold, events);
-
-  ASSERT_EQ(w.decisions.size(), c.decisions.size());
-  for (std::size_t e = 0; e < w.decisions.size(); ++e) {
-    const Decision& dw = w.decisions[e];
-    const Decision& dc = c.decisions[e];
-    EXPECT_EQ(dw.accepted, dc.accepted) << "event " << e;
-    EXPECT_EQ(dw.placed_threads, dc.placed_threads) << "event " << e;
-    EXPECT_EQ(dw.residents, dc.residents) << "event " << e;
-    EXPECT_EQ(dw.occupied_tiles, dc.occupied_tiles) << "event " << e;
-    EXPECT_NEAR(dw.objective, dc.objective,
-                1e-9 * (1.0 + dc.objective))
-        << "event " << e;
-    EXPECT_NEAR(dw.lower_bound, dc.lower_bound,
-                1e-9 * (1.0 + dc.lower_bound))
-        << "event " << e;
-  }
 }
 
 // --------------------------------------------------------------------------
