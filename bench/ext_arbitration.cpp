@@ -11,7 +11,6 @@
 
 #include "bench_common.h"
 #include "netsim/sim.h"
-#include "util/thread_pool.h"
 
 int main() {
   using namespace nocmap;
@@ -37,9 +36,10 @@ int main() {
       {"SSS", &ms, Arbitration::kDistanceWeighted},
   };
 
+  ParallelTrialRunner runner(bench::bench_parallel_config());
   for (double scale : {1.0, 4.0}) {
     std::vector<SimResult> results(cells.size());
-    parallel_for(0, cells.size(), [&](std::size_t i) {
+    runner.for_each(cells.size(), [&](std::size_t i) {
       SimConfig cfg;
       cfg.warmup_cycles = 2000;
       cfg.measure_cycles = 40000;

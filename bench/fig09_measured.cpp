@@ -8,7 +8,6 @@
 
 #include "bench_common.h"
 #include "netsim/sim.h"
-#include "util/thread_pool.h"
 
 int main() {
   using namespace nocmap;
@@ -25,7 +24,8 @@ int main() {
 
   std::vector<double> max_apl(configs.size() * kMethods, 0.0);
   std::vector<double> dev_apl(configs.size() * kMethods, 0.0);
-  parallel_for(0, configs.size() * kMethods, [&](std::size_t idx) {
+  ParallelTrialRunner runner(bench::bench_parallel_config());
+  runner.for_each(configs.size() * kMethods, [&](std::size_t idx) {
     const std::size_t c = idx / kMethods;
     const std::size_t m = idx % kMethods;
     const ObmProblem problem = bench::standard_problem(configs[c]);

@@ -8,7 +8,6 @@
 
 #include "bench_common.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 int main() {
   using namespace nocmap;
@@ -23,18 +22,19 @@ int main() {
   double sum_g_rand = 0, sum_g_glob = 0, sum_max_rand = 0, sum_max_glob = 0,
          sum_dev_rand = 0, sum_dev_glob = 0;
   const std::vector<std::string> configs{"C1", "C2", "C3", "C4"};
+  ParallelTrialRunner runner(bench::bench_parallel_config());
 
   for (const auto& name : configs) {
     const ObmProblem problem = bench::standard_problem(name);
     const std::size_t n = problem.num_threads();
 
     // Random-average columns: mean metrics over many uniform mappings,
-    // sharded deterministically across the thread pool.
+    // sharded deterministically across the bench's workers.
     constexpr std::size_t kShard = 250;
     const std::size_t shards = kRandomTrials / kShard;
     std::vector<double> g(shards, 0.0), mx(shards, 0.0), dv(shards, 0.0);
     const Rng base(splitmix64(bench::kAlgorithmSeed));
-    parallel_for(0, shards, [&](std::size_t s) {
+    runner.for_each(shards, [&](std::size_t s) {
       Rng rng = base.fork(s);
       for (std::size_t t = 0; t < kShard; ++t) {
         Mapping m;

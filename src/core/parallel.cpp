@@ -1,6 +1,9 @@
 #include "core/parallel.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <mutex>
 #include <thread>
 
 #include "util/error.h"
@@ -15,19 +18,38 @@ std::size_t ParallelConfig::resolved_threads() const {
 
 ParallelTrialRunner::ParallelTrialRunner(const ParallelConfig& config)
     : threads_(config.resolved_threads()) {
-  if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(threads_);
+  if (threads_ > 1) team_ = std::make_unique<CycleWorkerTeam>(threads_);
 }
 
 ParallelTrialRunner::~ParallelTrialRunner() = default;
 
 void ParallelTrialRunner::for_each(
     std::size_t count, const std::function<void(std::size_t)>& body) {
-  if (count == 0) return;
-  if (pool_ == nullptr || count < 2) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-    return;
+  // A throwing unit must not stop its worker from draining the batch, so
+  // errors are caught per unit and the first one is rethrown at the end.
+  std::mutex error_mutex;
+  std::exception_ptr first_error;
+  const auto run_unit = [&](std::size_t i) {
+    try {
+      body(i);
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(error_mutex);
+      if (!first_error) first_error = std::current_exception();
+    }
+  };
+
+  if (team_ == nullptr || count < 2) {
+    for (std::size_t i = 0; i < count; ++i) run_unit(i);
+  } else {
+    std::atomic<std::size_t> next{0};
+    team_->run([&](std::size_t /*worker*/) {
+      for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+           i < count; i = next.fetch_add(1, std::memory_order_relaxed)) {
+        run_unit(i);
+      }
+    });
   }
-  pool_->parallel_for(0, count, body);
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 void ParallelTrialRunner::for_each_batch(

@@ -16,7 +16,9 @@
 //      deterministic tie-breaking (lowest index wins).
 //
 // ParallelConfig is the knob threaded through every mapper's options and the
-// bench layer; ParallelTrialRunner is the execution engine the mappers share.
+// bench layer; ParallelTrialRunner is the execution engine the mappers,
+// run_simulation_batch and the sweep runner share. It runs on the same
+// CycleWorkerTeam (util/cycle_barrier.h) that steps the partitioned netsim.
 #pragma once
 
 #include <cstddef>
@@ -24,7 +26,7 @@
 #include <memory>
 #include <span>
 
-#include "util/thread_pool.h"
+#include "util/cycle_barrier.h"
 
 namespace nocmap {
 
@@ -45,9 +47,15 @@ struct ParallelConfig {
 };
 
 /// Runs batches of independent work units for a mapper, inline when the
-/// config resolves to one thread and on an owned ThreadPool otherwise.
-/// The unit body must be pure up to its own result slot (discipline above);
-/// under that contract for_each is deterministic by construction.
+/// config resolves to one thread and on an owned CycleWorkerTeam otherwise:
+/// every worker, the caller included, takes unit indices from one shared
+/// counter until the batch is drained. The unit body must be pure up to its
+/// own result slot (discipline above); under that contract for_each is
+/// deterministic by construction.
+///
+/// Not re-entrant: no runner may be shared across threads, and no unit may
+/// call back into the runner that is running it (CycleWorkerTeam::run is
+/// not re-entrant). A unit may build and use a runner of its own.
 class ParallelTrialRunner {
  public:
   explicit ParallelTrialRunner(const ParallelConfig& config);
@@ -57,13 +65,16 @@ class ParallelTrialRunner {
   ParallelTrialRunner& operator=(const ParallelTrialRunner&) = delete;
 
   std::size_t num_threads() const { return threads_; }
-  bool parallel() const { return pool_ != nullptr; }
+  bool parallel() const { return team_ != nullptr; }
 
-  /// Runs body(i) for i in [0, count) and blocks until all complete.
-  /// Single-unit batches run inline even on a parallel runner: there is
-  /// nothing to overlap, and the result is identical either way. Units in
-  /// this codebase are chunky (trial shards, SA chains, Hungarian solves,
-  /// window rounds), so any batch of two or more is worth dispatching.
+  /// Runs body(i) once for each i in [0, count) and blocks until all
+  /// complete. Batches of fewer than two units run inline even on a
+  /// parallel runner: there is nothing to overlap, and the result is
+  /// identical either way. Units in this codebase are chunky (trial shards,
+  /// SA chains, Hungarian solves, window rounds), so any batch of two or
+  /// more is worth dispatching. If units throw, every other unit still
+  /// runs, and the first exception caught is rethrown on the caller once
+  /// the batch has finished; the runner stays usable.
   void for_each(std::size_t count,
                 const std::function<void(std::size_t)>& body);
 
@@ -85,7 +96,7 @@ class ParallelTrialRunner {
 
  private:
   std::size_t threads_ = 1;
-  std::unique_ptr<ThreadPool> pool_;  // null on the serial path
+  std::unique_ptr<CycleWorkerTeam> team_;  // null on the serial path
 };
 
 }  // namespace nocmap

@@ -1,12 +1,12 @@
-// Persistent worker team for per-cycle parallel phases.
+// Persistent worker team: the repo's one worker engine.
 //
-// ThreadPool (thread_pool.h) dispatches chunky, coarse-grained tasks
-// through a mutex-protected queue — fine when a task runs for milliseconds,
-// hopeless when the unit of work is one simulator cycle (tens of
-// microseconds) repeated hundreds of thousands of times. CycleWorkerTeam is
-// the complementary engine: a fixed set of threads that all execute the
-// same function once per "cycle" and meet at a barrier, with the dispatch
-// cost of two atomic transitions instead of a queue round-trip.
+// A fixed set of threads that all execute the same function once per phase
+// and meet at a barrier, with the dispatch cost of two atomic transitions
+// instead of a queue round-trip. That is cheap enough for a phase as short
+// as one simulator cycle (tens of microseconds, repeated hundreds of
+// thousands of times — the partitioned netsim) and for the mappers'
+// fan-outs (core/parallel.h), whose workers drain a shared unit counter
+// inside one phase.
 //
 // Protocol per run() call (one parallel phase):
 //

@@ -1,7 +1,7 @@
 // Observability-layer tests: JSON writer correctness (escaping, ordering,
 // number formatting), chrome://tracing export determinism, counter/timer/
-// gauge aggregation invariance under the thread pool at 1/2/8 workers, and
-// the RunReport document shape.
+// gauge aggregation invariance under ParallelTrialRunner at 1/2/8 workers,
+// and the RunReport document shape.
 //
 // The aggregation tests are the contract the bench layer relies on: merged
 // totals must not depend on how many workers carried the increments.
@@ -15,12 +15,12 @@
 
 #include <gtest/gtest.h>
 
+#include "core/parallel.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "util/error.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
-#include "util/thread_pool.h"
 
 namespace nocmap::obs {
 namespace {
@@ -247,11 +247,11 @@ TEST_P(MetricAggregation, CounterTotalsAreWorkerCountInvariant) {
   static const Counter counter("test.obs.pool_counter");
   constexpr std::size_t kItems = 1000;
 
-  ThreadPool pool(GetParam());
-  pool.parallel_for(0, kItems,
-                    [&](std::size_t i) { counter.add(i); });
+  ParallelTrialRunner runner(ParallelConfig{GetParam()});
+  runner.for_each(kItems, [&](std::size_t i) { counter.add(i); });
 
-  const MetricRow* row = find_row(snapshot(), "test.obs.pool_counter");
+  const std::vector<MetricRow> rows = snapshot();
+  const MetricRow* row = find_row(rows, "test.obs.pool_counter");
   ASSERT_NE(row, nullptr);
   EXPECT_EQ(row->kind, MetricKind::kCounter);
   // sum 0..999 = 999*1000/2, independent of how workers split the range.
@@ -264,11 +264,11 @@ TEST_P(MetricAggregation, TimerSpanCountsAreWorkerCountInvariant) {
   static const Timer timer("test.obs.pool_timer");
   constexpr std::size_t kItems = 64;
 
-  ThreadPool pool(GetParam());
-  pool.parallel_for(0, kItems,
-                    [&](std::size_t i) { timer.record_ns(i * 10, 1); });
+  ParallelTrialRunner runner(ParallelConfig{GetParam()});
+  runner.for_each(kItems, [&](std::size_t i) { timer.record_ns(i * 10, 1); });
 
-  const MetricRow* row = find_row(snapshot(), "test.obs.pool_timer");
+  const std::vector<MetricRow> rows = snapshot();
+  const MetricRow* row = find_row(rows, "test.obs.pool_timer");
   ASSERT_NE(row, nullptr);
   EXPECT_EQ(row->kind, MetricKind::kTimer);
   EXPECT_EQ(row->count, kItems);
@@ -281,12 +281,13 @@ TEST_P(MetricAggregation, GaugeMergesByMaximumAcrossWorkers) {
   static const Gauge gauge("test.obs.pool_gauge");
   constexpr std::size_t kItems = 100;
 
-  ThreadPool pool(GetParam());
-  pool.parallel_for(0, kItems, [&](std::size_t i) {
+  ParallelTrialRunner runner(ParallelConfig{GetParam()});
+  runner.for_each(kItems, [&](std::size_t i) {
     gauge.set_max(static_cast<double>(i));
   });
 
-  const MetricRow* row = find_row(snapshot(), "test.obs.pool_gauge");
+  const std::vector<MetricRow> rows = snapshot();
+  const MetricRow* row = find_row(rows, "test.obs.pool_gauge");
   ASSERT_NE(row, nullptr);
   EXPECT_EQ(row->kind, MetricKind::kGauge);
   EXPECT_EQ(row->count, kItems);  // set calls
@@ -303,7 +304,8 @@ TEST(Metrics, ExitedThreadsFoldIntoRetiredTotals) {
   counter.add(5);
   std::thread t([] { counter.add(7); });
   t.join();  // the worker's sink retires; its total must survive
-  const MetricRow* row = find_row(snapshot(), "test.obs.retired_counter");
+  const std::vector<MetricRow> rows = snapshot();
+  const MetricRow* row = find_row(rows, "test.obs.retired_counter");
   ASSERT_NE(row, nullptr);
   EXPECT_EQ(row->count, 12u);
 }
@@ -327,7 +329,8 @@ TEST(Metrics, ResetZeroesLiveAndRetiredSinks) {
   std::thread t([] { counter.add(4); });
   t.join();
   reset();
-  const MetricRow* row = find_row(snapshot(), "test.obs.reset_counter");
+  const std::vector<MetricRow> rows = snapshot();
+  const MetricRow* row = find_row(rows, "test.obs.reset_counter");
   ASSERT_NE(row, nullptr);
   EXPECT_EQ(row->count, 0u);
 }
@@ -382,7 +385,8 @@ TEST(RunReport, ScopedTimerFeedsTimerAndTrace) {
   { const ScopedTimer scope(timer); }
   disable_tracing();
 
-  const MetricRow* row = find_row(snapshot(), "test.obs.scoped_timer");
+  const std::vector<MetricRow> rows = snapshot();
+  const MetricRow* row = find_row(rows, "test.obs.scoped_timer");
   ASSERT_NE(row, nullptr);
   EXPECT_EQ(row->count, 1u);
   EXPECT_EQ(trace_event_count(), 1u);
