@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 
 #include "obs/run_report.h"
@@ -142,25 +141,23 @@ void save_table(const TextTable& table, const std::string& name) {
   std::cout << "[csv: " << path.string() << "]\n";
 }
 
-void save_speedup_json(const std::string& name,
-                       const std::vector<SpeedupRecord>& records) {
-  const std::filesystem::path dir = results_dir("JSON");
-  if (dir.empty()) return;
-  const std::filesystem::path path = dir / (name + ".json");
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"" << name << "\",\n  \"records\": [\n";
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const SpeedupRecord& r = records[i];
-    out << "    {\"scenario\": \"" << r.scenario
-        << "\", \"threads\": " << r.threads
-        << ", \"serial_ms\": " << r.serial_ms
-        << ", \"parallel_ms\": " << r.parallel_ms
-        << ", \"speedup\": " << r.speedup() << "}"
-        << (i + 1 < records.size() ? "," : "") << '\n';
-  }
-  out << "  ]\n}\n";
-  obs::RunReport::global().note_artifact(path.string());
-  std::cout << "[json: " << path.string() << "]\n";
+double record_speedup(const std::string& key, double serial_ms,
+                      double parallel_ms) {
+  const double speedup = parallel_ms > 0.0 ? serial_ms / parallel_ms : 0.0;
+  obs::RunReport& report = obs::RunReport::global();
+  report.set(key + ".serial_ms", serial_ms);
+  report.set(key + ".parallel_ms", parallel_ms);
+  report.set(key + ".speedup", speedup);
+  return speedup;
+}
+
+void save_baseline(const std::string& path,
+                   const std::vector<std::string>& sections) {
+  obs::RunReport& report = obs::RunReport::global();
+  NOCMAP_REQUIRE(report.save_baseline(path, sections),
+                 "cannot write " + path);
+  report.note_artifact(path);
+  std::cout << "[json: " << path << "]\n";
 }
 
 }  // namespace nocmap::bench

@@ -57,24 +57,17 @@ ParallelConfig bench_parallel_config();
 std::vector<SimResult> simulate_batch(
     const std::vector<BatchScenario>& scenarios);
 
-/// One serial-vs-parallel wall-clock measurement of a bench scenario.
-struct SpeedupRecord {
-  std::string scenario;
-  std::size_t threads = 0;  ///< resolved worker count of the parallel run
-  double serial_ms = 0.0;
-  double parallel_ms = 0.0;
+/// Records one serial-vs-parallel wall-clock pair as the bench RunReport
+/// fields `<key>.serial_ms`, `<key>.parallel_ms` and `<key>.speedup`, and
+/// returns the speedup (0 when the parallel time is 0).
+double record_speedup(const std::string& key, double serial_ms,
+                      double parallel_ms);
 
-  double speedup() const {
-    return parallel_ms > 0.0 ? serial_ms / parallel_ms : 0.0;
-  }
-};
-
-/// Persists speedup records as bench_results/<name>.json (with the derived
-/// speedup included per record) and announces the path. The JSON keeps a
-/// durable machine-readable trace of how the parallel engine scales on the
-/// machine the bench ran on.
-void save_speedup_json(const std::string& name,
-                       const std::vector<SpeedupRecord>& records);
+/// Writes the perf baseline `path` (a BENCH_*.json) as the named sections
+/// of the bench RunReport (RunReport::save_baseline) and announces it;
+/// throws when the file cannot be written.
+void save_baseline(const std::string& path,
+                   const std::vector<std::string>& sections);
 
 /// Prints the standard bench header (binary purpose + setup line).
 void print_header(const std::string& title, const std::string& paper_ref);

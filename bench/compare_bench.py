@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Perf-regression gate for the committed BENCH_*.json baselines.
 
-Compares a freshly generated benchmark JSON against the committed baseline
-and exits non-zero if any timing metric regressed by more than the allowed
-tolerance (default 20%). Lower is better for every compared metric; derived
-ratio fields (e.g. warm_speedup_vs_legacy) are reported but never gate,
-since they are redundant with the timings they are computed from.
+Every baseline is a filtered RunReport (docs/metrics-schema.md, "Baseline
+document"). A metric is any numeric leaf whose key ends in a time unit
+(`_ns`, `_us`, `_ms`), named by its dotted path, e.g. `mappers.SSS.map_ms`;
+counts and derived ratios are never gated. Lower is better. The gate fails
+when a common metric is slower than baseline * (1 + tolerance), default
+20%. A negative tolerance is a speedup floor: --tolerance -0.75 allows at
+most 25% of the baseline time, a 4x speedup.
 
 Mismatched metric sets are reported explicitly rather than crashing or
 passing silently: metrics present in the baseline but missing from the
@@ -13,6 +15,9 @@ current run ("removed") fail the gate — a vanished metric usually means a
 renamed field or a silently skipped benchmark case — while metrics only in
 the current run ("added") are informational, so a new benchmark case can
 land before its baseline is regenerated.
+
+When the two fingerprints differ, or the baseline records none, one note
+says so; it never changes the exit code.
 
 A --min-ratio option additionally enforces ratio floors *within the current
 run* (independent of the baseline): NUM_KEY:DEN_KEY:FLOOR fails the gate
@@ -24,47 +29,44 @@ floor is meaningless on a 1-core machine.
 
 Usage:
     python3 bench/compare_bench.py \
-        --baseline BENCH_assignment.json \
-        --current  build/BENCH_assignment.json \
+        --baseline BENCH_netsim.json \
+        --current  build/BENCH_netsim.json \
         [--tolerance 0.20] \
-        [--min-ratio "scenario=a.run_ms:scenario=b.run_ms:3.0"]
+        [--min-ratio "netsim.a.run_ms:netsim.b.run_ms:3.0"]
 """
 
 import argparse
 import json
 import sys
 
-# A metric is a numeric JSON leaf whose key carries a time unit suffix.
-_METRIC_SUFFIXES = ("_ns", "_us", "_ms", "ms_per_map", "ns_per_solve")
+_METRIC_SUFFIXES = ("_ns", "_us", "_ms")
 
 
-def _is_metric(key, value):
-    return isinstance(value, (int, float)) and key.endswith(_METRIC_SUFFIXES)
-
-
-def _label(node, fallback):
-    """Human identifier for a record: its 'n'/'mapper'/'name' field."""
-    for key in ("n", "mapper", "name", "scenario"):
-        if isinstance(node, dict) and key in node:
-            return f"{key}={node[key]}"
-    return fallback
-
-
-def collect_metrics(node, path="", out=None):
-    """Flattens {path: value} for every timing leaf in the document."""
-    if out is None:
-        out = {}
-    if isinstance(node, dict):
-        prefix = _label(node, path)
-        for key, value in node.items():
-            if _is_metric(key, value):
-                out[f"{prefix}.{key}"] = float(value)
-            else:
-                collect_metrics(value, f"{prefix}.{key}", out)
-    elif isinstance(node, list):
-        for i, item in enumerate(node):
-            collect_metrics(item, f"{path}[{i}]", out)
+def collect_metrics(node, prefix=""):
+    """{dotted.path: value} for every timing leaf of a JSON object."""
+    out = {}
+    for key, value in node.items():
+        path = prefix + key
+        if isinstance(value, dict):
+            out.update(collect_metrics(value, path + "."))
+        elif (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and key.endswith(_METRIC_SUFFIXES)):
+            out[path] = float(value)
     return out
+
+
+def fingerprint_note(baseline_doc, current_doc):
+    """A note when the runs may come from different machines or builds."""
+    base = baseline_doc.get("fingerprint")
+    if base is None:
+        return "note: the baseline records no fingerprint"
+    cur = current_doc.get("fingerprint") or {}
+    differ = sorted(k for k in base.keys() | cur.keys()
+                    if base.get(k) != cur.get(k))
+    if differ:
+        return (f"note: fingerprints differ in {', '.join(differ)}; the "
+                "runs may come from different machines or builds")
+    return None
 
 
 def compare(baseline, current, tolerance, out=sys.stdout):
@@ -72,11 +74,17 @@ def compare(baseline, current, tolerance, out=sys.stdout):
 
     Gate failures: a common metric slower than baseline * (1 + tolerance),
     or a baseline metric absent from the current run. Metrics new in the
-    current run are listed but never fail the gate.
+    current run are listed but never fail the gate. Under a speedup floor
+    (negative tolerance) each line shows baseline / current.
     """
     if not baseline:
         print("error: no timing metrics found in the baseline", file=out)
         return 2
+    if tolerance <= -1.0:
+        print(f"error: tolerance {tolerance} leaves no allowed time",
+              file=out)
+        return 2
+    floor = tolerance < 0.0
 
     removed = sorted(k for k in baseline if k not in current)
     added = sorted(k for k in current if k not in baseline)
@@ -86,13 +94,16 @@ def compare(baseline, current, tolerance, out=sys.stdout):
     width = max(len(k) for k in baseline)
     for key in common:
         old, new = baseline[key], current[key]
-        ratio = new / old if old > 0 else float("inf")
+        if floor:
+            shown = f"{old / new if new > 0 else float('inf'):5.2f}x faster"
+        else:
+            shown = f"{new / old if old > 0 else float('inf'):5.2f}x"
         flag = ""
         if new > old * (1.0 + tolerance):
             regressions.append((key, old, new))
             flag = "  REGRESSED"
         print(f"{key:<{width}}  {old:>12.6g}  ->  {new:>12.6g}"
-              f"  ({ratio:5.2f}x){flag}", file=out)
+              f"  ({shown}){flag}", file=out)
     for key in removed:
         print(f"{key:<{width}}  {baseline[key]:>12.6g}  ->  REMOVED",
               file=out)
@@ -102,6 +113,8 @@ def compare(baseline, current, tolerance, out=sys.stdout):
         for key in added:
             print(f"  {key}: {current[key]:.6g}", file=out)
 
+    bound = (f"at least {1.0 / (1.0 + tolerance):.2f}x faster than"
+             if floor else f"within {tolerance:.0%} of")
     if regressions or removed:
         # Failure lines carry the actual baseline and candidate values in
         # full significant-digit precision — a fixed one-decimal format used
@@ -109,8 +122,8 @@ def compare(baseline, current, tolerance, out=sys.stdout):
         # act on in a CI log.
         print(f"\nFAIL:", file=out)
         if regressions:
-            print(f"  {len(regressions)} metric(s) regressed beyond "
-                  f"{tolerance:.0%} of the committed baseline:", file=out)
+            print(f"  {len(regressions)} metric(s) not {bound} the committed "
+                  "baseline:", file=out)
             for key, old, new in regressions:
                 ratio = new / old if old > 0 else float("inf")
                 delta = 100.0 * (new - old) / old if old > 0 else float("inf")
@@ -122,8 +135,8 @@ def compare(baseline, current, tolerance, out=sys.stdout):
             for key in removed:
                 print(f"    {key} (baseline {baseline[key]:.6g})", file=out)
         return 1
-    print(f"\nOK: all {len(common)} common metrics within {tolerance:.0%} "
-          "of the committed baseline.", file=out)
+    print(f"\nOK: all {len(common)} common metrics {bound} the committed "
+          "baseline.", file=out)
     return 0
 
 
@@ -168,6 +181,17 @@ def check_ratios(current, specs, out=sys.stdout):
     return code
 
 
+def gate(baseline_doc, current_doc, tolerance=0.20, min_ratios=(),
+         out=sys.stdout):
+    """Runs every check on two parsed documents; returns the exit code."""
+    note = fingerprint_note(baseline_doc, current_doc)
+    if note:
+        print(note, file=out)
+    current = collect_metrics(current_doc)
+    code = compare(collect_metrics(baseline_doc), current, tolerance, out=out)
+    return max(code, check_ratios(current, min_ratios, out=out))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baseline", required=True,
@@ -175,21 +199,19 @@ def main():
     parser.add_argument("--current", required=True,
                         help="freshly generated JSON to check")
     parser.add_argument("--tolerance", type=float, default=0.20,
-                        help="allowed relative slowdown (default 0.20)")
+                        help="allowed relative slowdown (default 0.20; "
+                             "negative = required speedup)")
     parser.add_argument("--min-ratio", action="append", default=[],
                         metavar="NUM_KEY:DEN_KEY:FLOOR",
                         help="require current[NUM]/current[DEN] >= FLOOR "
                              "(repeatable; e.g. a parallel speedup floor)")
     args = parser.parse_args()
 
-    with open(args.baseline, encoding="utf-8") as f:
-        baseline = collect_metrics(json.load(f))
-    with open(args.current, encoding="utf-8") as f:
-        current = collect_metrics(json.load(f))
-
-    code = compare(baseline, current, args.tolerance)
-    ratio_code = check_ratios(current, args.min_ratio)
-    return max(code, ratio_code)
+    docs = []
+    for path in (args.baseline, args.current):
+        with open(path, encoding="utf-8") as f:
+            docs.append(json.load(f))
+    return gate(*docs, args.tolerance, args.min_ratio)
 
 
 if __name__ == "__main__":

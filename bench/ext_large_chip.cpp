@@ -3,8 +3,8 @@
 // "tens to hundreds of cores" future the paper's introduction motivates.
 // Also the headline scenario for the parallel engine: per configuration,
 // the SSS sweep is timed serial and parallel (both produce the same
-// mapping) and the speedups are saved as JSON. Exits non-zero if parallel
-// SSS ever diverges from the serial mapping.
+// mapping) and the speedups are recorded in the RunReport. Exits non-zero
+// if parallel SSS ever diverges from the serial mapping.
 #include <chrono>
 #include <functional>
 #include <iostream>
@@ -36,7 +36,6 @@ int main() {
                "SSS par [ms]"});
   std::vector<double> sums(4, 0.0);
   double g_dev_sum = 0.0, s_dev_sum = 0.0;
-  std::vector<bench::SpeedupRecord> speedups;
   bool diverged = false;
 
   for (const auto& spec : parsec_table3_configs()) {
@@ -67,8 +66,7 @@ int main() {
       std::cout << "  *** DETERMINISM VIOLATION on " << spec.name
                 << ": parallel SSS diverged from serial ***\n";
     }
-    speedups.push_back(
-        {spec.name, parallel.resolved_threads(), sss_ms, sss_par_ms});
+    bench::record_speedup("sss." + spec.name, sss_ms, sss_par_ms);
 
     const LatencyReport rg = evaluate(problem, global.map(problem));
     const LatencyReport rm = evaluate(problem, mc.map(problem));
@@ -86,7 +84,6 @@ int main() {
   }
   t.print(std::cout);
   bench::save_table(t, "ext_large_chip");
-  bench::save_speedup_json("ext_large_chip_speedup", speedups);
 
   std::cout << "\nAverages: SSS vs Global max-APL "
             << fmt_percent(sums[3] / sums[0] - 1.0) << " (8x8 was ~-12%); "

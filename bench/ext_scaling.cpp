@@ -65,7 +65,6 @@ int main() {
   TextTable t({"mesh", "threads", "Global max-APL", "SSS max-APL",
                "SSS vs Global", "Global [ms]", "SSS [ms]", "SSS par [ms]",
                "speedup"});
-  std::vector<bench::SpeedupRecord> speedups;
   bool diverged = false;
 
   double prev_sss_ms = 0.0;
@@ -99,14 +98,14 @@ int main() {
     }
     const LatencyReport rg = evaluate(problem, mg);
     const LatencyReport rs = evaluate(problem, ms);
-    speedups.push_back({std::to_string(side) + "x" + std::to_string(side),
-                        parallel.resolved_threads(), sss_ms, sss_par_ms});
+    const std::string name = std::to_string(side) + "x" + std::to_string(side);
+    const double speedup =
+        bench::record_speedup("sss." + name, sss_ms, sss_par_ms);
 
-    t.add_row({std::to_string(side) + "x" + std::to_string(side),
-               std::to_string(mesh.num_tiles()), fmt(rg.max_apl),
+    t.add_row({name, std::to_string(mesh.num_tiles()), fmt(rg.max_apl),
                fmt(rs.max_apl), fmt_percent(rs.max_apl / rg.max_apl - 1.0),
                fmt(global_ms, 2), fmt(sss_ms, 2), fmt(sss_par_ms, 2),
-               fmt(speedups.back().speedup(), 2) + "x"});
+               fmt(speedup, 2) + "x"});
 
     if (prev_side != 0 && prev_sss_ms > 0.0) {
       const double size_ratio =
@@ -123,7 +122,6 @@ int main() {
   }
   t.print(std::cout);
   bench::save_table(t, "ext_scaling");
-  bench::save_speedup_json("ext_scaling_speedup", speedups);
 
   std::cout << "\nEven at 16x16 (256 threads) SSS completes in well under a "
                "second, supporting the\npaper's dynamic-remapping use case "

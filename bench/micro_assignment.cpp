@@ -1,5 +1,6 @@
 // Microbenchmark of the assignment kernel's solve modes, emitting the
-// committed perf baselines BENCH_assignment.json and BENCH_mappers.json.
+// committed perf baselines BENCH_assignment.json and BENCH_mappers.json:
+// the `assignment` and `mappers` sections of this bench's RunReport.
 //
 // Four modes are timed per instance size n ∈ {16, 64, 144, 256} (square
 // meshes of side 4/8/12/16, Table-3 C1 workloads):
@@ -13,15 +14,15 @@
 //  * warm    — one reused workspace re-solving the same instance with
 //              carried column potentials: the SSS fine-tuning steady state.
 //
-// Each mode reports best-of-3 adaptive batches (ns/solve). The mapper table
-// times end-to-end map() calls (best of 5) per paper mapper plus GA on the
-// canonical 8x8 C1 problem. Optional argv[1] is the output directory
+// Each mode reports best-of-3 adaptive batches as `assignment.n<N>.<mode>_ns`
+// (ns/solve). The mapper table times end-to-end map() calls (best of 5) per
+// paper mapper plus GA on the canonical 8x8 C1 problem as
+// `mappers.<name>.map_ms`. Optional argv[1] is the output directory
 // (default ".").
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <numeric>
@@ -68,15 +69,9 @@ double ns_per_call(F&& f) {
   return best;
 }
 
-struct SizeResult {
-  std::size_t n = 0;
-  double legacy_ns = 0.0;
-  double cold_ns = 0.0;
-  double cached_ns = 0.0;
-  double warm_ns = 0.0;
-};
-
-SizeResult bench_size(std::uint32_t side) {
+/// Times the four solve modes at one mesh size and records them as the
+/// `assignment.n<N>.*` report fields.
+void bench_size(std::uint32_t side) {
   const Mesh mesh = Mesh::square(side);
   const std::size_t n = mesh.num_tiles();
   SynthesisOptions opt;
@@ -91,27 +86,34 @@ SizeResult bench_size(std::uint32_t side) {
   std::iota(tiles.begin(), tiles.end(), TileId{0});
   const CostView view = cache.sam_view(0, tiles);
 
-  SizeResult r;
-  r.n = n;
-  r.legacy_ns = ns_per_call([&] {
+  const double legacy_ns = ns_per_call([&] {
     const CostMatrix m = cache.sam_matrix(0, tiles);
     g_sink += solve_assignment(m).total_cost;
   });
-  r.cold_ns = ns_per_call([&] {
+  const double cold_ns = ns_per_call([&] {
     AssignmentWorkspace ws;
     g_sink += ws.solve(view).total_cost;
   });
-  {
-    AssignmentWorkspace ws;
-    r.cached_ns = ns_per_call([&] { g_sink += ws.solve(view).total_cost; });
-  }
-  {
-    AssignmentWorkspace ws;
-    ws.solve(view);  // prime the potentials
-    r.warm_ns =
-        ns_per_call([&] { g_sink += ws.solve_warm(view).total_cost; });
-  }
-  return r;
+  AssignmentWorkspace cached;
+  const double cached_ns =
+      ns_per_call([&] { g_sink += cached.solve(view).total_cost; });
+  AssignmentWorkspace warm;
+  warm.solve(view);  // prime the potentials
+  const double warm_ns =
+      ns_per_call([&] { g_sink += warm.solve_warm(view).total_cost; });
+
+  const double warm_speedup = warm_ns > 0.0 ? legacy_ns / warm_ns : 0.0;
+  std::cout << "n=" << n << "  legacy=" << legacy_ns / 1e3
+            << "us  cold=" << cold_ns / 1e3 << "us  cached=" << cached_ns / 1e3
+            << "us  warm=" << warm_ns / 1e3
+            << "us  (warm speedup vs legacy: " << warm_speedup << "x)\n";
+  obs::RunReport& report = obs::RunReport::global();
+  const std::string prefix = "assignment.n" + std::to_string(n);
+  report.set(prefix + ".legacy_ns", legacy_ns);
+  report.set(prefix + ".cold_ns", cold_ns);
+  report.set(prefix + ".cached_ns", cached_ns);
+  report.set(prefix + ".warm_ns", warm_ns);
+  report.set(prefix + ".warm_speedup_vs_legacy", warm_speedup);
 }
 
 struct BatchSweepResult {
@@ -150,12 +152,9 @@ std::vector<BatchSweepResult> bench_batch_eval() {
   return results;
 }
 
-struct MapperResult {
-  std::string name;
-  double ms_per_map = 0.0;
-};
-
-std::vector<MapperResult> bench_mappers() {
+/// Best-of-5 end-to-end map() per mapper, recorded as
+/// `mappers.<name>.map_ms`.
+void bench_mappers() {
   using clock = std::chrono::steady_clock;
   const ObmProblem problem = bench::standard_problem("C1");
 
@@ -165,7 +164,6 @@ std::vector<MapperResult> bench_mappers() {
   ga.seed = bench::kAlgorithmSeed;
   mappers.push_back(std::make_unique<GeneticMapper>(ga));
 
-  std::vector<MapperResult> results;
   for (const auto& mapper : mappers) {
     // Best-of-5: map() calls land around a millisecond, where scheduler
     // jitter fattens the upper tail enough to matter for the CI speedup
@@ -180,49 +178,10 @@ std::vector<MapperResult> bench_mappers() {
       g_sink += static_cast<double>(m.thread_to_tile.front());
       best = std::min(best, ms);
     }
-    results.push_back({mapper->name(), best});
+    std::cout << mapper->name() << ": " << best << " ms/map\n";
+    obs::RunReport::global().set("mappers." + mapper->name() + ".map_ms",
+                                 best);
   }
-  return results;
-}
-
-void write_assignment_json(const std::filesystem::path& path,
-                           const std::vector<SizeResult>& sizes) {
-  std::ofstream os(path);
-  os << "{\n"
-     << "  \"bench\": \"micro_assignment\",\n"
-     << "  \"unit\": \"ns_per_solve\",\n"
-     << "  \"sizes\": [\n";
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
-    const SizeResult& r = sizes[i];
-    os << "    {\"n\": " << r.n
-       << ", \"legacy_solve_assignment_ns\": " << r.legacy_ns
-       << ", \"workspace_cold_ns\": " << r.cold_ns
-       << ", \"workspace_cached_ns\": " << r.cached_ns
-       << ", \"workspace_warm_ns\": " << r.warm_ns
-       << ", \"warm_speedup_vs_legacy\": "
-       << (r.warm_ns > 0.0 ? r.legacy_ns / r.warm_ns : 0.0) << "}"
-       << (i + 1 < sizes.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n}\n";
-  obs::RunReport::global().note_artifact(path.string());
-  std::cout << "[json: " << path.string() << "]\n";
-}
-
-void write_mappers_json(const std::filesystem::path& path,
-                        const std::vector<MapperResult>& mappers) {
-  std::ofstream os(path);
-  os << "{\n"
-     << "  \"bench\": \"micro_assignment\",\n"
-     << "  \"unit\": \"ms_per_map\",\n"
-     << "  \"mappers\": [\n";
-  for (std::size_t i = 0; i < mappers.size(); ++i) {
-    os << "    {\"mapper\": \"" << mappers[i].name
-       << "\", \"ms_per_map\": " << mappers[i].ms_per_map << "}"
-       << (i + 1 < mappers.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n}\n";
-  obs::RunReport::global().note_artifact(path.string());
-  std::cout << "[json: " << path.string() << "]\n";
 }
 
 }  // namespace
@@ -232,23 +191,7 @@ int main(int argc, char** argv) {
   bench::print_header(
       "micro_assignment — assignment-kernel solve-mode timings",
       "perf baseline layer (DESIGN.md §8)");
-
-  std::vector<SizeResult> sizes;
-  for (const std::uint32_t side : {4u, 8u, 12u, 16u}) {
-    sizes.push_back(bench_size(side));
-    const SizeResult& r = sizes.back();
-    std::cout << "n=" << r.n << "  legacy=" << r.legacy_ns / 1e3
-              << "us  cold=" << r.cold_ns / 1e3
-              << "us  cached=" << r.cached_ns / 1e3
-              << "us  warm=" << r.warm_ns / 1e3
-              << "us  (warm speedup vs legacy: "
-              << r.legacy_ns / r.warm_ns << "x)\n";
-    const std::string prefix = "assignment.n" + std::to_string(r.n);
-    obs::RunReport::global().set(prefix + ".warm_ns", r.warm_ns);
-    obs::RunReport::global().set(prefix + ".warm_speedup_vs_legacy",
-                                 r.warm_ns > 0.0 ? r.legacy_ns / r.warm_ns
-                                                 : 0.0);
-  }
+  for (const std::uint32_t side : {4u, 8u, 12u, 16u}) bench_size(side);
 
   const std::vector<BatchSweepResult> sweep = bench_batch_eval();
   const double k1_ns = sweep.front().ns_per_candidate;
@@ -266,13 +209,11 @@ int main(int argc, char** argv) {
                                      : 0.0);
   }
 
-  const std::vector<MapperResult> mappers = bench_mappers();
-  for (const MapperResult& m : mappers) {
-    std::cout << m.name << ": " << m.ms_per_map << " ms/map\n";
-  }
+  bench_mappers();
 
-  write_assignment_json(out_dir / "BENCH_assignment.json", sizes);
-  write_mappers_json(out_dir / "BENCH_mappers.json", mappers);
+  bench::save_baseline((out_dir / "BENCH_assignment.json").string(),
+                       {"assignment"});
+  bench::save_baseline((out_dir / "BENCH_mappers.json").string(), {"mappers"});
   std::cout << "(checksum " << g_sink << ")\n";
   return 0;
 }

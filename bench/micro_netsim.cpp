@@ -1,6 +1,7 @@
 // Microbenchmark of the cycle-level network simulator's hot path, emitting
-// the committed perf baseline BENCH_netsim.json (gated by
-// bench/compare_bench.py in CI's release leg, like the assignment kernel).
+// the committed perf baseline BENCH_netsim.json, the `netsim` section of
+// this bench's RunReport (gated by bench/compare_bench.py in CI's release
+// leg, like the assignment kernel).
 //
 // Scenarios exercise the structure-of-arrays router engine from different
 // angles:
@@ -19,16 +20,17 @@
 //                        engine throughput, not core count).
 //  * mesh64_parallel_w{1,2,4,8} — one 64x64 mesh (4096 tiles) stepped with
 //                        1/2/4/8 spatial-partition workers (DESIGN.md §16):
-//                        the within-simulation scaling sweep. Speedup is
-//                        derived (w1/wN) and emitted alongside hw_threads
-//                        so the CI gate can require scaling only on
-//                        machines that actually have the cores.
+//                        the within-simulation scaling sweep. The w1/w8
+//                        speedup is derived; the baseline's fingerprint
+//                        holds the hardware thread count, so the CI gate
+//                        can require scaling only on machines that have
+//                        the cores.
 //
-// Each scenario reports best-of-3 end-to-end wall times (ms per run).
+// Each scenario reports its best-of-3 end-to-end wall time as
+// `netsim.<scenario>.run_ms`.
 // Optional argv[1] is the output directory (default ".").
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <string>
@@ -73,11 +75,6 @@ ObmProblem small_problem() {
                     Workload(std::move(apps)));
 }
 
-struct ScenarioResult {
-  std::string scenario;
-  double run_ms = 0.0;
-};
-
 /// 64x64 mesh (4096 tiles), four apps filling the chip — big enough that a
 /// cycle has real parallel work for every row-band domain.
 ObmProblem mesh64_problem() {
@@ -89,32 +86,6 @@ ObmProblem mesh64_problem() {
                     synthesize_workload(parsec_config("C1"), 20140519, opt));
 }
 
-void write_netsim_json(const std::filesystem::path& path,
-                       const std::vector<ScenarioResult>& results,
-                       double speedup_w8) {
-  std::ofstream os(path);
-  os << "{\n"
-     << "  \"bench\": \"micro_netsim\",\n"
-     << "  \"unit\": \"ms_per_run\",\n"
-     << "  \"scenarios\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    os << "    {\"scenario\": \"" << results[i].scenario
-       << "\", \"run_ms\": " << results[i].run_ms << "}"
-       << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  // Derived ratio + machine facts: informational (compare_bench gates only
-  // *_ms timings; the speedup floor is enforced via --min-ratio on machines
-  // with the cores — see .github/workflows/ci.yml).
-  os << "  ],\n"
-     << "  \"parallel\": {\n"
-     << "    \"hw_threads\": " << std::thread::hardware_concurrency()
-     << ",\n"
-     << "    \"mesh64_speedup_w8\": " << speedup_w8 << "\n"
-     << "  }\n}\n";
-  obs::RunReport::global().note_artifact(path.string());
-  std::cout << "[json: " << path.string() << "]\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -122,9 +93,7 @@ int main(int argc, char** argv) {
   bench::print_header("micro_netsim — router-engine hot-path timings",
                       "perf baseline layer (DESIGN.md §8, §12)");
 
-  std::vector<ScenarioResult> results;
-  auto record = [&](const std::string& scenario, double ms) {
-    results.push_back({scenario, ms});
+  auto record = [](const std::string& scenario, double ms) {
     obs::RunReport::global().set("netsim." + scenario + ".run_ms", ms);
     std::cout << scenario << ": " << ms << " ms/run\n";
   };
@@ -194,23 +163,16 @@ int main(int argc, char** argv) {
       const double ms = ms_per_run(
           [&] { g_sink += run_simulation(big, big_map, cfg).g_apl; });
       record("mesh64_parallel_w" + std::to_string(workers), ms);
-      obs::RunReport::global().set(
-          "netsim.parallel.mesh64.w" + std::to_string(workers) + ".run_ms",
-          ms);
       if (workers == 1) mesh64_w1 = ms;
       if (workers == 8) mesh64_w8 = ms;
     }
   }
   const double speedup_w8 = mesh64_w8 > 0.0 ? mesh64_w1 / mesh64_w8 : 0.0;
-  obs::RunReport::global().set("netsim.parallel.mesh64.speedup_w8",
-                               speedup_w8);
-  obs::RunReport::global().set(
-      "netsim.parallel.hw_threads",
-      static_cast<double>(std::thread::hardware_concurrency()));
+  obs::RunReport::global().set("netsim.mesh64_speedup_w8", speedup_w8);
   std::cout << "mesh64 speedup at 8 workers: " << speedup_w8 << " ("
             << std::thread::hardware_concurrency() << " hw threads)\n";
 
-  write_netsim_json(out_dir / "BENCH_netsim.json", results, speedup_w8);
+  bench::save_baseline((out_dir / "BENCH_netsim.json").string(), {"netsim"});
   std::cout << "(checksum " << g_sink << ")\n";
   return 0;
 }

@@ -1,6 +1,7 @@
 // Microbenchmark of the online mapping service (DESIGN.md §13), emitting
-// the committed perf baseline BENCH_service.json (gated by
-// bench/compare_bench.py in CI's release leg, like the other micro benches).
+// the committed perf baseline BENCH_service.json, the `service` section of
+// this bench's RunReport (gated by bench/compare_bench.py in CI's release
+// leg, like the other micro benches).
 //
 // One scenario, sized like the paper's evaluation platform: a 100k-event
 // churn trace (arrivals / departures / phase changes) replayed against an
@@ -8,8 +9,8 @@
 // 1.25x fallback threshold. Two replays run back to back:
 //
 //  * timing replay  — nothing but the service on the hot path; produces the
-//                     gated metrics (total run_ms, mean and p99 per-decision
-//                     latency) best-of-2.
+//                     gated metrics (service.run_ms, mean_decision_us and
+//                     p99_decision_us) best-of-2.
 //  * quality replay — a fresh engine over the same trace, sampling the
 //                     incremental objective against a from-scratch serial
 //                     SSS solve every 500 accepted events; produces the
@@ -18,7 +19,6 @@
 //
 // Optional argv[1] is the output directory (default ".").
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 
@@ -91,30 +91,15 @@ int main(int argc, char** argv) {
             << "decision digest: " << std::hex << best.digest << std::dec
             << "\n";
 
-  obs::RunReport::global().set("service.decisions_per_sec",
-                               decisions_per_sec);
-  obs::RunReport::global().set("service.mean_decision_us", mean_us);
-  obs::RunReport::global().set("service.p99_decision_us", p99_us);
-  obs::RunReport::global().set("service.mean_objective_ratio",
-                               quality.mean_objective_ratio);
-  obs::RunReport::global().set("service.fallbacks",
-                               static_cast<double>(best.fallbacks));
-
-  const std::filesystem::path json_path = out_dir / "BENCH_service.json";
-  std::ofstream os(json_path);
-  os << "{\n"
-     << "  \"bench\": \"micro_service\",\n"
-     << "  \"events\": " << kEvents << ",\n"
-     << "  \"scenarios\": [\n"
-     << "    {\"scenario\": \"mesh8_churn_100k\", \"run_ms\": "
-     << best.wall_ms << ", \"mean_decision_us\": " << mean_us
-     << ", \"p99_decision_us\": " << p99_us << "}\n"
-     << "  ],\n"
-     << "  \"info\": {\"decisions_per_sec\": " << decisions_per_sec
-     << ", \"mean_objective_ratio\": " << quality.mean_objective_ratio
-     << ", \"fallbacks\": " << best.fallbacks << "}\n"
-     << "}\n";
-  obs::RunReport::global().note_artifact(json_path.string());
-  std::cout << "[json: " << json_path.string() << "]\n";
+  obs::RunReport& report = obs::RunReport::global();
+  report.set("service.events", std::uint64_t{kEvents});
+  report.set("service.run_ms", best.wall_ms);
+  report.set("service.mean_decision_us", mean_us);
+  report.set("service.p99_decision_us", p99_us);
+  report.set("service.decisions_per_sec", decisions_per_sec);
+  report.set("service.mean_objective_ratio", quality.mean_objective_ratio);
+  report.set("service.fallbacks", std::uint64_t{best.fallbacks});
+  bench::save_baseline((out_dir / "BENCH_service.json").string(),
+                       {"service"});
   return 0;
 }

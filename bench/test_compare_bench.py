@@ -1,8 +1,9 @@
 """Tests for the compare_bench.py perf gate (run with pytest or unittest).
 
-Covers the metric flattening and every gate outcome — pass, timing
-regression, removed-metric failure, added-metric tolerance — including the
-mismatched-metric-set case that used to crash the script.
+Covers the dotted-path metric flattening, every gate outcome — pass, timing
+regression, speedup floor, removed-metric failure, added-metric tolerance —
+including the mismatched-metric-set case that used to crash the script, and
+the fingerprint note.
 """
 
 import io
@@ -18,20 +19,20 @@ def run_compare(baseline, current, tolerance=0.20):
 
 
 class CollectMetricsTest(unittest.TestCase):
-    def test_flattens_labeled_records(self):
-        doc = {"results": [{"n": 16, "solve_ms": 1.5, "iterations": 3}]}
+    def test_names_time_leaves_by_dotted_path(self):
+        doc = {"schema": "nocmap.run_report/1", "artifacts": ["a.csv"],
+               "mappers": {"SSS": {"map_ms": 0.5}},
+               "a": {"x_ns": 1, "y_us": 2.0, "flag_ms": True}}
         self.assertEqual(compare_bench.collect_metrics(doc),
-                         {"n=16.solve_ms": 1.5})
+                         {"mappers.SSS.map_ms": 0.5, "a.x_ns": 1.0,
+                          "a.y_us": 2.0})
 
-    def test_ignores_non_timing_leaves(self):
-        doc = {"mapper": "global", "g_apl": 3.2, "map_ms": 2.0}
+    def test_key_without_time_suffix_is_never_gated(self):
+        doc = {"fingerprint": {"hw_threads": 4},
+               "netsim": {"w1": {"run_ms": 12.0}, "mesh64_speedup_w8": 0.9,
+                          "events": 100000, "ms_per_map": 1.0}}
         self.assertEqual(compare_bench.collect_metrics(doc),
-                         {"mapper=global.map_ms": 2.0})
-
-    def test_nested_lists_get_index_paths(self):
-        doc = [{"solve_ms": 1.0}, {"solve_ms": 2.0}]
-        self.assertEqual(compare_bench.collect_metrics(doc),
-                         {"[0].solve_ms": 1.0, "[1].solve_ms": 2.0})
+                         {"netsim.w1.run_ms": 12.0})
 
 
 class CompareTest(unittest.TestCase):
@@ -92,11 +93,30 @@ class CompareTest(unittest.TestCase):
         self.assertEqual(code, 1)
         self.assertIn("b.y_ms (baseline 0.00125)", out)
 
+    def test_negative_tolerance_is_a_speedup_floor(self):
+        # -0.75 allows at most 25% of the baseline time: a 4x floor.
+        code, out = run_compare({"m.MC.map_ms": 6.0, "m.SA.map_ms": 7.0},
+                                {"m.MC.map_ms": 1.0, "m.SA.map_ms": 1.75},
+                                tolerance=-0.75)
+        self.assertEqual(code, 0)
+        self.assertIn("6.00x faster", out)
+        self.assertIn("at least 4.00x faster", out)
+        code, out = run_compare({"m.MC.map_ms": 6.0},
+                                {"m.MC.map_ms": 2.0}, tolerance=-0.75)
+        self.assertEqual(code, 1)
+        self.assertIn("3.00x faster", out)
+        self.assertIn("REGRESSED", out)
+
+    def test_tolerance_of_minus_one_or_less_is_usage_error(self):
+        code, _ = run_compare({"a.x_ms": 10.0}, {"a.x_ms": 1.0},
+                              tolerance=-1.0)
+        self.assertEqual(code, 2)
+
 
 class CheckRatiosTest(unittest.TestCase):
     """--min-ratio floors (the partitioned-netsim speedup gate)."""
 
-    CURRENT = {"scenario=w1.run_ms": 12.0, "scenario=w8.run_ms": 3.0}
+    CURRENT = {"netsim.w1.run_ms": 12.0, "netsim.w8.run_ms": 3.0}
 
     def run_ratios(self, specs, current=None):
         out = io.StringIO()
@@ -106,19 +126,19 @@ class CheckRatiosTest(unittest.TestCase):
 
     def test_floor_met_passes(self):
         code, out = self.run_ratios(
-            ["scenario=w1.run_ms:scenario=w8.run_ms:3.0"])
+            ["netsim.w1.run_ms:netsim.w8.run_ms:3.0"])
         self.assertEqual(code, 0)
         self.assertIn("ratio OK", out)
 
     def test_floor_missed_fails(self):
         code, out = self.run_ratios(
-            ["scenario=w1.run_ms:scenario=w8.run_ms:5.0"])
+            ["netsim.w1.run_ms:netsim.w8.run_ms:5.0"])
         self.assertEqual(code, 1)
         self.assertIn("FAIL", out)
         self.assertIn("< required 5", out)
 
     def test_missing_metric_fails_not_crashes(self):
-        code, out = self.run_ratios(["scenario=w1.run_ms:absent.run_ms:2.0"])
+        code, out = self.run_ratios(["netsim.w1.run_ms:absent.run_ms:2.0"])
         self.assertEqual(code, 1)
         self.assertIn("missing", out)
 
@@ -130,13 +150,47 @@ class CheckRatiosTest(unittest.TestCase):
 
     def test_zero_denominator_passes_as_infinite_speedup(self):
         code, _ = self.run_ratios(
-            ["scenario=w1.run_ms:scenario=w8.run_ms:3.0"],
-            current={"scenario=w1.run_ms": 1.0, "scenario=w8.run_ms": 0.0})
+            ["netsim.w1.run_ms:netsim.w8.run_ms:3.0"],
+            current={"netsim.w1.run_ms": 1.0, "netsim.w8.run_ms": 0.0})
         self.assertEqual(code, 0)
 
     def test_no_specs_is_a_pass(self):
         code, _ = self.run_ratios([])
         self.assertEqual(code, 0)
+
+
+class FingerprintTest(unittest.TestCase):
+    """The fingerprint note: printed once, never changes the exit code."""
+
+    FP = {"hw_threads": 4, "compiler": "gcc 12.2.0", "asserts": False}
+
+    @staticmethod
+    def doc(run_ms, fingerprint=None):
+        doc = {"schema": "nocmap.run_report/1", "binary": "micro_netsim",
+               "netsim": {"w1": {"run_ms": run_ms}}}
+        if fingerprint is not None:
+            doc["fingerprint"] = fingerprint
+        return doc
+
+    def run_gate(self, baseline, current):
+        out = io.StringIO()
+        code = compare_bench.gate(baseline, current, out=out)
+        return code, out.getvalue()
+
+    def test_matching_fingerprints_print_no_note(self):
+        _, out = self.run_gate(self.doc(10.0, self.FP), self.doc(10.0, self.FP))
+        self.assertNotIn("note:", out)
+
+    def test_mismatch_or_missing_fingerprint_prints_one_note(self):
+        for base_fp, note in ((dict(self.FP, hw_threads=1),
+                               "fingerprints differ in hw_threads"),
+                              (None, "records no fingerprint")):
+            for current_ms, expected in ((10.0, 0), (13.0, 1)):
+                code, out = self.run_gate(self.doc(10.0, base_fp),
+                                          self.doc(current_ms, self.FP))
+                self.assertEqual(code, expected)
+                self.assertEqual(out.count("note:"), 1)
+                self.assertIn(note, out)
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "util/error.h"
@@ -137,14 +136,6 @@ class AssignmentWorkspace {
   /// Drops the warm-start state; the next solve_warm runs cold.
   void invalidate() { warm_cols_ = 0; }
 
-  /// When enabled, every warm solve is re-run cold in a shadow workspace
-  /// and the two assignments are REQUIREd to be identical — the validation
-  /// path proving warm starts change nothing. Intended for tests and
-  /// debugging (it obviously forfeits the warm speedup); on instances with
-  /// tied optima the cross-check may legitimately fail, so enable it on
-  /// unique-optimum inputs.
-  void set_cross_check(bool on) { cross_check_ = on; }
-
  private:
   void solve_impl(const CostView& view, bool warm);
   /// Returns the number of shortest-path scan steps (inner Dijkstra
@@ -162,8 +153,6 @@ class AssignmentWorkspace {
   std::vector<char> used_;
   Assignment result_;
   std::size_t warm_cols_ = 0;  // column count the stored v_ is valid for
-  bool cross_check_ = false;
-  std::unique_ptr<AssignmentWorkspace> shadow_;  // cross-check scratch
 };
 
 /// Exact minimum-cost assignment on a square matrix, O(n³). Throws on a

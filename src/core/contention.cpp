@@ -1,7 +1,6 @@
 #include "core/contention.h"
 
 #include <algorithm>
-#include <array>
 #include <limits>
 
 namespace nocmap {
@@ -70,53 +69,14 @@ void ContentionModel::add_flow(TileId src, TileId dst,
 }
 
 void ContentionModel::add_multicast_tree(TileId from,
-                                         std::vector<TileId> dests,
+                                         std::span<const TileId> dests,
                                          double flits_per_cycle) {
-  // Mirror of TrafficEngine::emit_multicast: shared tree prefixes carry the
-  // request once; replication happens at branch points.
-  dests.erase(std::remove(dests.begin(), dests.end(), from), dests.end());
-  if (dests.empty() || flits_per_cycle <= 0.0) return;
-
-  const TileCoord here = mesh_->coord_of(from);
-  enum { kEastG, kWestG, kSouthG, kNorthG, kUpG, kDownG, kNumGroups };
-  std::array<std::vector<TileId>, kNumGroups> groups;
-  std::array<TileCoord, kNumGroups> extreme{};
-  for (TileId m : dests) {
-    const TileCoord c = mesh_->coord_of(m);
-    std::size_t g;
-    if (c.col > here.col) g = kEastG;
-    else if (c.col < here.col) g = kWestG;
-    else if (c.row > here.row) g = kSouthG;
-    else if (c.row < here.row) g = kNorthG;
-    else if (c.layer > here.layer) g = kUpG;
-    else g = kDownG;
-    if (groups[g].empty()) {
-      extreme[g] = c;
-    } else {
-      switch (g) {
-        case kEastG: extreme[g].col = std::min(extreme[g].col, c.col); break;
-        case kWestG: extreme[g].col = std::max(extreme[g].col, c.col); break;
-        case kSouthG: extreme[g].row = std::min(extreme[g].row, c.row); break;
-        case kNorthG: extreme[g].row = std::max(extreme[g].row, c.row); break;
-        case kUpG:
-          extreme[g].layer = std::min(extreme[g].layer, c.layer);
-          break;
-        case kDownG:
-          extreme[g].layer = std::max(extreme[g].layer, c.layer);
-          break;
-      }
-    }
-    groups[g].push_back(m);
-  }
-  for (std::size_t g = 0; g < kNumGroups; ++g) {
-    if (groups[g].empty()) continue;
-    TileCoord next = here;
-    if (g == kEastG || g == kWestG) next.col = extreme[g].col;
-    else if (g == kSouthG || g == kNorthG) next.row = extreme[g].row;
-    else next.layer = extreme[g].layer;
-    const TileId endpoint = mesh_->tile_at(next);
-    add_flow(from, endpoint, flits_per_cycle);
-    add_multicast_tree(endpoint, std::move(groups[g]), flits_per_cycle);
+  // Shared tree prefixes carry the request once; replication happens at
+  // branch points (the same tree TrafficEngine::emit_multicast injects).
+  if (flits_per_cycle <= 0.0) return;
+  for (const TreeBranch& branch : multicast_branches(*mesh_, from, dests)) {
+    add_flow(from, branch.endpoint, flits_per_cycle);
+    add_multicast_tree(branch.endpoint, branch.dests, flits_per_cycle);
   }
 }
 
@@ -175,8 +135,7 @@ ContentionModel::ContentionModel(const ObmProblem& problem,
           break;
         }
         case MemoryTrafficMode::kMulticast: {
-          add_multicast_tree(s, {mcs.begin(), mcs.end()},
-                             memory_rate * config.request_flits);
+          add_multicast_tree(s, mcs, memory_rate * config.request_flits);
           // One data reply, from the designated responder (nearest MC).
           if (config.include_replies) {
             add_flow(mesh_->nearest_mc(s), s,

@@ -18,6 +18,7 @@
 // model, and hotspot analysis (does balancing APLs also balance links?).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/problem.h"
@@ -70,7 +71,7 @@ class ContentionModel {
  private:
   std::size_t link_index(TileId from, TileId to) const;
   void add_flow(TileId src, TileId dst, double flits_per_cycle);
-  void add_multicast_tree(TileId from, std::vector<TileId> dests,
+  void add_multicast_tree(TileId from, std::span<const TileId> dests,
                           double flits_per_cycle);
 
   const Mesh* mesh_;

@@ -1,9 +1,28 @@
 #include "core/mapping_io.h"
 
+#include <charconv>
 #include <fstream>
-#include <sstream>
+#include <limits>
 
 namespace nocmap {
+
+namespace {
+
+/// Parses one whole CSV cell as a decimal index no larger than `max`:
+/// digits only, so signs, spaces, hex prefixes and trailing junk throw.
+std::uint64_t parse_index(const std::string& cell, std::uint64_t max,
+                          const std::string& where) {
+  std::uint64_t value = 0;
+  const char* end = cell.data() + cell.size();
+  const auto [ptr, ec] = std::from_chars(cell.data(), end, value);
+  NOCMAP_REQUIRE(ec != std::errc::invalid_argument && ptr == end,
+                 "non-numeric value" + where);
+  NOCMAP_REQUIRE(ec == std::errc() && value <= max,
+                 "value out of range" + where);
+  return value;
+}
+
+}  // namespace
 
 void write_mapping_csv(const Mapping& mapping, std::ostream& out) {
   out << "thread,tile\n";
@@ -33,23 +52,18 @@ Mapping read_mapping_csv(std::istream& in) {
     ++line_no;
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
-    std::istringstream row(line);
-    std::string thread_cell, tile_cell;
-    NOCMAP_REQUIRE(static_cast<bool>(std::getline(row, thread_cell, ',')) &&
-                       static_cast<bool>(std::getline(row, tile_cell)),
-                   "expected 2 columns on mapping CSV line " +
-                       std::to_string(line_no));
-    try {
-      NOCMAP_REQUIRE(std::stoull(thread_cell) ==
-                         mapping.thread_to_tile.size(),
-                     "thread index mismatch on mapping CSV line " +
-                         std::to_string(line_no));
-      mapping.thread_to_tile.push_back(
-          static_cast<TileId>(std::stoul(tile_cell)));
-    } catch (const std::logic_error&) {
-      throw Error("non-numeric value on mapping CSV line " +
-                  std::to_string(line_no));
-    }
+    const std::string where = " on mapping CSV line " + std::to_string(line_no);
+    const std::size_t comma = line.find(',');
+    NOCMAP_REQUIRE(comma != std::string::npos &&
+                       line.find(',', comma + 1) == std::string::npos,
+                   "expected 2 columns" + where);
+    NOCMAP_REQUIRE(parse_index(line.substr(0, comma),
+                               std::numeric_limits<std::uint64_t>::max(),
+                               where) == mapping.thread_to_tile.size(),
+                   "thread index mismatch" + where);
+    mapping.thread_to_tile.push_back(static_cast<TileId>(
+        parse_index(line.substr(comma + 1),
+                    std::numeric_limits<TileId>::max(), where)));
   }
   NOCMAP_REQUIRE(!mapping.thread_to_tile.empty(), "mapping CSV has no rows");
   NOCMAP_REQUIRE(mapping.is_valid_permutation(mapping.size()),

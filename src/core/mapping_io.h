@@ -19,8 +19,9 @@ void save_mapping_csv(const Mapping& mapping, const std::string& path);
 void write_mapping_csv(const Mapping& mapping, std::ostream& out);
 
 /// Parses a mapping. Throws nocmap::Error on malformed input (bad header,
-/// thread-index gaps, duplicate/out-of-range tiles — the result is always
-/// a valid permutation).
+/// a row without exactly two decimal cells, thread-index gaps,
+/// duplicate/out-of-range tiles — the result is always a valid
+/// permutation).
 Mapping load_mapping_csv(const std::string& path);
 Mapping read_mapping_csv(std::istream& in);
 

@@ -1,7 +1,6 @@
 #include "netsim/traffic.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 
 namespace nocmap {
@@ -158,8 +157,7 @@ void TrafficEngine::generate(Network& net, Cycle now,
       const TileSource& src = sources_[e.tile];
       if (e.cls == PacketClass::kMemoryRequest &&
           config_.memory_mode == MemoryTrafficMode::kMulticast) {
-        const auto mcs = problem_->mesh().mc_tiles();
-        emit_multicast(net, e.tile, {mcs.begin(), mcs.end()}, now, now,
+        emit_multicast(net, e.tile, problem_->mesh().mc_tiles(), now, now,
                        src.app, src.thread, &locals,
                        /*record_local_delivery=*/true);
         continue;
@@ -190,8 +188,8 @@ void TrafficEngine::generate(Network& net, Cycle now,
 }
 
 void TrafficEngine::emit_multicast(Network& net, TileId from,
-                                   std::vector<TileId> dests, Cycle created,
-                                   Cycle now, std::size_t app,
+                                   std::span<const TileId> dests,
+                                   Cycle created, Cycle now, std::size_t app,
                                    std::size_t thread,
                                    std::vector<LocalAccess>* locals,
                                    bool record_local_delivery) {
@@ -201,9 +199,7 @@ void TrafficEngine::emit_multicast(Network& net, TileId from,
 
   // Delivery at this tile itself (the root is an MC, or a branch point
   // landed exactly on one).
-  if (auto it = std::find(dests.begin(), dests.end(), from);
-      it != dests.end()) {
-    dests.erase(it);
+  if (std::find(dests.begin(), dests.end(), from) != dests.end()) {
     if (record_local_delivery && locals != nullptr) {
       locals->push_back({PacketClass::kMemoryRequest, app, thread});
     }
@@ -212,77 +208,23 @@ void TrafficEngine::emit_multicast(Network& net, TileId from,
                PacketClass::kMemoryReply, from, requester, app, thread);
     }
   }
-  if (dests.empty()) return;
 
-  // Group the remaining destinations by their first dimension-order hop
-  // from here; each group's branch point is the nearest point where the
-  // shared path prefix ends (the extreme coordinate along that dimension),
-  // so recursing from the branch point reproduces the XYZ multicast tree.
-  const TileCoord here = mesh.coord_of(from);
-  struct Group {
-    std::vector<TileId> dests;
-    TileCoord next;
-    bool any = false;
-  };
-  enum { kEastG, kWestG, kSouthG, kNorthG, kUpG, kDownG, kNumGroups };
-  std::array<Group, kNumGroups> groups;
-  for (TileId m : dests) {
-    const TileCoord c = mesh.coord_of(m);
-    std::size_t g;
-    if (c.col > here.col) g = kEastG;
-    else if (c.col < here.col) g = kWestG;
-    else if (c.row > here.row) g = kSouthG;
-    else if (c.row < here.row) g = kNorthG;
-    else if (c.layer > here.layer) g = kUpG;
-    else g = kDownG;
-    Group& grp = groups[g];
-    if (!grp.any) {
-      grp.any = true;
-      grp.next = c;
-    } else {
-      switch (g) {
-        case kEastG: grp.next.col = std::min(grp.next.col, c.col); break;
-        case kWestG: grp.next.col = std::max(grp.next.col, c.col); break;
-        case kSouthG: grp.next.row = std::min(grp.next.row, c.row); break;
-        case kNorthG: grp.next.row = std::max(grp.next.row, c.row); break;
-        case kUpG: grp.next.layer = std::min(grp.next.layer, c.layer); break;
-        case kDownG:
-          grp.next.layer = std::max(grp.next.layer, c.layer);
-          break;
-      }
-    }
-    grp.dests.push_back(m);
-  }
-  for (std::size_t g = 0; g < kNumGroups; ++g) {
-    Group& grp = groups[g];
-    if (!grp.any) continue;
-    // The branch point keeps this tile's coordinates in the dimensions the
-    // group has not diverged in yet.
-    TileCoord next = here;
-    if (g == kEastG || g == kWestG) {
-      next.col = grp.next.col;
-    } else if (g == kSouthG || g == kNorthG) {
-      next.row = grp.next.row;
-    } else {
-      next.layer = grp.next.layer;
-    }
-    const TileId endpoint = mesh.tile_at(next);
+  for (TreeBranch& branch : multicast_branches(mesh, from, dests)) {
     const bool delivers =
-        std::find(grp.dests.begin(), grp.dests.end(), endpoint) !=
-        grp.dests.end();
-
+        std::find(branch.dests.begin(), branch.dests.end(),
+                  branch.endpoint) != branch.dests.end();
     PacketInfo info;
     info.id = next_id_++;
     info.cls = delivers ? PacketClass::kMemoryRequest
                         : PacketClass::kMemoryForward;
     info.src = from;
-    info.dst = endpoint;
+    info.dst = branch.endpoint;
     info.flits = net.config().short_packet_flits;
     info.app = app;
     info.thread = thread;
     info.created = created;
     multicast_.emplace(info.id,
-                       MulticastBranch{std::move(grp.dests), created});
+                       MulticastBranch{std::move(branch.dests), created});
     net.inject_packet(info);
   }
 }
@@ -313,7 +255,7 @@ void TrafficEngine::on_ejection(Network& net, const Ejection& ejection,
   if (auto it = multicast_.find(pkt.id); it != multicast_.end()) {
     MulticastBranch branch = std::move(it->second);
     multicast_.erase(it);
-    emit_multicast(net, pkt.dst, std::move(branch.dests), branch.created,
+    emit_multicast(net, pkt.dst, branch.dests, branch.created,
                    now, pkt.app, pkt.thread, nullptr,
                    /*record_local_delivery=*/false);
     return;

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <map>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -131,9 +132,9 @@ class TrafficEngine {
   /// creation cycle so each delivery's recorded latency is end-to-end.
   /// `record_local_delivery` is true only for the root call (an ejection
   /// already counts as the delivery sample otherwise). Serial-phase only.
-  void emit_multicast(Network& net, TileId from, std::vector<TileId> dests,
-                      Cycle created, Cycle now, std::size_t app,
-                      std::size_t thread,
+  void emit_multicast(Network& net, TileId from,
+                      std::span<const TileId> dests, Cycle created,
+                      Cycle now, std::size_t app, std::size_t thread,
                       std::vector<LocalAccess>* locals,
                       bool record_local_delivery);
 

@@ -1,11 +1,45 @@
 #include "obs/run_report.h"
 
 #include <fstream>
+#include <thread>
 #include <utility>
 
 #include "obs/metrics.h"
+#include "util/error.h"
 
 namespace nocmap::obs {
+
+namespace {
+
+bool write_json(const std::string& path, const JsonValue& doc) {
+  std::ofstream out(path);
+  if (!out) return false;
+  out << doc.dump(2) << "\n";
+  return static_cast<bool>(out);
+}
+
+/// Where a baseline was measured. Standard macros only: the standalone
+/// benchmark/ build compiles this file without the root project's
+/// definitions.
+JsonValue fingerprint() {
+  JsonValue f = JsonValue::object();
+  f["hw_threads"] = std::uint64_t{std::thread::hardware_concurrency()};
+#if defined(__clang__)
+  f["compiler"] = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  f["compiler"] = "gcc " __VERSION__;
+#else
+  f["compiler"] = "unknown";
+#endif
+#ifdef NDEBUG
+  f["asserts"] = false;
+#else
+  f["asserts"] = true;
+#endif
+  return f;
+}
+
+}  // namespace
 
 RunReport::RunReport(const std::string& binary) {
   root_["schema"] = kRunReportSchema;
@@ -53,10 +87,21 @@ void RunReport::attach_metrics() {
 }
 
 bool RunReport::save(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << to_json();
-  return static_cast<bool>(out);
+  return write_json(path, root_);
+}
+
+bool RunReport::save_baseline(const std::string& path,
+                              const std::vector<std::string>& sections) const {
+  JsonValue doc = JsonValue::object();
+  doc["schema"] = kRunReportSchema;
+  doc["binary"] = binary_;
+  doc["fingerprint"] = fingerprint();
+  for (const std::string& name : sections) {
+    const JsonValue* section = root_.find(name);
+    NOCMAP_REQUIRE(section != nullptr, "run report has no section " + name);
+    doc[name] = *section;
+  }
+  return write_json(path, doc);
 }
 
 RunReport& RunReport::global() {

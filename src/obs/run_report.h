@@ -17,8 +17,12 @@
 // snapshot by attach_metrics(); with -DNOCMAP_OBS=OFF they are emitted as
 // empty objects (the report itself, and any field the binary sets
 // explicitly, always works). Timer totals are emitted in milliseconds with
-// the `_ms` key suffix so bench/compare_bench.py can gate on report fields
-// exactly like it gates on BENCH_*.json baselines.
+// the `_ms` key suffix: bench/compare_bench.py gates every numeric field
+// whose key ends in `_ns`, `_us` or `_ms`.
+//
+// The committed perf baselines (`BENCH_*.json`) are filtered reports written
+// by save_baseline: schema, binary, a machine fingerprint and the sections a
+// bench names, so every measured number is recorded once, as a report field.
 //
 // Bench binaries share one process-wide report (RunReport::global()),
 // initialized by bench_common's print_header and written to
@@ -26,6 +30,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "obs/json.h"
 
@@ -60,6 +65,15 @@ class RunReport {
 
   /// Serializes to `path`; false when the file cannot be created.
   bool save(const std::string& path) const;
+
+  /// Writes the perf-ledger baseline view of this report to `path`:
+  /// `schema`, `binary`, a `fingerprint` of the machine and build
+  /// (`hw_threads`, `compiler`, `asserts`) and the named top-level
+  /// sections, nothing else (no wall time, artifacts or metric snapshot).
+  /// Throws when a section is missing; false when the file cannot be
+  /// created.
+  bool save_baseline(const std::string& path,
+                     const std::vector<std::string>& sections) const;
 
   /// The process-wide report used by the bench layer.
   static RunReport& global();

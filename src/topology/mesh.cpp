@@ -1,6 +1,7 @@
 #include "topology/mesh.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 
 namespace nocmap {
@@ -245,6 +246,40 @@ TileId Mesh::nearest_mc(TileId t) const {
 bool Mesh::is_mc(TileId t) const {
   NOCMAP_REQUIRE(t < num_tiles(), "tile id out of range");
   return is_mc_[t] != 0;
+}
+
+std::vector<TreeBranch> multicast_branches(const Mesh& mesh, TileId from,
+                                           std::span<const TileId> dests) {
+  // Group 2*axis is the rising direction along the axis, 2*axis+1 the
+  // falling one: East/West, South/North, Up/Down.
+  static constexpr std::uint32_t TileCoord::*kAxes[] = {
+      &TileCoord::col, &TileCoord::row, &TileCoord::layer};
+  const TileCoord here = mesh.coord_of(from);
+  std::array<std::vector<TileId>, 6> groups;
+  std::array<std::uint32_t, 6> nearest{};
+  for (const TileId d : dests) {
+    if (d == from) continue;
+    const TileCoord c = mesh.coord_of(d);
+    std::size_t axis = 0;
+    while (c.*kAxes[axis] == here.*kAxes[axis]) ++axis;
+    const std::uint32_t v = c.*kAxes[axis];
+    const bool falling = v < here.*kAxes[axis];
+    const std::size_t g = 2 * axis + (falling ? 1 : 0);
+    if (groups[g].empty() || (falling ? v > nearest[g] : v < nearest[g])) {
+      nearest[g] = v;
+    }
+    groups[g].push_back(d);
+  }
+  std::vector<TreeBranch> branches;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    if (groups[g].empty()) continue;
+    // The endpoint keeps this tile's coordinates in the dimensions the
+    // group has not diverged in yet.
+    TileCoord point = here;
+    point.*kAxes[g / 2] = nearest[g];
+    branches.push_back({mesh.tile_at(point), std::move(groups[g])});
+  }
+  return branches;
 }
 
 }  // namespace nocmap

@@ -172,4 +172,21 @@ class Mesh {
   std::vector<double> mc_weighted_;         // weighted hops to nearest_mc_[t]
 };
 
+/// One branch of a dimension-order multicast tree: the unicast segment from
+/// the current tile to `endpoint`, and the destinations reached through it.
+struct TreeBranch {
+  TileId endpoint = 0;
+  std::vector<TileId> dests;
+};
+
+/// One level of the XYZ multicast tree rooted at `from`. Destinations are
+/// grouped by their first dimension-order hop; each group's endpoint is the
+/// point where its shared path prefix ends (the group's nearest coordinate
+/// along that hop's dimension), so recursing from every endpoint rebuilds
+/// the whole tree. Branches come in East, West, South, North, Up, Down
+/// order, empty groups omitted. A destination equal to `from` is delivered
+/// here and belongs to no branch.
+std::vector<TreeBranch> multicast_branches(const Mesh& mesh, TileId from,
+                                           std::span<const TileId> dests);
+
 }  // namespace nocmap

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "core/global_mapper.h"
 #include "core/sss_mapper.h"
 #include "netsim/sim.h"
@@ -170,6 +173,76 @@ TEST(Contention, ExpectedPacketQueuingSumsPath) {
       model.link_load(mesh.tile_at(1, 0), mesh.tile_at(0, 0)));
   EXPECT_NEAR(along, hop1 + hop2, 1e-12);
   EXPECT_DOUBLE_EQ(model.expected_packet_queuing(3, 3), 0.0);
+}
+
+// --- Multicast trees --------------------------------------------------------
+
+/// Every tile runs one C1 thread, so every tile roots a multicast tree.
+ObmProblem multicast_problem(const Mesh& mesh) {
+  SynthesisOptions opt;
+  opt.num_applications = 4;
+  opt.threads_per_app = mesh.num_tiles() / 4;
+  return ObmProblem(
+      TileLatencyModel(mesh, LatencyParams{}, MemoryTrafficMode::kMulticast),
+      synthesize_workload(parsec_config("C1"), 41, opt));
+}
+
+/// FNV-1a over the bit patterns of every directed link load: tiles
+/// ascending, neighbours east, west, south, north, up, down.
+std::uint64_t link_load_digest(const ContentionModel& model,
+                               const Mesh& mesh) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (TileId t = 0; t < mesh.num_tiles(); ++t) {
+    const TileCoord c = mesh.coord_of(t);
+    const TileCoord steps[] = {
+        {c.row, c.col + 1, c.layer}, {c.row, c.col - 1, c.layer},
+        {c.row + 1, c.col, c.layer}, {c.row - 1, c.col, c.layer},
+        {c.row, c.col, c.layer + 1}, {c.row, c.col, c.layer - 1}};
+    for (const TileCoord& n : steps) {
+      // Unsigned wrap turns a step off the low edge into an out-of-range
+      // coordinate, so one bounds check covers both edges.
+      if (n.row >= mesh.rows() || n.col >= mesh.cols() ||
+          n.layer >= mesh.layers()) {
+        continue;
+      }
+      const auto bits =
+          std::bit_cast<std::uint64_t>(model.link_load(t, mesh.tile_at(n)));
+      for (int byte = 0; byte < 8; ++byte) {
+        h ^= (bits >> (8 * byte)) & 0xffU;
+        h *= 0x100000001b3ULL;
+      }
+    }
+  }
+  return h;
+}
+
+// Bit-exact pins of the multicast tree's link loads. The contention model
+// and the traffic engine expand the same tree (multicast_branches), and
+// SimMemoryModes.MulticastRunIsPinned pins the simulated side. The 2D chip
+// has an irregular MC set; the stack has MCs on both dies, so its trees
+// branch up and down as well as across.
+TEST(Contention, MulticastTreeLoadsArePinned) {
+  struct Pin {
+    const char* tag;
+    Mesh mesh;
+    double total_flit_hops;
+    double max_utilization;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"4x4-irregular-mcs", Mesh(4, 4, {1, 6, 11, 12}),
+       0x1.d90a1dd7ad076p+0, 0x1.38a7efe4a7a1fp-4, 0xec3ed9f4f6de9a9fULL},
+      {"2x4x4-stack", Mesh(2, 4, 4, {0, 5, 19, 30}, 0.5),
+       0x1.249ff8a7eca3bp+2, 0x1.4811e4b417d2fp-4, 0xcbf0fd05fa55ba0cULL},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.tag);
+    const ObmProblem p = multicast_problem(pin.mesh);
+    const ContentionModel model(p, p.identity_mapping());
+    EXPECT_EQ(model.total_flit_hops(), pin.total_flit_hops);
+    EXPECT_EQ(model.max_utilization(), pin.max_utilization);
+    EXPECT_EQ(link_load_digest(model, p.mesh()), pin.digest);
+  }
 }
 
 TEST(Contention, InvalidInputsRejected) {

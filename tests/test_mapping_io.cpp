@@ -62,6 +62,27 @@ TEST(MappingIo, NonNumericRejected) {
   EXPECT_THROW(read_mapping_csv(ss), Error);
 }
 
+// Each malformed row below sits in a mapping that is otherwise the valid
+// permutation [1, 0], so only the cell check can reject it.
+TEST(MappingIo, TrailingJunkRejected) {
+  std::stringstream tile_junk("thread,tile\n0,1abc\n1,0\n");
+  EXPECT_THROW(read_mapping_csv(tile_junk), Error);
+  std::stringstream thread_junk("thread,tile\n0x,1\n1,0\n");
+  EXPECT_THROW(read_mapping_csv(thread_junk), Error);
+}
+
+TEST(MappingIo, ExtraColumnRejected) {
+  std::stringstream ss("thread,tile\n0,1,9\n1,0\n");
+  EXPECT_THROW(read_mapping_csv(ss), Error);
+}
+
+TEST(MappingIo, TileBeyondTileIdRangeRejected) {
+  // 2^32 does not fit a TileId; wrapped to tile 0 it would make the valid
+  // mapping [1, 0].
+  std::stringstream ss("thread,tile\n0,1\n1,4294967296\n");
+  EXPECT_THROW(read_mapping_csv(ss), Error);
+}
+
 TEST(MappingIo, WindowsLineEndings) {
   std::stringstream ss("thread,tile\r\n0,1\r\n1,0\r\n");
   const Mapping m = read_mapping_csv(ss);

@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -374,6 +376,47 @@ TEST(RunReport, AttachMetricsEmitsCountersTimersGauges) {
     ASSERT_NE(t->find("total_ms"), nullptr);
     ASSERT_NE(t->find("count"), nullptr);
   }
+}
+
+TEST(RunReport, SaveBaselineKeepsOnlyTheNamedSections) {
+  RunReport report("test_binary");
+  report.set("title", JsonValue("not in the baseline"));
+  report.set("wall_ms", 12.5);
+  report.set("netsim.w1.run_ms", 3.25);
+  report.set("netsim.mesh64_speedup_w8", 1.5);
+  report.set("eval.batch.k8.ns_per_candidate", 7.0);
+  report.set("service.run_ms", 9.0);
+  report.note_artifact("bench_results/foo.csv");
+  report.attach_metrics();
+
+  const std::string path = ::testing::TempDir() + "/nocmap_baseline.json";
+  ASSERT_TRUE(report.save_baseline(path, {"netsim", "service"}));
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::remove(path.c_str());
+  const JsonValue doc = JsonValue::parse(text.str());
+
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : doc.members()) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{"schema", "binary", "fingerprint",
+                                            "netsim", "service"}));
+  EXPECT_EQ(doc.find("schema")->as_string(), kRunReportSchema);
+  EXPECT_EQ(doc.find("binary")->as_string(), "test_binary");
+  const JsonValue* fingerprint = doc.find("fingerprint");
+  EXPECT_EQ(fingerprint->find("hw_threads")->as_uint(),
+            std::thread::hardware_concurrency());
+  EXPECT_FALSE(fingerprint->find("compiler")->as_string().empty());
+#ifdef NDEBUG
+  EXPECT_FALSE(fingerprint->find("asserts")->as_bool());
+#else
+  EXPECT_TRUE(fingerprint->find("asserts")->as_bool());
+#endif
+  EXPECT_EQ(doc.find("netsim")->dump(0),
+            R"({"w1":{"run_ms":3.25},"mesh64_speedup_w8":1.5})");
+  EXPECT_EQ(doc.find("service")->dump(0), R"({"run_ms":9})");
+
+  EXPECT_THROW(report.save_baseline(path, {"absent"}), Error);
 }
 
 TEST(RunReport, ScopedTimerFeedsTimerAndTrace) {

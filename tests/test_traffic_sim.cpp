@@ -454,5 +454,43 @@ TEST(SimMemoryModes, StackedMeshSimulatesAllModes) {
   }
 }
 
+// Bit-exact pin of a simulated multicast run: the tree the traffic engine
+// injects shares its branching step with the contention model
+// (Contention.MulticastTreeLoadsArePinned). The same two chips: an
+// irregular 2D MC set, and a stack with MCs on both dies.
+TEST(SimMemoryModes, MulticastRunIsPinned) {
+  struct Pin {
+    const char* tag;
+    Mesh mesh;
+    std::vector<double> apl;  // per-app, hexfloat-exact
+    std::uint64_t flits_injected;
+    std::uint64_t packets_measured;
+  };
+  const Pin pins[] = {
+      {"4x4-irregular-mcs", Mesh(4, 4, {1, 6, 11, 12}),
+       {0x1.107fffffffff6p+4, 0x1.01c9fdd6f41d6p+4}, 13312, 5898},
+      {"2x4x4-stack", Mesh(2, 4, 4, {0, 5, 19, 30}, 0.5),
+       {0x1.3be4b17e4b177p+4, 0x1.34f128b6a448fp+4}, 29059, 13277},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.tag);
+    const std::size_t half = pin.mesh.num_tiles() / 2;
+    std::vector<Application> apps(2);
+    apps[0].name = "light";
+    apps[0].threads.assign(half, ThreadProfile{2.0, 0.8});
+    apps[1].name = "heavy";
+    apps[1].threads.assign(half, ThreadProfile{8.0, 1.5});
+    const ObmProblem p(TileLatencyModel(pin.mesh, LatencyParams{},
+                                        MemoryTrafficMode::kMulticast),
+                       Workload(std::move(apps)));
+    const SimResult r =
+        run_simulation(p, p.identity_mapping(), quick_config());
+    EXPECT_EQ(r.apl, pin.apl);
+    EXPECT_EQ(r.flits_injected, pin.flits_injected);
+    EXPECT_EQ(r.packets_measured, pin.packets_measured);
+    EXPECT_FALSE(r.drain_incomplete);
+  }
+}
+
 }  // namespace
 }  // namespace nocmap

@@ -198,8 +198,8 @@ int cmd_aggregate(int argc, char** argv) {
 }
 
 /// Reference campaign for the perf gate: analytic-only, one cheap and one
-/// search mapper, sized by --scenarios. Timings go to BENCH_sweep.json in
-/// the compare_bench.py flat-leaf format (keys must keep their _us suffix).
+/// search mapper, sized by --scenarios. Timings go to BENCH_sweep.json, the
+/// `sweep` section of a RunReport (keys must keep their _us suffix).
 int cmd_bench(int argc, char** argv) {
   std::string out_dir = "bench_results";
   std::uint32_t scenarios = 96;
@@ -248,20 +248,19 @@ int cmd_bench(int argc, char** argv) {
   NOCMAP_REQUIRE(resumed.completed == 0 && resumed.finished,
                  "bench resume scan unexpectedly re-ran scenarios");
 
-  obs::JsonValue doc = obs::JsonValue::object();
-  doc["bench"] = "nocmap_sweep";
-  doc["unit"] = "us";
-  doc["scenarios"] = std::uint64_t{result.total};
-  doc["threads"] = std::uint64_t{options.parallel.resolved_threads()};
-  doc["scenario_us"] = run_us / static_cast<double>(result.total);
-  doc["resume_scan_us"] = resume_us;
+  obs::RunReport report("nocmap_sweep");
+  report.set("sweep.scenarios", std::uint64_t{result.total});
+  report.set("sweep.threads",
+             std::uint64_t{options.parallel.resolved_threads()});
+  report.set("sweep.scenario_us", run_us / static_cast<double>(result.total));
+  report.set("sweep.resume_scan_us", resume_us);
   std::filesystem::create_directories(out_dir);
   const std::string path =
       (std::filesystem::path(out_dir) / "BENCH_sweep.json").string();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << doc.dump(2) << "\n";
-  NOCMAP_REQUIRE(out.good(), "cannot write " + path);
-  std::cout << doc.dump(2) << "\n[bench: " << path << "]\n";
+  NOCMAP_REQUIRE(report.save_baseline(path, {"sweep"}),
+                 "cannot write " + path);
+  std::cout << report.root().find("sweep")->dump(2) << "\n[bench: " << path
+            << "]\n";
   return 0;
 }
 
