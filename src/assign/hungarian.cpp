@@ -61,6 +61,10 @@ struct GatherCol {
 // insertion, so *any* initial potentials — all-zero (cold) or carried over
 // from a previous solve (warm) — yield an exact optimum; warmth only
 // shortens the augmenting paths.
+//
+// Each scan step is one pass over the ascending list of still-free columns,
+// compacted as it goes; DESIGN.md §8 shows why it is bit-identical to the
+// textbook two-pass step over all columns.
 template <typename ColMap>
 std::uint64_t AssignmentWorkspace::run_kernel(const double* data,
                                               std::size_t stride, ColMap col,
@@ -72,36 +76,46 @@ std::uint64_t AssignmentWorkspace::run_kernel(const double* data,
     std::size_t j0 = 0;
     std::fill(minv_.begin(), minv_.begin() + static_cast<std::ptrdiff_t>(nc) + 1,
               kInf);
-    std::fill(used_.begin(), used_.begin() + static_cast<std::ptrdiff_t>(nc) + 1,
-              char{0});
+    std::iota(free_.begin(), free_.begin() + static_cast<std::ptrdiff_t>(nc),
+              std::size_t{1});
+    std::size_t num_free = nc;
+    reached_.clear();
+    double pending = 0.0;  // the previous step's delta, not yet in minv
     do {
       ++path_steps;
-      used_[j0] = 1;
+      reached_.push_back(j0);
       const std::size_t i0 = p_[j0];
       const double* row = data + (i0 - 1) * stride;
       const double u0 = u_[i0];
       double delta = kInf;
       std::size_t j1 = 0;
-      for (std::size_t j = 1; j <= nc; ++j) {
-        if (used_[j]) continue;
+      std::size_t kept = 0;
+      for (std::size_t k = 0; k < num_free; ++k) {
+        const std::size_t j = free_[k];
+        if (j == j0) continue;  // reached last step: leaves the free list
+        free_[kept++] = j;
+        double m = minv_[j] - pending;
         const double cur = row[col(j - 1)] - u0 - v_[j];
-        if (cur < minv_[j]) {
-          minv_[j] = cur;
+        if (cur < m) {
+          m = cur;
           way_[j] = j0;
         }
-        if (minv_[j] < delta) {
-          delta = minv_[j];
+        minv_[j] = m;
+        if (m < delta) {
+          delta = m;
           j1 = j;
         }
       }
-      for (std::size_t j = 0; j <= nc; ++j) {
-        if (used_[j]) {
-          u_[p_[j]] += delta;
-          v_[j] -= delta;
-        } else {
-          minv_[j] -= delta;
-        }
+      num_free = kept;
+      // No finite reduced cost reaches a free column (a cost of +inf or
+      // NaN on every remaining edge): no augmenting path exists.
+      NOCMAP_REQUIRE(delta < kInf,
+                     "assignment has no finite-cost augmenting path");
+      for (const std::size_t j : reached_) {
+        u_[p_[j]] += delta;
+        v_[j] -= delta;
       }
+      pending = delta;
       j0 = j1;
     } while (p_[j0] != 0);
     // Augment along the alternating path.
@@ -137,7 +151,8 @@ void AssignmentWorkspace::solve_impl(const CostView& view, bool warm) {
     minv_.resize(nc + 1);
     p_.resize(nc + 1);
     way_.resize(nc + 1);
-    used_.resize(nc + 1);
+    free_.resize(nc);
+    reached_.reserve(nc + 1);
   }
 
   // Row potentials are always re-derived (the first delta of each row's
@@ -151,6 +166,9 @@ void AssignmentWorkspace::solve_impl(const CostView& view, bool warm) {
   std::fill(p_.begin(), p_.begin() + static_cast<std::ptrdiff_t>(nc) + 1,
             std::size_t{0});
 
+  // Dropped first, so a solve that throws leaves no half-updated
+  // potentials for the next solve_warm.
+  warm_cols_ = 0;
   std::uint64_t path_steps = 0;
   if (view.col_index() != nullptr) {
     path_steps = run_kernel(view.data(), view.stride(),

@@ -12,15 +12,26 @@
 //  * `solve_assignment(CostMatrix)` — the classic one-shot API, kept for
 //    convenience and tests.
 //  * `AssignmentWorkspace::solve{,_warm}(CostView)` — the hot-path kernel.
-//    The workspace owns every scratch array (potentials, minv, used, path,
-//    result), so after the first solve of a given size there is zero heap
-//    traffic per call; `CostView` reads costs straight out of any row-major
-//    table (e.g. the memoized ThreadCostCache) through an optional column
-//    gather, so no per-call matrix is ever materialized. `solve_warm`
-//    additionally carries the column potentials from the previous solve:
-//    on the repeated near-identical instances produced by the SSS passes
-//    and the bound evaluations, augmenting paths then terminate almost
-//    immediately and the solve drops from O(n³) toward O(n²).
+//    The workspace owns every scratch array (potentials, minv, the free and
+//    reached column lists, path, result), so after the first solve of a
+//    given size there is zero heap traffic per call; `CostView` reads costs
+//    straight out of any row-major table (e.g. the memoized ThreadCostCache)
+//    through an optional column gather, so no per-call matrix is ever
+//    materialized. `solve_warm` additionally carries the column potentials
+//    from the previous solve: on the repeated near-identical instances
+//    produced by the SSS passes and the bound evaluations, augmenting paths
+//    then terminate almost immediately and the solve drops from O(n³)
+//    toward O(n²).
+//
+// Each shortest-path step of a row insertion is one pass over an ascending
+// list of the columns the row's search has not reached: it applies the
+// previous step's pending `minv[j] -= delta`, relaxes the column and keeps
+// the first lowest minimum, while the reached columns' `u += delta` /
+// `v -= delta` walk an explicit list. Every element sees the floating-point
+// operations of the textbook step (two passes over all columns with a
+// `used` flag each) in the same order, so results and `assign.path_steps`
+// are bit-identical to it (DESIGN.md §8). A step that finds no finite
+// reduced cost throws instead of searching forever.
 #pragma once
 
 #include <cstddef>
@@ -122,7 +133,8 @@ class AssignmentWorkspace {
   AssignmentWorkspace() = default;
 
   /// Cold solve: potentials reset to zero first. Bit-identical to the
-  /// classic `solve_assignment` on the same values.
+  /// classic `solve_assignment` on the same values. Throws when no
+  /// finite-cost assignment exists; the warm state is then dropped.
   const Assignment& solve(const CostView& view);
 
   /// Warm solve: reuses the previous solve's column potentials when the
@@ -150,7 +162,8 @@ class AssignmentWorkspace {
   std::vector<double> minv_;  // per-column path minima
   std::vector<std::size_t> p_;    // p_[col] = row matched to col
   std::vector<std::size_t> way_;  // alternating-path predecessor
-  std::vector<char> used_;
+  std::vector<std::size_t> free_;     // columns not yet reached, ascending
+  std::vector<std::size_t> reached_;  // columns reached by this row's search
   Assignment result_;
   std::size_t warm_cols_ = 0;  // column count the stored v_ is valid for
 };

@@ -412,46 +412,92 @@ OracleResult run_batch_eval(const ScenarioSpec& spec) {
   }
 
   // score_group_candidates vs the mutating apply/revert probe it replaced
-  // in the SSS window sweep: bit-identical by contract.
+  // in the SSS window sweep: bit-identical by contract. Two groups, one
+  // holding a thread of the application that attains objective() and one
+  // drawn from the other threads, so can_improve() answers both ways. It
+  // must answer false for the second group, and whenever it answers false
+  // every candidate must score at least objective().
   {
     MappingEvaluator eval(problem, problem.identity_mapping(), cache);
     const auto un = static_cast<std::uint32_t>(n);
     for (int i = 0; i < 16; ++i) {
       eval.swap_threads(rng.uniform_u32(un), rng.uniform_u32(un));
     }
+    // Thread range of the first application attaining objective() (empty
+    // when no application has traffic).
+    std::uint32_t top_first = 0;
+    std::uint32_t top_last = 0;
+    double top_term = -1.0;
+    for (std::size_t s = 0; s < batch_eval.apps().size(); ++s) {
+      const BatchEvaluator::App& app = batch_eval.apps()[s];
+      const double term =
+          app.weight *
+          batch_eval.numerator(s, eval.mapping().thread_to_tile.data()) /
+          app.volume;
+      if (term > top_term) {
+        top_term = term;
+        top_first = app.first;
+        top_last = app.last;
+      }
+    }
+    const auto in_top = [&](std::size_t j) {
+      return j >= top_first && j < top_last;
+    };
     const std::size_t w = 2 + rng.uniform_u32(3);  // window of 2..4 threads
-    std::vector<std::size_t> threads;
-    while (threads.size() < w) {
-      const std::size_t j = rng.uniform_u32(un);
-      if (std::find(threads.begin(), threads.end(), j) == threads.end()) {
-        threads.push_back(j);
+    for (const bool with_top : {true, false}) {
+      if (with_top ? top_last == top_first
+                   : n - (top_last - top_first) < w) {
+        continue;
       }
-    }
-    std::vector<TileId> held(w);
-    for (std::size_t x = 0; x < w; ++x) {
-      held[x] = eval.mapping().tile_of(threads[x]);
-    }
-    // All cyclic rotations of the held tiles, transposed position-major.
-    const std::size_t count = w;
-    std::vector<TileId> cands(w * count);
-    for (std::size_t b = 0; b < count; ++b) {
+      std::vector<std::size_t> threads;
+      if (with_top) {
+        threads.push_back(top_first + rng.uniform_u32(top_last - top_first));
+      }
+      while (threads.size() < w) {
+        const std::size_t j = rng.uniform_u32(un);
+        if (!with_top && in_top(j)) continue;
+        if (std::find(threads.begin(), threads.end(), j) == threads.end()) {
+          threads.push_back(j);
+        }
+      }
+      const bool may_improve = eval.can_improve(threads);
+      if (!with_top && may_improve) {
+        return fail("can_improve() says yes for a group that leaves the "
+                    "application attaining objective() untouched");
+      }
+      std::vector<TileId> held(w);
       for (std::size_t x = 0; x < w; ++x) {
-        cands[x * count + b] = held[(x + b) % w];
+        held[x] = eval.mapping().tile_of(threads[x]);
       }
-    }
-    std::vector<double> group_scores(count);
-    eval.score_group_candidates(threads, cands.data(), count, group_scores);
-    std::vector<TileId> applied(w);
-    for (std::size_t b = 0; b < count; ++b) {
-      for (std::size_t x = 0; x < w; ++x) applied[x] = cands[x * count + b];
-      eval.apply_group(threads, applied);
-      const double truth = eval.objective();
-      eval.apply_group(threads, held);  // exact revert
-      if (group_scores[b] != truth) {
-        std::ostringstream os;
-        os << "score_group_candidates[" << b << "] = " << group_scores[b]
-           << " != apply_group objective " << truth;
-        return fail(os.str());
+      // All cyclic rotations of the held tiles, transposed position-major.
+      const std::size_t count = w;
+      std::vector<TileId> cands(w * count);
+      for (std::size_t b = 0; b < count; ++b) {
+        for (std::size_t x = 0; x < w; ++x) {
+          cands[x * count + b] = held[(x + b) % w];
+        }
+      }
+      std::vector<double> group_scores(count);
+      eval.score_group_candidates(threads, cands.data(), count, group_scores);
+      const double objective = eval.objective();
+      std::vector<TileId> applied(w);
+      for (std::size_t b = 0; b < count; ++b) {
+        if (!may_improve && group_scores[b] < objective) {
+          std::ostringstream os;
+          os << "can_improve() says no, but score_group_candidates[" << b
+             << "] = " << group_scores[b] << " < objective() " << objective;
+          return fail(os.str());
+        }
+        for (std::size_t x = 0; x < w; ++x) applied[x] = cands[x * count + b];
+        eval.apply_group(threads, applied);
+        const double truth = eval.objective();
+        eval.apply_group(threads, held);  // exact revert
+        if (group_scores[b] != truth) {
+          std::ostringstream os;
+          os << "score_group_candidates[" << b << "] = " << group_scores[b]
+             << " != apply_group objective " << truth;
+          return fail(os.str());
+        }
       }
     }
   }

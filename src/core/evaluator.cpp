@@ -69,29 +69,60 @@ void MappingEvaluator::apply_group(std::span<const std::size_t> threads,
   for (const std::size_t slot : touched_) recompute(slot);
 }
 
+void MappingEvaluator::sort_group(std::span<const std::size_t> threads,
+                                  Member* group) const {
+  NOCMAP_REQUIRE(threads.size() <= kMaxGroup,
+                 "thread group larger than MappingEvaluator::kMaxGroup");
+  for (std::size_t x = 0; x < threads.size(); ++x) {
+    NOCMAP_ASSERT(threads[x] < mapping_.size());
+    group[x] = {threads[x], x};
+  }
+  Member* const end = group + threads.size();
+  std::sort(group, end, [](const Member& a, const Member& b) {
+    return a.thread < b.thread;
+  });
+  NOCMAP_ASSERT(std::adjacent_find(group, end,
+                                   [](const Member& a, const Member& b) {
+                                     return a.thread == b.thread;
+                                   }) == end);
+}
+
+double MappingEvaluator::untouched_objective(const Member* group,
+                                             std::size_t size) const {
+  // objective()'s fold over the slots with no group thread. Leaving a slot
+  // out gives the same double as folding a zero numerator for it, since
+  // every term is >= 0 and the fold keeps only strictly larger terms.
+  const std::span<const BatchEvaluator::App> apps = table_.apps();
+  double worst = 0.0;
+  std::size_t m = 0;
+  for (std::size_t s = 0; s < apps.size(); ++s) {
+    while (m < size && group[m].thread < apps[s].first) ++m;
+    if (m < size && group[m].thread < apps[s].last) continue;  // touched
+    const double apl = apps[s].weight * numerator_[s] / apps[s].volume;
+    if (apl > worst) worst = apl;
+  }
+  return worst;
+}
+
+bool MappingEvaluator::can_improve(
+    std::span<const std::size_t> threads) const {
+  Member group[kMaxGroup];
+  sort_group(threads, group);
+  return untouched_objective(group, threads.size()) < objective();
+}
+
 void MappingEvaluator::score_group_candidates(
     std::span<const std::size_t> threads, const TileId* tiles,
     std::size_t count, std::span<double> out) const {
   NOCMAP_REQUIRE(out.size() >= count, "score output span too small");
   const std::span<const BatchEvaluator::App> apps = table_.apps();
-
-  // Affected slots with traffic, ascending and deduplicated — the same set
-  // apply_group would recompute.
-  std::vector<std::size_t> touched;
-  touched.reserve(threads.size());
-  for (const std::size_t j : threads) {
-    const std::size_t slot = table_.slots()[j];
-    if (slot < apps.size()) touched.push_back(slot);
-  }
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  Member group[kMaxGroup];
+  sort_group(threads, group);
+  const std::size_t size = threads.size();
 
   // The untouched applications contribute the same term to every candidate;
-  // max over applications is order-independent, so fold them once. A zeroed
-  // numerator drops its application's term, since every term is >= 0.
-  std::vector<double> untouched(numerator_);
-  for (const std::size_t slot : touched) untouched[slot] = 0.0;
-  const double base = table_.objective(untouched);
+  // max over applications is order-independent, so fold them once.
+  const double base = untouched_objective(group, size);
 
   constexpr std::size_t kLanes = 64;
   double worst[kLanes];
@@ -99,25 +130,34 @@ void MappingEvaluator::score_group_candidates(
   for (std::size_t b0 = 0; b0 < count; b0 += kLanes) {
     const std::size_t lanes = std::min(kLanes, count - b0);
     for (std::size_t b = 0; b < lanes; ++b) worst[b] = base;
-    for (const std::size_t slot : touched) {
+    // Touched applications in slot order: sorted by thread, each
+    // application's group threads are consecutive, and the walk over its
+    // thread range consumes all of them.
+    std::size_t m = 0;
+    while (m < size) {
+      const std::size_t slot = table_.slots()[group[m].thread];
+      if (slot >= apps.size()) {  // zero-volume application: no term
+        ++m;
+        continue;
+      }
       const BatchEvaluator::App& app = apps[slot];
-      for (std::size_t b = 0; b < lanes; ++b) acc[b] = 0.0;
-      for (std::size_t j = app.first; j < app.last; ++j) {
-        // Group membership resolved once per thread, shared by all lanes.
-        std::size_t x = threads.size();
-        for (std::size_t xi = 0; xi < threads.size(); ++xi) {
-          if (threads[xi] == j) {
-            x = xi;
-            break;
-          }
-        }
-        if (x == threads.size()) {
+      // Every lane adds the same costs up to the first group thread, so
+      // that prefix is summed once, left to right, and copied to the lanes.
+      std::size_t j = app.first;
+      double prefix = 0.0;
+      for (; j < group[m].thread; ++j) {
+        prefix += cache_->cost(j, mapping_.tile_of(j));
+      }
+      for (std::size_t b = 0; b < lanes; ++b) acc[b] = prefix;
+      for (; j < app.last; ++j) {
+        if (m < size && group[m].thread == j) {
+          const double* row = cache_->row(j);
+          const TileId* cand = tiles + group[m].pos * count + b0;
+          for (std::size_t b = 0; b < lanes; ++b) acc[b] += row[cand[b]];
+          ++m;
+        } else {
           const double c = cache_->cost(j, mapping_.tile_of(j));
           for (std::size_t b = 0; b < lanes; ++b) acc[b] += c;
-        } else {
-          const double* row = cache_->row(j);
-          const TileId* cand = tiles + x * count + b0;
-          for (std::size_t b = 0; b < lanes; ++b) acc[b] += row[cand[b]];
         }
       }
       // objective()'s fold, one lane per accumulator.

@@ -24,6 +24,15 @@
 // makes the parallel SSS sweep exact: every worker scores through this one
 // const evaluator and sees exactly the state the serial sweep would see.
 // See DESIGN.md, "Parallelism & determinism".
+//
+// Two shortcuts keep window scoring cheap without changing a result. A
+// candidate's score is the max of the untouched applications' fixed terms
+// and the touched ones' re-sums, so when the untouched terms alone already
+// reach objective() no candidate can score below it: can_improve() reports
+// that, and the SSS sweep skips such windows without scoring them. And
+// every candidate adds the same costs to a touched application's sum until
+// the first group thread, so that prefix is summed once and shared by all
+// lanes; the lanes then continue in thread order.
 #pragma once
 
 #include <cstddef>
@@ -62,6 +71,16 @@ class MappingEvaluator {
   void apply_group(std::span<const std::size_t> threads,
                    std::span<const TileId> tiles);
 
+  /// Largest thread group can_improve() and score_group_candidates() take
+  /// (the SSS window limit); their scratch lives on the stack.
+  static constexpr std::size_t kMaxGroup = 8;
+
+  /// False when the applications with no thread in `threads` already
+  /// attain objective(): every re-assignment of the group then scores >=
+  /// objective(), so none passes a strict-improvement test. True promises
+  /// nothing. `threads` must be distinct and at most kMaxGroup long.
+  bool can_improve(std::span<const std::size_t> threads) const;
+
   /// Scores `count` candidate re-assignments of one thread group without
   /// mutating the evaluator. All candidates share the thread set: candidate
   /// b re-assigns threads[x] to tiles[x·count + b] (transposed, one
@@ -72,12 +91,25 @@ class MappingEvaluator {
   /// thread-ascending order with the candidate's tiles substituted — never
   /// by delta arithmetic — and folded with the untouched applications'
   /// stored numerators. Being const, any number of workers may score
-  /// windows through one shared evaluator concurrently.
+  /// windows through one shared evaluator concurrently. `threads` must be
+  /// distinct and at most kMaxGroup long.
   void score_group_candidates(std::span<const std::size_t> threads,
                               const TileId* tiles, std::size_t count,
                               std::span<double> out) const;
 
  private:
+  /// One group thread and its index in the caller's `threads` span.
+  struct Member {
+    std::size_t thread;
+    std::size_t pos;
+  };
+  /// Fills group[0, threads.size()) with `threads` sorted by thread;
+  /// throws on a group longer than kMaxGroup.
+  void sort_group(std::span<const std::size_t> threads, Member* group) const;
+  /// objective()'s fold over the slots holding no thread of the sorted
+  /// group — the term every candidate of the group shares.
+  double untouched_objective(const Member* group, std::size_t size) const;
+
   /// Updates position state only; callers must recompute afterwards.
   void place_thread(std::size_t j, TileId tile);
   /// Rebuilds one table slot's numerator from the live mapping in

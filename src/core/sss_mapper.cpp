@@ -1,6 +1,7 @@
 #include "core/sss_mapper.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -25,6 +26,7 @@ const obs::Timer t_swap("sss.swap");
 const obs::Timer t_final_sam("sss.final_sam");
 const obs::Counter c_maps("sss.maps");
 const obs::Counter c_windows_evaluated("sss.windows_evaluated");
+const obs::Counter c_windows_skipped("sss.windows_skipped");
 const obs::Counter c_windows_committed("sss.windows_committed");
 const obs::Counter c_rounds("sss.rounds");
 const obs::Counter c_stale_discarded("sss.windows_discarded_stale");
@@ -46,6 +48,7 @@ namespace {
 /// Largest enumerable window: the transposed candidate block holds
 /// w·(w!-1) tile ids, ~1.3 MB at w = 8 but ~13 MB at 9 and ~23 GB at 12.
 constexpr std::size_t kMaxWindowSize = 8;
+static_assert(kMaxWindowSize <= MappingEvaluator::kMaxGroup);
 
 /// One stage-3 window: tiles sorted[start + x*step] for x in [0, w).
 struct Window {
@@ -68,10 +71,11 @@ std::vector<Window> window_schedule(std::size_t n, std::size_t w,
   return windows;
 }
 
-/// Reusable buffers for evaluate_window. After a call, window_threads and
-/// best_tiles describe the last evaluated window. cand_tiles holds all
-/// w!-1 non-identity window permutations at once, transposed (position-
-/// major: candidate k's tile for position x lives at x·K + k), the layout
+/// Reusable buffers for evaluate_window. After a call, window_threads
+/// describes the last evaluated window and, when the call returned true,
+/// best_tiles its winning permutation. cand_tiles holds all w!-1
+/// non-identity window permutations at once, transposed (position-major:
+/// candidate k's tile for position x lives at x·K + k), the layout
 /// score_group_candidates consumes with contiguous per-position rows.
 struct WindowScratch {
   std::vector<std::size_t> perm_idx;
@@ -81,6 +85,7 @@ struct WindowScratch {
   std::vector<TileId> cand_tiles;
   std::vector<double> scores;
   std::size_t num_candidates;  // w! - 1
+  std::uint64_t skipped = 0;   // windows can_improve() ruled out
 
   explicit WindowScratch(std::size_t w)
       : perm_idx(w), window_tiles(w), window_threads(w), best_tiles(w) {
@@ -104,6 +109,11 @@ struct WindowScratch {
 /// mapping — is bit-identical to the old mutating probe loop, at a fraction
 /// of the work (no per-candidate numerator rebuilds for apply and revert).
 ///
+/// A window whose untouched applications already attain the objective
+/// (MappingEvaluator::can_improve says no) is skipped before any candidate
+/// is enumerated: every candidate would score >= the baseline, so the
+/// strict-< test could not fire and the outcome is the same.
+///
 /// Because evaluation is read-only, the parallel speculation workers all
 /// score windows through the one shared evaluator.
 bool evaluate_window(const MappingEvaluator& eval,
@@ -115,10 +125,13 @@ bool evaluate_window(const MappingEvaluator& eval,
     s.window_tiles[x] = sorted[win.start + x * win.step];
     s.window_threads[x] = eval.thread_on(s.window_tiles[x]);
   }
+  if (!eval.can_improve(s.window_threads)) {
+    ++s.skipped;
+    return false;
+  }
 
   // Baseline = identity permutation of the window.
   double best_obj = eval.objective();
-  s.best_tiles = s.window_tiles;
   bool improved = false;
 
   std::iota(s.perm_idx.begin(), s.perm_idx.end(), std::size_t{0});
@@ -163,6 +176,7 @@ void sweep_windows_serial(MappingEvaluator& eval,
     }
   }
   c_windows_evaluated.add(windows.size());
+  c_windows_skipped.add(s.skipped);
   c_windows_committed.add(committed);
 }
 
@@ -196,6 +210,9 @@ void sweep_windows_parallel(MappingEvaluator& eval,
   const std::size_t max_round = std::max<std::size_t>(min_round, 2048);
   std::vector<WindowResult> results(windows.size());
   std::vector<std::size_t> window_threads(w);
+  // One enumeration scratch per task slot, reused across rounds: a round
+  // runs each task index on exactly one worker.
+  std::vector<WindowScratch> scratch(threads * 2, WindowScratch(w));
 
   std::uint64_t rounds = 0;
   std::uint64_t evaluated = 0;
@@ -214,13 +231,13 @@ void sweep_windows_parallel(MappingEvaluator& eval,
     // mutates the evaluator), so every task scores directly against the
     // shared evaluator — frozen for the duration of the fan-out — and
     // fills its result slots; only the enumeration scratch is per-task.
-    const std::size_t tasks = std::min(count, threads * 2);
+    const std::size_t tasks = std::min(count, scratch.size());
     const std::size_t per_task = (count + tasks - 1) / tasks;
     runner.for_each(tasks, [&, pos, end, per_task](std::size_t t) {
       const std::size_t lo = pos + t * per_task;
       const std::size_t hi = std::min(lo + per_task, end);
       if (lo >= hi) return;
-      WindowScratch s(w);
+      WindowScratch& s = scratch[t];
       for (std::size_t i = lo; i < hi; ++i) {
         WindowResult& r = results[i];
         r.improved = evaluate_window(eval, sorted, windows[i], s);
@@ -249,8 +266,11 @@ void sweep_windows_parallel(MappingEvaluator& eval,
     round = committed ? min_round : std::min(round * 2, max_round);
   }
 
+  std::uint64_t skipped = 0;
+  for (const WindowScratch& s : scratch) skipped += s.skipped;
   c_rounds.add(rounds);
   c_windows_evaluated.add(evaluated);
+  c_windows_skipped.add(skipped);
   c_windows_committed.add(n_committed);
   c_stale_discarded.add(stale);
 }

@@ -24,6 +24,13 @@ const obs::Counter c_migrations("service.migrations");
 const obs::Timer t_decision("service.decision");
 const obs::Gauge g_occupied("service.occupied_tiles");
 
+/// Every thread's rates finite and non-negative (ThreadProfile::valid);
+/// anything else has no finite mapping cost.
+bool valid_rates(const Application& app) {
+  return std::all_of(app.threads.begin(), app.threads.end(),
+                     [](const ThreadProfile& t) { return t.valid(); });
+}
+
 }  // namespace
 
 MappingService::MappingService(TileLatencyModel chip, ServiceConfig config)
@@ -161,7 +168,8 @@ Decision MappingService::handle_arrival(const Event& event, Decision d) {
   c_arrivals.add();
   const std::size_t n = event.app.num_threads();
   const std::size_t free_tiles = num_tiles() - occupied_count_;
-  if (n == 0 || n > free_tiles || find_resident(event.app_id) != nullptr) {
+  if (n == 0 || n > free_tiles || find_resident(event.app_id) != nullptr ||
+      !valid_rates(event.app)) {
     c_rejections.add();
     d.accepted = false;
     return d;
@@ -217,7 +225,8 @@ Decision MappingService::handle_departure(const Event& event, Decision d) {
 Decision MappingService::handle_phase_change(const Event& event, Decision d) {
   c_phase_changes.add();
   Resident* r = find_resident(event.app_id);
-  if (r == nullptr || event.app.num_threads() != r->app.num_threads()) {
+  if (r == nullptr || event.app.num_threads() != r->app.num_threads() ||
+      !valid_rates(event.app)) {
     c_rejections.add();
     d.accepted = false;
     return d;

@@ -73,7 +73,8 @@ struct Decision {
   std::uint64_t app_id = 0;
   /// False for a rejected arrival (no capacity / empty app) or a
   /// departure / phase change naming an unknown application or the wrong
-  /// thread count; the chip state is then unchanged.
+  /// thread count, and for an arrival or phase change carrying a rate that
+  /// is not finite and non-negative; the chip state is then unchanged.
   bool accepted = true;
   /// Newly placed threads (arrivals only; placements are not migrations).
   std::size_t placed_threads = 0;
@@ -115,8 +116,9 @@ class MappingService {
   explicit MappingService(TileLatencyModel chip, ServiceConfig config = {});
 
   /// Processes one event and returns the decision. Never throws on
-  /// semantically invalid events (unknown id, over-capacity arrival);
-  /// those come back `accepted == false` with the state unchanged.
+  /// semantically invalid events (unknown id, over-capacity arrival,
+  /// non-finite or negative rate); those come back `accepted == false`
+  /// with the state unchanged.
   Decision handle(const Event& event);
 
   const TileLatencyModel& chip() const { return chip_; }

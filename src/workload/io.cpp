@@ -1,5 +1,6 @@
 #include "workload/io.h"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -42,6 +43,8 @@ double parse_rate(const std::string& cell, std::size_t line_no) {
     NOCMAP_REQUIRE(used == cell.size(),
                    "trailing junk in rate on CSV line " +
                        std::to_string(line_no));
+    NOCMAP_REQUIRE(std::isfinite(v), "non-finite rate on CSV line " +
+                                         std::to_string(line_no));
     NOCMAP_REQUIRE(v >= 0.0, "negative rate on CSV line " +
                                  std::to_string(line_no));
     return v;

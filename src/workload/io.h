@@ -24,7 +24,8 @@ void save_workload_csv(const Workload& workload, const std::string& path);
 void write_workload_csv(const Workload& workload, std::ostream& out);
 
 /// Parses a workload from CSV. Throws nocmap::Error on malformed input
-/// (bad header, non-numeric rates, negative rates, thread-index gaps).
+/// (bad header, non-numeric, non-finite or negative rates, thread-index
+/// gaps).
 Workload load_workload_csv(const std::string& path);
 Workload read_workload_csv(std::istream& in);
 

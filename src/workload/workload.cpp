@@ -1,8 +1,14 @@
 #include "workload/workload.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace nocmap {
+
+bool ThreadProfile::valid() const {
+  return std::isfinite(cache_rate) && std::isfinite(memory_rate) &&
+         cache_rate >= 0.0 && memory_rate >= 0.0;
+}
 
 double Application::total_rate() const {
   return total_cache_rate() + total_memory_rate();
@@ -27,8 +33,8 @@ Workload::Workload(std::vector<Application> apps) : apps_(std::move(apps)) {
     NOCMAP_REQUIRE(!apps_[i].threads.empty(),
                    "application must have at least one thread");
     for (const auto& t : apps_[i].threads) {
-      NOCMAP_REQUIRE(t.cache_rate >= 0.0 && t.memory_rate >= 0.0,
-                     "request rates must be non-negative");
+      NOCMAP_REQUIRE(t.valid(),
+                     "request rates must be finite and non-negative");
       flat_.push_back(t);
       owner_.push_back(i);
     }

@@ -22,6 +22,9 @@ struct ThreadProfile {
   double memory_rate = 0.0;  ///< memory-controller request rate m_j
 
   double total_rate() const { return cache_rate + memory_rate; }
+  /// Both rates finite and non-negative: the only profiles a Workload
+  /// accepts (an infinite rate has no finite mapping cost).
+  bool valid() const;
 };
 
 /// One application: a named group of threads.

@@ -1,16 +1,24 @@
 // Property tests for the allocation-free assignment kernel: CostView
 // indexing, workspace solves vs. the brute-force reference on adversarial
 // cost families, warm-start == cold-start assignment identity, rectangular
-// solves, and the ThreadCostCache prefix-sum / lazy-view plumbing.
+// solves, the ThreadCostCache prefix-sum / lazy-view plumbing, and parity
+// pins of four solves the mappers run.
 #include "assign/hungarian.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <numeric>
+#include <string>
 #include <vector>
 
+#include "core/problem.h"
 #include "core/sam.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
+#include "workload/synthesis.h"
 
 namespace nocmap {
 namespace {
@@ -309,6 +317,115 @@ TEST(Sam, WorkspaceOverloadMatchesClassicPath) {
     EXPECT_EQ(warm.tiles, classic.tiles);
     EXPECT_NEAR(warm.apl, classic.apl, 1e-9);
   }
+}
+
+// ---- Parity pins --------------------------------------------------------
+//
+// Each pin records an FNV-1a/64 digest of row_to_col, total_cost as a
+// hexfloat and the number of shortest-path steps the solve took. Any change
+// to the kernel's arithmetic, its tie-breaking or its warm start moves one.
+
+struct SolvePin {
+  std::string digest;
+  std::string total_cost;
+  std::uint64_t path_steps = 0;
+};
+
+std::uint64_t path_steps_so_far() {
+  for (const obs::MetricRow& row : obs::snapshot()) {
+    if (row.name == "assign.path_steps") return row.count;
+  }
+  return 0;
+}
+
+SolvePin pin(const Assignment& a, std::uint64_t steps_before) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::size_t c : a.row_to_col) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (static_cast<std::uint64_t>(c) >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  SolvePin out;
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(h));
+  out.digest = buf;
+  std::snprintf(buf, sizeof buf, "%a", a.total_cost);
+  out.total_cost = buf;
+  out.path_steps = path_steps_so_far() - steps_before;
+  return out;
+}
+
+void expect_pin(const SolvePin& got, const char* digest,
+                const char* total_cost, std::uint64_t path_steps) {
+  EXPECT_EQ(got.digest, digest);
+  EXPECT_EQ(got.total_cost, total_cost);
+  if (obs::compiled_in()) {
+    EXPECT_EQ(got.path_steps, path_steps);
+  }
+}
+
+/// C1 with 4 x `threads_per_app` threads on a side x side chip, seed 21.
+ObmProblem c1_problem(std::uint32_t side, std::size_t threads_per_app) {
+  SynthesisOptions options;
+  options.threads_per_app = threads_per_app;
+  return ObmProblem(TileLatencyModel(Mesh::square(side), LatencyParams{}),
+                    synthesize_workload(parsec_config("C1"), 21, options));
+}
+
+TEST(KernelPins, ColdDenseGlobalViewAndWarmResolveAfterTileTrade) {
+  // The Global mapper's n = 256 solve over the whole cost table.
+  const ObmProblem p = c1_problem(16, 64);
+  const std::size_t n = p.num_threads();
+  const ThreadCostCache cache(p.workload(), p.model());
+  AssignmentWorkspace ws;
+  std::uint64_t before = path_steps_so_far();
+  const Assignment& cold =
+      ws.solve(CostView(cache.row(0), n, n, cache.row_stride()));
+  expect_pin(pin(cold, before), "0x3890cf9c3fb86845",
+             "0x1.4fa38eb433978p+16", 31897);
+
+  // Tiles 17 and 200 trade columns; the re-solve starts from the cold
+  // solve's column potentials.
+  std::vector<std::uint32_t> cols(n);
+  std::iota(cols.begin(), cols.end(), 0u);
+  std::swap(cols[17], cols[200]);
+  before = path_steps_so_far();
+  const Assignment& warm = ws.solve_warm(
+      CostView(cache.row(0), n, n, cache.row_stride(), cols.data()));
+  expect_pin(pin(warm, before), "0xd27b59a31adc9ac5",
+             "0x1.4fa38eb433983p+16", 1835);
+}
+
+TEST(KernelPins, RectangularApplicationOverTheWholeChip) {
+  // One application's 16 threads against all 64 tiles of the 8x8 chip, the
+  // shape of the relaxed per-application bound.
+  const ObmProblem p = c1_problem(8, 16);
+  const ThreadCostCache cache(p.workload(), p.model());
+  const std::size_t lo = p.workload().first_thread(1);
+  AssignmentWorkspace ws;
+  const std::uint64_t before = path_steps_so_far();
+  const Assignment& rect =
+      ws.solve(CostView(cache.row(lo), 16, 64, cache.row_stride()));
+  expect_pin(pin(rect, before), "0x77d0a2d29c0d3c45",
+             "0x1.cb77fc0e32944p+10", 120);
+}
+
+TEST(KernelPins, GatheredSamView) {
+  // One 64-thread application onto every fourth tile of the 16x16 chip.
+  const ObmProblem p = c1_problem(16, 64);
+  const ThreadCostCache cache(p.workload(), p.model());
+  const std::size_t lo = p.workload().first_thread(2);
+  std::vector<TileId> tiles(64);
+  for (std::size_t t = 0; t < tiles.size(); ++t) {
+    tiles[t] = static_cast<TileId>(4 * t + 2);
+  }
+  AssignmentWorkspace ws;
+  const std::uint64_t before = path_steps_so_far();
+  const Assignment& sam = ws.solve(cache.sam_view(lo, tiles));
+  expect_pin(pin(sam, before), "0xed7dbd61d7d60f05",
+             "0x1.cf12503319f8cp+14", 2019);
 }
 
 }  // namespace

@@ -3,12 +3,13 @@
 // same permutation to the last bit — the mappers' search decisions are
 // rewired through the batched pass on that guarantee. Also covers the
 // candidate-major score_rows path, the table's folds from numerators, the
-// zero-volume slot, MappingEvaluator's window kernel against apply_group,
-// worker-count invariance of a fitness fan-out through
-// ParallelTrialRunner::for_each_batch, and the fast_exp_neg kernel the
-// annealer's acceptance test runs on.
+// zero-volume slot, MappingEvaluator's window kernel against apply_group
+// and its can_improve() window check, worker-count invariance of a fitness
+// fan-out through ParallelTrialRunner::for_each_batch, and the fast_exp_neg
+// kernel the annealer's acceptance test runs on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <span>
@@ -201,6 +202,73 @@ TEST(MappingEvaluatorBatch, GroupCandidatesBitMatchApplyGroup) {
     eval.apply_group(threads, cands[b]);
     EXPECT_EQ(scores[b], eval.objective()) << "candidate " << b;
     eval.apply_group(threads, held);  // revert
+  }
+}
+
+TEST(MappingEvaluatorBatch, CanImproveIsFalseOnlyWhenNoCandidateCanWin) {
+  const ObmProblem p = make_problem(8, 4);
+  const std::size_t n = p.num_threads();
+  const ThreadCostCache cache(p.workload(), p.model());
+  const BatchEvaluator table(p, cache);
+  Rng rng(43);
+  MappingEvaluator eval(p, Mapping{random_perm(n, rng)}, cache);
+
+  // The application attaining objective(), alone at the top.
+  const std::span<const BatchEvaluator::App> apps = table.apps();
+  std::vector<double> terms;
+  for (std::size_t s = 0; s < apps.size(); ++s) {
+    terms.push_back(apps[s].weight *
+                    table.numerator(s, eval.mapping().thread_to_tile.data()) /
+                    apps[s].volume);
+  }
+  const std::size_t top = static_cast<std::size_t>(
+      std::max_element(terms.begin(), terms.end()) - terms.begin());
+  ASSERT_EQ(terms[top], eval.objective());
+  ASSERT_EQ(std::count(terms.begin(), terms.end(), terms[top]), 1);
+
+  // Four threads, two of them in one application, none in the top one;
+  // then the same group with its last thread swapped for one of the top.
+  std::vector<std::size_t> away;
+  for (std::size_t s = 0; s < apps.size() && away.size() < 4; ++s) {
+    if (s == top) continue;
+    away.push_back(apps[s].first + 3);
+    if (away.size() < 4) away.push_back(apps[s].first + 9);
+  }
+  ASSERT_EQ(away.size(), 4u);
+  std::vector<std::size_t> with = away;
+  with.back() = apps[top].first + 5;
+
+  EXPECT_FALSE(eval.can_improve(away));
+  EXPECT_TRUE(eval.can_improve(with));
+
+  // The 23 non-identity candidates of the away group all score at least
+  // objective(), and exactly what apply_group would report.
+  std::vector<TileId> held;
+  for (const std::size_t j : away) held.push_back(eval.mapping().tile_of(j));
+  std::vector<std::size_t> order(away.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::vector<std::vector<TileId>> cands;
+  while (std::next_permutation(order.begin(), order.end())) {
+    std::vector<TileId> cand;
+    for (const std::size_t x : order) cand.push_back(held[x]);
+    cands.push_back(cand);
+  }
+  const std::size_t count = cands.size();
+  ASSERT_EQ(count, 23u);
+  std::vector<TileId> transposed(away.size() * count);
+  for (std::size_t x = 0; x < away.size(); ++x) {
+    for (std::size_t b = 0; b < count; ++b) {
+      transposed[x * count + b] = cands[b][x];
+    }
+  }
+  std::vector<double> scores(count);
+  eval.score_group_candidates(away, transposed.data(), count, scores);
+  const double objective = eval.objective();
+  for (std::size_t b = 0; b < count; ++b) {
+    EXPECT_GE(scores[b], objective) << "candidate " << b;
+    eval.apply_group(away, cands[b]);
+    EXPECT_EQ(scores[b], eval.objective()) << "candidate " << b;
+    eval.apply_group(away, held);  // revert
   }
 }
 

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace nocmap {
@@ -82,6 +85,49 @@ TEST(Hungarian, TiesStillProduceValidPermutation) {
   const Assignment a = solve_assignment(m);
   EXPECT_TRUE(is_permutation_of_range(a.row_to_col));
   EXPECT_DOUBLE_EQ(a.total_cost, 4.0);
+}
+
+TEST(Hungarian, RowWithNoFiniteCostThrows) {
+  // No augmenting path can reach a row whose costs are all +inf: the
+  // kernel must say so instead of searching forever.
+  CostMatrix m(3, 3, 1.0);
+  for (std::size_t c = 0; c < 3; ++c) {
+    m.at(1, c) = std::numeric_limits<double>::infinity();
+  }
+  EXPECT_THROW(solve_assignment(m), Error);
+}
+
+std::uint64_t warm_hits() {
+  for (const obs::MetricRow& row : obs::snapshot()) {
+    if (row.name == "assign.warm_hits") return row.count;
+  }
+  return 0;
+}
+
+TEST(Hungarian, ThrowLeavesNoWarmState) {
+  // A solve that throws part-way must not hand its half-updated potentials
+  // to the next warm solve, which then runs cold.
+  Rng rng(3);
+  CostMatrix good(6, 6);
+  CostMatrix bad(6, 6);
+  for (std::size_t r = 0; r < 6; ++r) {
+    for (std::size_t c = 0; c < 6; ++c) {
+      good.at(r, c) = rng.uniform(0.0, 9.0);
+      bad.at(r, c) = r == 5 ? std::numeric_limits<double>::infinity()
+                            : rng.uniform(0.0, 900.0);
+    }
+  }
+  AssignmentWorkspace ws;
+  ws.solve(CostView::of(good));
+  EXPECT_THROW(ws.solve_warm(CostView::of(bad)), Error);
+  const std::uint64_t hits = warm_hits();
+  const Assignment after = ws.solve_warm(CostView::of(good));
+  if (obs::compiled_in()) {
+    EXPECT_EQ(warm_hits(), hits);
+  }
+  const Assignment cold = solve_assignment(good);
+  EXPECT_EQ(after.row_to_col, cold.row_to_col);
+  EXPECT_EQ(after.total_cost, cold.total_cost);
 }
 
 TEST(BruteForce, MatchesManualEnumeration) {

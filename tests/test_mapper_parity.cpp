@@ -1,15 +1,17 @@
 // Parity pins: FNV-1a/64 digests of thread_to_tile for fixed mapper runs on
-// C1 8x8 (seed 21), on the QoS-weighted C4 8x8 problem, on a 12-tile exact
-// instance with an idle application, of two service churn replays (one whose
-// fallbacks run SSS on padded problems, one with no migration budget), of
-// the migration-aware remaps (a fixed penalty and a budgeted penalty
-// search) and of one profile-based SAM solve. Any change to an annealing
-// chain's arithmetic or draw order, to the restart merge, to the cluster
-// annealer's scoring, to the SSS window sweep at any worker count, to GA or
-// MC fitness, to the exact solver's objective or bound, to the handling of
-// zero-traffic applications, to the eq.-13 cost matrix, the migration
-// penalty or its search moves a pin; a refactor that must keep mappings
-// bit-identical has to leave them all passing.
+// C1 8x8 (seed 21), on C1 16x16 (4 x 64 threads: one n = 256 Global solve
+// and the full-size SSS sweep), on the QoS-weighted C4 8x8 problem, on a
+// 12-tile exact instance with an idle application, of two service churn
+// replays (one whose fallbacks run SSS on padded problems, one with no
+// migration budget), of the migration-aware remaps (a fixed penalty and a
+// budgeted penalty search) and of one profile-based SAM solve. Any change
+// to an annealing chain's arithmetic or draw order, to the restart merge,
+// to the cluster annealer's scoring, to the assignment kernel's tie-breaking,
+// to the SSS window sweep at any worker count, to GA or MC fitness, to the
+// exact solver's objective or bound, to the handling of zero-traffic
+// applications, to the eq.-13 cost matrix, the migration penalty or its
+// search moves a pin; a refactor that must keep mappings bit-identical has
+// to leave them all passing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,6 +24,7 @@
 #include "core/cluster_sa_mapper.h"
 #include "core/exact_solver.h"
 #include "core/genetic_mapper.h"
+#include "core/global_mapper.h"
 #include "core/monte_carlo_mapper.h"
 #include "core/remap.h"
 #include "core/sam.h"
@@ -37,6 +40,13 @@ ObmProblem c1_problem() {
   const Mesh mesh = Mesh::square(8);
   return ObmProblem(TileLatencyModel(mesh, LatencyParams{}),
                     synthesize_workload(parsec_config("C1"), 21));
+}
+
+ObmProblem c1_16x16_problem() {
+  SynthesisOptions options;
+  options.threads_per_app = 64;
+  return ObmProblem(TileLatencyModel(Mesh::square(16), LatencyParams{}),
+                    synthesize_workload(parsec_config("C1"), 21, options));
 }
 
 ObmProblem weighted_c4_problem() {
@@ -108,6 +118,23 @@ TEST(MapperParity, SssSerialAndParallel) {
   for (const std::size_t workers : {1u, 4u}) {
     SortSelectSwapMapper sss(SssOptions{.parallel = ParallelConfig{workers}});
     EXPECT_EQ(digest(sss.map(p)), "0x945b94ceec431e25") << workers;
+  }
+}
+
+TEST(MapperParity, Global) {
+  EXPECT_EQ(digest(GlobalMapper().map(c1_problem())), "0x897fd249c89bb485");
+}
+
+TEST(MapperParity, GlobalAt16x16) {
+  EXPECT_EQ(digest(GlobalMapper().map(c1_16x16_problem())),
+            "0x19ed71ab760ac475");
+}
+
+TEST(MapperParity, SssAt16x16SerialAndParallel) {
+  const ObmProblem p = c1_16x16_problem();
+  for (const std::size_t workers : {1u, 4u}) {
+    SortSelectSwapMapper sss(SssOptions{.parallel = ParallelConfig{workers}});
+    EXPECT_EQ(digest(sss.map(p)), "0x5a86bddee0e63055") << workers;
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "core/metrics.h"
@@ -125,6 +126,28 @@ TEST(Service, RejectsUnknownOrMismatchedPhaseChange) {
           .accepted);
   EXPECT_FALSE(
       engine.handle(Event{EventKind::kDeparture, 9, {}}).accepted);
+}
+
+TEST(Service, RejectsNonFiniteRates) {
+  // Such rates have no finite mapping cost; the event is rejected like any
+  // other invalid one, with the chip state unchanged.
+  MappingService engine(test_chip());
+  Application inf_app = uniform_app("inf", 4);
+  inf_app.threads[0].cache_rate = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(engine.handle(arrival(1, inf_app)).accepted);
+  EXPECT_EQ(engine.residents().size(), 0u);
+  EXPECT_EQ(engine.occupied_tiles(), 0u);
+
+  ASSERT_TRUE(engine.handle(arrival(2, uniform_app("ok", 4))).accepted);
+  const Resident before = engine.residents()[0];
+  Application nan_phase = uniform_app("ok", 4, 5.0, 30.0);
+  nan_phase.threads[2].memory_rate = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(
+      engine.handle(Event{EventKind::kPhaseChange, 2, nan_phase}).accepted);
+  ASSERT_EQ(engine.residents().size(), 1u);
+  EXPECT_EQ(engine.residents()[0].tiles, before.tiles);
+  EXPECT_EQ(engine.residents()[0].app.threads[2].memory_rate,
+            before.app.threads[2].memory_rate);
 }
 
 // --------------------------------------------------------------------------

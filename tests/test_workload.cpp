@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace nocmap {
 namespace {
 
@@ -56,6 +58,11 @@ TEST(Workload, ValidationRejectsBadInput) {
   Application negative;
   negative.threads = {{-1.0, 0.0}};
   EXPECT_THROW(Workload({negative}), Error);
+  Application non_finite;
+  non_finite.threads = {{std::numeric_limits<double>::infinity(), 0.0}};
+  EXPECT_THROW(Workload({non_finite}), Error);
+  non_finite.threads = {{1.0, std::numeric_limits<double>::quiet_NaN()}};
+  EXPECT_THROW(Workload({non_finite}), Error);
 }
 
 TEST(Workload, PaddingAddsIdleApplication) {

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "workload/synthesis.h"
 
@@ -106,6 +107,18 @@ TEST(WorkloadIo, NegativeRateRejected) {
       "application,thread,cache_rate,memory_rate\n"
       "web,0,-1.0,0.1\n");
   EXPECT_THROW(read_workload_csv(ss), Error);
+}
+
+TEST(WorkloadIo, InfiniteRateRejected) {
+  // std::stod accepts both spellings; an infinite rate has no finite
+  // mapping cost, so the workload must never reach a mapper.
+  for (const std::string rate : {"inf", "infinity"}) {
+    std::stringstream ss(
+        "application,thread,cache_rate,memory_rate\n"
+        "web,0," + rate + ",0.1\n"
+        "web,1,1.0,0.1\n");
+    EXPECT_THROW(read_workload_csv(ss), Error) << rate;
+  }
 }
 
 TEST(WorkloadIo, ThreadIndexGapRejected) {
