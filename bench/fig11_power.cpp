@@ -57,7 +57,7 @@ int main() {
                           .report(results[idx].activity,
                                   results[idx].measured_cycles,
                                   problem.mesh().num_tiles(),
-                                  mesh_link_count(problem.mesh()))
+                                  problem.mesh().num_directed_links())
                           .dynamic_mw;
   }
 
@@ -85,7 +85,7 @@ int main() {
   std::cout << "\nStatic power is identical across schemes ("
             << fmt(power
                        .report(ActivityCounters{}, 1, 64,
-                               mesh_link_count(Mesh::square(8)))
+                               Mesh::square(8).num_directed_links())
                        .static_mw,
                    1)
             << " mW for the 8x8 fabric) and therefore not compared.\n";

@@ -55,19 +55,16 @@ int main(int argc, char** argv) {
   const std::vector<service::Event> events = service::generate_trace(trace);
 
   // Timing replay, best of 2 (each replay is seconds-scale).
-  service::ReplayOptions timing_options;
-  timing_options.collect_latencies = true;
   service::ReplayStats best;
   best.wall_ms = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < 2; ++rep) {
     service::MappingService engine = make_engine();
-    service::ReplayStats stats =
-        service::replay_trace(engine, events, timing_options);
+    service::ReplayStats stats = service::replay_trace(engine, events);
     if (stats.wall_ms < best.wall_ms) best = std::move(stats);
   }
   const double mean_us =
       best.wall_ms * 1000.0 / static_cast<double>(best.events);
-  const double p99_us = service::percentile_us(best.decision_us, 99.0);
+  const double p99_us = best.decision_ns.percentile(0.99) / 1000.0;
   const double decisions_per_sec =
       1000.0 * static_cast<double>(best.events) / best.wall_ms;
 

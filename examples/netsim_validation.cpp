@@ -52,7 +52,7 @@ int main() {
   const PowerReport pr = power.report(measured.activity,
                                       measured.measured_cycles,
                                       mesh.num_tiles(),
-                                      mesh_link_count(mesh));
+                                      mesh.num_directed_links());
   std::cout << "\nDSENT-lite power during the run:\n"
             << "  dynamic " << pr.dynamic_mw << " mW (buffers "
             << pr.buffer_mw << ", crossbars " << pr.crossbar_mw

@@ -25,6 +25,7 @@
 #include "core/mapping_io.h"
 #include "core/monte_carlo_mapper.h"
 #include "core/sss_mapper.h"
+#include "util/parse.h"
 #include "workload/io.h"
 #include "workload/synthesis.h"
 
@@ -84,15 +85,15 @@ int main(int argc, char** argv) {
         return argv[++i];
       };
       if (arg == "--mesh") {
-        mesh_side = static_cast<std::uint32_t>(std::stoul(next()));
+        mesh_side = parse_number<std::uint32_t>(next(), arg);
       } else if (arg == "--algorithm") {
         algorithm = next();
       } else if (arg == "--seed") {
-        seed = std::stoull(next());
+        seed = parse_number<std::uint64_t>(next(), arg);
       } else if (arg == "--td_q") {
-        params.td_q = std::stod(next());
+        params.td_q = parse_number<double>(next(), arg);
       } else if (arg == "--td_s") {
-        params.td_s = std::stod(next());
+        params.td_s = parse_number<double>(next(), arg);
       } else if (arg == "--output") {
         output_path = next();
       } else if (arg == "--mapping") {

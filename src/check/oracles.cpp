@@ -301,7 +301,7 @@ OracleResult run_netsim_conservation(const ScenarioSpec& spec) {
     return fail("per-router max crossbar rate below the mean");
   }
   // Independent recount of the directed links (planar per layer + TSVs),
-  // deliberately not calling num_directed_links().
+  // deliberately not calling Mesh::num_directed_links().
   const Mesh& mesh = problem.mesh();
   const double links =
       2.0 * ((mesh.rows() * (mesh.cols() - 1) +

@@ -10,6 +10,7 @@
 
 #include "latency/model.h"
 #include "util/error.h"
+#include "util/parse.h"
 #include "util/rng.h"
 #include "workload/synthesis.h"
 
@@ -191,45 +192,39 @@ ScenarioSpec from_repro(const std::string& text, std::string* oracle_out) {
     const std::string value = line.substr(eq + 1);
     NOCMAP_REQUIRE(!seen[key], "duplicate repro key '" + key + "'");
     seen[key] = true;
-    try {
-      if (key == "seed") {
-        spec.seed = std::stoull(value);
-      } else if (key == "mesh_side") {
-        spec.mesh_side = static_cast<std::uint32_t>(std::stoul(value));
-      } else if (key == "mesh_layers") {
-        spec.mesh_layers = static_cast<std::uint32_t>(std::stoul(value));
-      } else if (key == "tsv_hop_cost") {
-        spec.tsv_hop_cost = std::stod(value);
-      } else if (key == "mc_placement") {
-        NOCMAP_REQUIRE(mc_placement_from_name(value, spec.mc_placement),
-                       "unknown mc_placement '" + value + "'");
-      } else if (key == "mc_count") {
-        spec.mc_count = static_cast<std::uint32_t>(std::stoul(value));
-      } else if (key == "torus") {
-        spec.torus = std::stoi(value) != 0;
-      } else if (key == "traffic_mode") {
-        NOCMAP_REQUIRE(
-            memory_traffic_mode_from_name(value, spec.traffic_mode),
-            "unknown traffic_mode '" + value + "'");
-      } else if (key == "config") {
-        spec.config = value;
-      } else if (key == "num_applications") {
-        spec.num_applications = static_cast<std::uint32_t>(std::stoul(value));
-      } else if (key == "threads_per_app") {
-        spec.threads_per_app = static_cast<std::uint32_t>(std::stoul(value));
-      } else if (key == "injection_scale") {
-        spec.injection_scale = std::stod(value);
-      } else if (key == "bursty") {
-        spec.bursty = std::stoi(value) != 0;
-      } else if (key == "oracle") {
-        oracle = value;
-      } else {
-        NOCMAP_REQUIRE(false, "unknown repro key '" + key + "'");
-      }
-    } catch (const Error&) {
-      throw;
-    } catch (const std::exception&) {
-      NOCMAP_REQUIRE(false, "bad value for repro key '" + key + "'");
+    const std::string what = "repro key '" + key + "'";
+    if (key == "seed") {
+      spec.seed = parse_number<std::uint64_t>(value, what);
+    } else if (key == "mesh_side") {
+      spec.mesh_side = parse_number<std::uint32_t>(value, what);
+    } else if (key == "mesh_layers") {
+      spec.mesh_layers = parse_number<std::uint32_t>(value, what);
+    } else if (key == "tsv_hop_cost") {
+      spec.tsv_hop_cost = parse_number<double>(value, what);
+    } else if (key == "mc_placement") {
+      NOCMAP_REQUIRE(mc_placement_from_name(value, spec.mc_placement),
+                     "unknown mc_placement '" + value + "'");
+    } else if (key == "mc_count") {
+      spec.mc_count = parse_number<std::uint32_t>(value, what);
+    } else if (key == "torus") {
+      spec.torus = parse_number<bool>(value, what);
+    } else if (key == "traffic_mode") {
+      NOCMAP_REQUIRE(memory_traffic_mode_from_name(value, spec.traffic_mode),
+                     "unknown traffic_mode '" + value + "'");
+    } else if (key == "config") {
+      spec.config = value;
+    } else if (key == "num_applications") {
+      spec.num_applications = parse_number<std::uint32_t>(value, what);
+    } else if (key == "threads_per_app") {
+      spec.threads_per_app = parse_number<std::uint32_t>(value, what);
+    } else if (key == "injection_scale") {
+      spec.injection_scale = parse_number<double>(value, what);
+    } else if (key == "bursty") {
+      spec.bursty = parse_number<bool>(value, what);
+    } else if (key == "oracle") {
+      oracle = value;
+    } else {
+      NOCMAP_REQUIRE(false, "unknown repro key '" + key + "'");
     }
   }
   // Keys that postdate the v1 corpus (mesh_layers, tsv_hop_cost, mc_count,

@@ -159,12 +159,7 @@ double ContentionModel::max_utilization() const {
 double ContentionModel::mean_utilization() const {
   // Count only physical links (border tiles lack some directions; their
   // slots stay zero and are excluded).
-  const std::size_t planar =
-      2 * (mesh_->rows() * (mesh_->cols() - 1) +
-           mesh_->cols() * (mesh_->rows() - 1)) * mesh_->layers();
-  const std::size_t vertical =
-      2 * (mesh_->layers() - 1) * mesh_->tiles_per_layer();
-  const std::size_t links = planar + vertical;
+  const std::size_t links = mesh_->num_directed_links();
   double sum = 0.0;
   for (double u : load_) sum += u;
   return links > 0 ? sum / static_cast<double>(links) : 0.0;

@@ -1,28 +1,10 @@
 #include "core/mapping_io.h"
 
-#include <charconv>
 #include <fstream>
-#include <limits>
+
+#include "util/parse.h"
 
 namespace nocmap {
-
-namespace {
-
-/// Parses one whole CSV cell as a decimal index no larger than `max`:
-/// digits only, so signs, spaces, hex prefixes and trailing junk throw.
-std::uint64_t parse_index(const std::string& cell, std::uint64_t max,
-                          const std::string& where) {
-  std::uint64_t value = 0;
-  const char* end = cell.data() + cell.size();
-  const auto [ptr, ec] = std::from_chars(cell.data(), end, value);
-  NOCMAP_REQUIRE(ec != std::errc::invalid_argument && ptr == end,
-                 "non-numeric value" + where);
-  NOCMAP_REQUIRE(ec == std::errc() && value <= max,
-                 "value out of range" + where);
-  return value;
-}
-
-}  // namespace
 
 void write_mapping_csv(const Mapping& mapping, std::ostream& out) {
   out << "thread,tile\n";
@@ -57,13 +39,12 @@ Mapping read_mapping_csv(std::istream& in) {
     NOCMAP_REQUIRE(comma != std::string::npos &&
                        line.find(',', comma + 1) == std::string::npos,
                    "expected 2 columns" + where);
-    NOCMAP_REQUIRE(parse_index(line.substr(0, comma),
-                               std::numeric_limits<std::uint64_t>::max(),
-                               where) == mapping.thread_to_tile.size(),
+    NOCMAP_REQUIRE(parse_number<std::uint64_t>(line.substr(0, comma),
+                                               "thread" + where) ==
+                       mapping.thread_to_tile.size(),
                    "thread index mismatch" + where);
-    mapping.thread_to_tile.push_back(static_cast<TileId>(
-        parse_index(line.substr(comma + 1),
-                    std::numeric_limits<TileId>::max(), where)));
+    mapping.thread_to_tile.push_back(
+        parse_number<TileId>(line.substr(comma + 1), "tile" + where));
   }
   NOCMAP_REQUIRE(!mapping.thread_to_tile.empty(), "mapping CSV has no rows");
   NOCMAP_REQUIRE(mapping.is_valid_permutation(mapping.size()),

@@ -60,28 +60,11 @@ RouterLoadSummary summarize_load(const Network& net, const Mesh& mesh,
       crossbar_sum / static_cast<double>(tiles);
   load.link_utilization =
       static_cast<double>(net.measured_total_activity().link_traversals) /
-      (static_cast<double>(num_directed_links(mesh)) * cycles);
+      (static_cast<double>(mesh.num_directed_links()) * cycles);
   return load;
 }
 
 }  // namespace
-
-std::uint64_t num_directed_links(const Mesh& mesh) {
-  const std::uint64_t r = mesh.rows();
-  const std::uint64_t c = mesh.cols();
-  const std::uint64_t l = mesh.layers();
-  std::uint64_t undirected = (r * (c - 1) + c * (r - 1)) * l;
-  // Vertical (TSV) links between adjacent layers, one per tile position.
-  undirected += (l - 1) * r * c;
-  if (mesh.is_torus()) {
-    // A wrap link is a *distinct* adjacent pair only when the wrapped
-    // dimension has >= 3 tiles: at width 2 the wrap connects the same two
-    // tiles as the existing mesh link, and at width 1 it is a self-loop.
-    if (c >= 3) undirected += r;  // one horizontal wrap per row
-    if (r >= 3) undirected += c;  // one vertical wrap per column
-  }
-  return 2 * undirected;
-}
 
 SimResult run_simulation(const ObmProblem& problem, const Mapping& mapping,
                          const SimConfig& config) {
@@ -97,31 +80,27 @@ SimResult run_simulation(const ObmProblem& problem, const Mapping& mapping,
   SimResult result;
   result.per_app.resize(num_apps);
   result.per_class.resize(kNumPacketClasses);
-  result.per_app_histogram.reserve(num_apps);
-  for (std::size_t a = 0; a < num_apps; ++a) {
-    result.per_app_histogram.emplace_back(0.0, config.histogram_max,
-                                          config.histogram_bins);
-  }
+  result.per_app_histogram.resize(num_apps);
 
   const Cycle measure_start = config.warmup_cycles;
   const Cycle measure_end = config.warmup_cycles + config.measure_cycles;
 
   std::vector<LocalAccess> locals;
-  auto record = [&](std::size_t app, PacketClass cls, double latency,
+  auto record = [&](std::size_t app, PacketClass cls, Cycle latency,
                     Cycle created) {
     if (created < measure_start || created >= measure_end) return;
-    result.per_app[app].add(latency);
+    const auto cycles = static_cast<double>(latency);
+    result.per_app[app].add(cycles);
     result.per_app_histogram[app].add(latency);
-    result.overall.add(latency);
-    result.per_class[static_cast<std::size_t>(cls)].add(latency);
+    result.overall.add(cycles);
+    result.per_class[static_cast<std::size_t>(cls)].add(cycles);
     ++result.packets_measured;
   };
 
   auto drain_ejections = [&](Cycle now) {
     for (const Ejection& e : net.take_ejections()) {
       traffic.on_ejection(net, e, now);
-      record(e.info.app, e.info.cls, static_cast<double>(e.latency()),
-             e.info.created);
+      record(e.info.app, e.info.cls, e.latency(), e.info.created);
     }
   };
 
@@ -144,7 +123,7 @@ SimResult run_simulation(const ObmProblem& problem, const Mapping& mapping,
     locals.clear();
     traffic.generate(net, cycle, locals);
     for (const LocalAccess& la : locals) {
-      record(la.app, la.cls, 0.0, cycle);
+      record(la.app, la.cls, 0, cycle);
       ++result.local_accesses;
     }
     net.step();

@@ -23,10 +23,6 @@ struct SimConfig {
   Cycle measure_cycles = 100000;
   /// Safety cap on the drain phase (should never bind at sane loads).
   Cycle max_drain_cycles = 200000;
-  /// Per-application latency histograms cover [0, histogram_max) cycles
-  /// with histogram_bins bins (tail percentiles; QoS studies).
-  double histogram_max = 400.0;
-  std::size_t histogram_bins = 400;
   /// Workers stepping *this one simulation*: the mesh is spatially
   /// partitioned into min(sim_workers, rows) row-band domains advanced in
   /// parallel each cycle (DESIGN.md §16). Results are bit-identical at
@@ -38,13 +34,6 @@ struct SimConfig {
   TrafficConfig traffic;
   NetworkConfig network;
 };
-
-/// Directed inter-router links in the mesh: each adjacent tile pair
-/// contributes one link per direction. Torus wrap links only count where
-/// the wrapped dimension has >= 3 tiles — at width 2 the wrap coincides
-/// with the existing adjacent-pair link and at width 1 it is a self-loop,
-/// so counting it would deflate link_utilization.
-std::uint64_t num_directed_links(const Mesh& mesh);
 
 /// Measurement-window load digest across routers and links — the netsim
 /// counters surfaced through RunReports (docs/metrics-schema.md). All rates
@@ -62,7 +51,7 @@ struct RouterLoadSummary {
   /// at the busiest router.
   double max_queue_occupancy = 0.0;
   /// Fraction of directed mesh links busy, averaged over the window:
-  /// link_traversals / (num_directed_links · measured_cycles).
+  /// link_traversals / (Mesh::num_directed_links · measured_cycles).
   double link_utilization = 0.0;
   /// Router with the most crossbar traversals (hotspot location).
   TileId hottest_router = 0;
@@ -82,8 +71,9 @@ struct SimResult {
   RunningStats overall;
   /// Per packet class (indexed by PacketClass).
   std::vector<RunningStats> per_class;
-  /// Per-application latency histograms (tail percentiles). The QoS story
-  /// (paper Section I) cares about worst-case experience, not just means.
+  /// Per-application latency histograms in cycles (tail percentiles; no
+  /// range, so saturated tails are never clamped). The QoS story (paper
+  /// Section I) cares about worst-case experience, not just means.
   std::vector<Histogram> per_app_histogram;
 
   /// p-quantile (0..1) of application `app`'s packet latency.

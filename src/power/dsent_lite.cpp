@@ -48,14 +48,4 @@ PowerReport DsentLitePowerModel::report(const ActivityCounters& activity,
   return r;
 }
 
-std::size_t mesh_link_count(const Mesh& mesh) {
-  const std::size_t rows = mesh.rows();
-  const std::size_t cols = mesh.cols();
-  const std::size_t layers = mesh.layers();
-  // Planar links per layer plus one TSV per tile position between adjacent
-  // layers, all directed (hence the factor 2).
-  return 2 * ((rows * (cols - 1) + cols * (rows - 1)) * layers +
-              (layers - 1) * rows * cols);
-}
-
 }  // namespace nocmap

@@ -65,9 +65,4 @@ class DsentLitePowerModel {
   PowerParams params_;
 };
 
-/// Number of unidirectional inter-router links in a (possibly stacked)
-/// mesh: 2 · ((rows·(cols−1) + cols·(rows−1))·layers + (layers−1)·rows·cols)
-/// — planar links per layer plus the TSVs between adjacent layers.
-std::size_t mesh_link_count(const Mesh& mesh);
-
 }  // namespace nocmap

@@ -1,9 +1,7 @@
 #include "service/replay.h"
 
-#include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cmath>
 
 #include "core/metrics.h"
 #include "util/rng.h"
@@ -39,7 +37,6 @@ ReplayStats replay_trace(MappingService& service,
   using clock = std::chrono::steady_clock;
   ReplayStats stats;
   stats.decisions.reserve(events.size());
-  if (options.collect_latencies) stats.decision_us.reserve(events.size());
 
   double ratio_sum = 0.0;
   std::size_t since_sample = 0;
@@ -47,11 +44,9 @@ ReplayStats replay_trace(MappingService& service,
   for (const Event& event : events) {
     const auto t0 = clock::now();
     const Decision d = service.handle(event);
-    if (options.collect_latencies) {
-      stats.decision_us.push_back(
-          std::chrono::duration<double, std::micro>(clock::now() - t0)
-              .count());
-    }
+    const auto elapsed = clock::now() - t0;
+    stats.decision_ns.add(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()));
 
     ++stats.events;
     if (d.accepted) {
@@ -95,18 +90,6 @@ ReplayStats replay_trace(MappingService& service,
     for (const TileId k : r.tiles) stats.digest = mix(stats.digest, k);
   }
   return stats;
-}
-
-double percentile_us(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  p = std::clamp(p, 0.0, 100.0);
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(values.size())));
-  const std::size_t idx = rank == 0 ? 0 : rank - 1;
-  std::nth_element(values.begin(),
-                   values.begin() + static_cast<std::ptrdiff_t>(idx),
-                   values.end());
-  return values[idx];
 }
 
 SimResult simulate_snapshot(const MappingService& service,

@@ -5,7 +5,9 @@
 // Besides running the event stream, the replayer folds every decision into
 // a 64-bit digest (splitmix64 chaining over all decision fields plus the
 // final placement), which is how "bit-identical at 1/2/8 workers" is
-// asserted without storing full decision streams.
+// asserted without storing full decision streams. It also records every
+// decision's wall time into one Histogram (util/stats.h), the only source of
+// the service's decision-latency percentiles.
 #pragma once
 
 #include <cstdint>
@@ -15,12 +17,11 @@
 #include "netsim/sim.h"
 #include "service/events.h"
 #include "service/mapping_service.h"
+#include "util/stats.h"
 
 namespace nocmap::service {
 
 struct ReplayOptions {
-  /// Record per-decision wall times (decision_us below).
-  bool collect_latencies = false;
   /// Every N accepted events (0 = never), solve the snapshot problem from
   /// scratch with serial SSS and record objective / fresh-objective; the
   /// mean of those ratios is the incremental-quality headline metric.
@@ -37,8 +38,9 @@ struct ReplayStats {
   /// splitmix64-chained digest of every decision plus the final placement.
   std::uint64_t digest = 0;
   double wall_ms = 0.0;
-  /// Per-decision latencies in microseconds (collect_latencies only).
-  std::vector<double> decision_us;
+  /// Wall time of every decision in integer nanoseconds; its percentile()
+  /// is the service's decision-latency p50/p99.
+  Histogram decision_ns;
   /// Mean of sampled objective / from-scratch-SSS-objective ratios (1.0
   /// when never sampled); >= 1 means the incremental path is that factor
   /// away from a fresh solve.
@@ -53,9 +55,6 @@ struct ReplayStats {
 ReplayStats replay_trace(MappingService& service,
                          std::span<const Event> events,
                          const ReplayOptions& options = {});
-
-/// p-th percentile (0..100) of `values` by nearest-rank; 0 when empty.
-double percentile_us(std::vector<double> values, double p);
 
 /// Cycle-accurate validation of the service's *current* placement: runs the
 /// snapshot problem + mapping through run_simulation. The analytic model

@@ -111,7 +111,7 @@ obs::JsonValue scenario_record(const SweepScenario& scenario,
     const DsentLitePowerModel power_model;
     const PowerReport power =
         power_model.report(sim->activity, sim->measured_cycles,
-                           mesh.num_tiles(), mesh_link_count(mesh));
+                           mesh.num_tiles(), mesh.num_directed_links());
     s["dynamic_mw"] = power.dynamic_mw;
     s["total_mw"] = power.total_mw;
     rec["sim"] = std::move(s);

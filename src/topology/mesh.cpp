@@ -129,6 +129,18 @@ void Mesh::init() {
   }
 }
 
+std::size_t Mesh::num_directed_links() const {
+  const std::size_t r = rows_;
+  const std::size_t c = cols_;
+  const std::size_t l = layers_;
+  std::size_t undirected = (r * (c - 1) + c * (r - 1)) * l + (l - 1) * r * c;
+  if (is_torus()) {
+    if (c >= 3) undirected += r;  // one horizontal wrap per row
+    if (r >= 3) undirected += c;  // one vertical wrap per column
+  }
+  return 2 * undirected;
+}
+
 TileCoord Mesh::coord_of(TileId t) const {
   NOCMAP_REQUIRE(t < num_tiles(), "tile id out of range");
   const auto per_layer = static_cast<std::uint32_t>(tiles_per_layer());

@@ -113,6 +113,14 @@ class Mesh {
   /// Cost of one vertical hop in units of planar hops (1.0 on a 2D mesh).
   double tsv_hop_cost() const { return tsv_hop_cost_; }
 
+  /// Directed inter-router links: each adjacent tile pair (planar
+  /// neighbours per layer, plus one TSV per tile position between adjacent
+  /// layers) contributes one link per direction. Torus wrap links only
+  /// count where the wrapped dimension has >= 3 tiles: at width 2 the wrap
+  /// connects the same two tiles as the existing mesh link, and at width 1
+  /// it is a self-loop.
+  std::size_t num_directed_links() const;
+
   TileCoord coord_of(TileId t) const;
   TileId tile_at(TileCoord c) const;
   TileId tile_at(std::uint32_t row, std::uint32_t col) const;

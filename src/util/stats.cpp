@@ -1,6 +1,7 @@
 #include "util/stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/error.h"
@@ -128,47 +129,53 @@ double inverse_normal_cdf(double p) {
          (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0);
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  NOCMAP_REQUIRE(hi > lo, "Histogram requires hi > lo");
-  NOCMAP_REQUIRE(bins > 0, "Histogram requires at least one bin");
+namespace {
+
+// Unit-width buckets cover [0, kLinear); above, each octave [2^e, 2^(e+1))
+// holds kPerOctave buckets of width 2^(e - kSubBits).
+constexpr unsigned kLinearBits = 7;
+constexpr unsigned kSubBits = 6;
+constexpr std::uint64_t kLinear = std::uint64_t{1} << kLinearBits;
+constexpr std::uint64_t kPerOctave = std::uint64_t{1} << kSubBits;
+
+}  // namespace
+
+std::size_t Histogram::bucket_of(std::uint64_t x) {
+  if (x < kLinear) return static_cast<std::size_t>(x);
+  const auto octave = static_cast<unsigned>(std::bit_width(x)) - 1;
+  const std::uint64_t sub = (x >> (octave - kSubBits)) - kPerOctave;
+  return static_cast<std::size_t>(kLinear +
+                                  (octave - kLinearBits) * kPerOctave + sub);
 }
 
-void Histogram::add(double x) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto bin = static_cast<std::ptrdiff_t>((x - lo_) / width);
-  bin = std::clamp<std::ptrdiff_t>(
-      bin, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
+double Histogram::bucket_lo(std::size_t bucket) {
+  if (bucket < kLinear) return static_cast<double>(bucket);
+  const std::size_t above = bucket - kLinear;
+  const auto octave = static_cast<int>(above / kPerOctave + kLinearBits);
+  return std::ldexp(static_cast<double>(kPerOctave + above % kPerOctave),
+                    octave - static_cast<int>(kSubBits));
+}
+
+void Histogram::add(std::uint64_t x) {
+  const std::size_t bucket = bucket_of(x);
+  if (bucket >= counts_.size()) counts_.resize(bucket + 1, 0);
+  ++counts_[bucket];
   ++total_;
 }
 
-std::size_t Histogram::bin_count(std::size_t bin) const {
-  NOCMAP_REQUIRE(bin < counts_.size(), "histogram bin out of range");
-  return counts_[bin];
-}
-
-double Histogram::bin_lo(std::size_t bin) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(bin);
-}
-
-double Histogram::bin_hi(std::size_t bin) const { return bin_lo(bin + 1); }
-
 double Histogram::percentile(double p) const {
   NOCMAP_REQUIRE(p >= 0.0 && p <= 1.0, "percentile must be in [0,1]");
-  if (total_ == 0) return lo_;
   const double target = p * static_cast<double>(total_);
   double cum = 0.0;
   for (std::size_t b = 0; b < counts_.size(); ++b) {
     const auto c = static_cast<double>(counts_[b]);
     if (cum + c >= target) {
       const double frac = c > 0.0 ? (target - cum) / c : 0.0;
-      return bin_lo(b) + frac * (bin_hi(b) - bin_lo(b));
+      return bucket_lo(b) + frac * (bucket_hi(b) - bucket_lo(b));
     }
     cum += c;
   }
-  return hi_;
+  return 0.0;  // empty: the last bucket always holds a sample otherwise
 }
 
 }  // namespace nocmap

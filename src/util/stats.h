@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -62,26 +63,30 @@ class RunningStats {
 /// workload synthesis. Requires p in (0, 1).
 double inverse_normal_cdf(double p);
 
-/// Fixed-bin histogram over [lo, hi); samples outside are clamped into the
-/// first/last bin. Used for packet-latency distributions.
+/// Histogram of non-negative integer samples (cycles, nanoseconds) with no
+/// configured range. Buckets are unit-width below 128; above that each power
+/// of two is split into 64 equal buckets, so no bucket is wider than 1/64 of
+/// its low edge. Storage grows to the largest sample seen and nothing is
+/// ever clamped. Used for packet-latency and service decision-time tails.
 class Histogram {
  public:
-  Histogram(double lo, double hi, std::size_t bins);
+  void add(std::uint64_t x);
 
-  void add(double x);
-  std::size_t bin_count(std::size_t bin) const;
-  std::size_t bins() const { return counts_.size(); }
   std::size_t total() const { return total_; }
-  double bin_lo(std::size_t bin) const;
-  double bin_hi(std::size_t bin) const;
+  /// Per-bucket counts, index-aligned with bucket_of(); ends at the bucket
+  /// of the largest sample.
+  const std::vector<std::size_t>& counts() const { return counts_; }
+
+  /// Bucket holding sample `x`, and that bucket's [lo, hi) edges.
+  static std::size_t bucket_of(std::uint64_t x);
+  static double bucket_lo(std::size_t bucket);
+  static double bucket_hi(std::size_t bucket) { return bucket_lo(bucket + 1); }
 
   /// Value below which the given fraction (0..1) of samples fall, linearly
-  /// interpolated within the containing bin.
+  /// interpolated within the containing bucket; 0 when empty.
   double percentile(double p) const;
 
  private:
-  double lo_;
-  double hi_;
   std::vector<std::size_t> counts_;
   std::size_t total_ = 0;
 };

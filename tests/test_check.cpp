@@ -76,9 +76,26 @@ TEST(Repro, RoundTripsExactly) {
 TEST(Repro, RejectsMalformedInput) {
   EXPECT_THROW(from_repro("seed=1\n"), Error);          // missing keys
   EXPECT_THROW(from_repro("not a repro"), Error);       // no key=value
-  const std::string valid = to_repro(generate_scenario(3));
+  const ScenarioSpec spec = generate_scenario(3);
+  const std::string valid = to_repro(spec);
   EXPECT_THROW(from_repro(valid + "bogus_key=1\n"), Error);
   EXPECT_THROW(from_repro(valid + "seed=2\n"), Error);  // duplicate key
+
+  // Numbers are whole tokens in range of their field: no numeric prefix, no
+  // hex, no wrapped negative, no silent uint32 truncation.
+  const auto with = [&](const std::string& key, const std::string& value) {
+    std::string text = valid;
+    const std::size_t at = text.find("\n" + key + "=");
+    EXPECT_NE(at, std::string::npos) << key;
+    const std::size_t begin = at + key.size() + 2;
+    return text.replace(begin, text.find('\n', begin) - begin, value);
+  };
+  EXPECT_EQ(from_repro(with("mesh_side", std::to_string(spec.mesh_side))),
+            spec);
+  EXPECT_THROW(from_repro(with("mesh_side", "4junk")), Error);
+  EXPECT_THROW(from_repro(with("torus", "0x1")), Error);
+  EXPECT_THROW(from_repro(with("mesh_side", "-4")), Error);
+  EXPECT_THROW(from_repro(with("mesh_side", "4294967300")), Error);
 }
 
 TEST(Repro, SaveLoadFileRoundTrip) {

@@ -124,7 +124,7 @@ TEST(Integration, Figure11PowerOverheadSmall) {
   const SimResult rs = run_simulation(p, sss.map(p), cfg);
 
   const DsentLitePowerModel power;
-  const std::size_t links = mesh_link_count(p.mesh());
+  const std::size_t links = p.mesh().num_directed_links();
   const double pg = power
                         .report(rg.activity, rg.measured_cycles,
                                 p.mesh().num_tiles(), links)

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <vector>
 
 #include "core/sss_mapper.h"
@@ -186,6 +187,43 @@ TEST(NetsimGolden, PaperScaleSssMappingIsBitIdenticalToSeedEngine) {
     c.sim_workers = workers;
     expect_matches(run_simulation(p, m, c), g);
   }
+}
+
+// Per-application {p50, p95, p99} latency percentiles, captured from the
+// fixed 400-bin histogram the range-free one replaced. Every pinned value
+// lies below 128 cycles, where the new buckets are the old unit bins, so
+// they must still match bit for bit.
+using PercentilePins = std::vector<std::array<double, 3>>;
+
+void expect_percentiles(const SimResult& r, const PercentilePins& pins) {
+  ASSERT_EQ(r.per_app_histogram.size(), pins.size());
+  for (std::size_t a = 0; a < pins.size(); ++a) {
+    EXPECT_EQ(r.app_percentile(a, 0.50), pins[a][0]) << "app " << a;
+    EXPECT_EQ(r.app_percentile(a, 0.95), pins[a][1]) << "app " << a;
+    EXPECT_EQ(r.app_percentile(a, 0.99), pins[a][2]) << "app " << a;
+  }
+}
+
+TEST(NetsimGolden, TailPercentilesMatchFixedBinHistogram) {
+  const ObmProblem small = small_problem();
+  {
+    SCOPED_TRACE("bursty-3x");
+    expect_percentiles(
+        run_simulation(small, small.identity_mapping(),
+                       config_for("bursty-3x")),
+        {{0x1.0625aae630d41p+4, 0x1.c7d0bd0bd0bdp+4, 0x1.120c49ba5e353p+5},
+         {0x1.0b25e22708093p+4, 0x1.e5aeeeeeeeefp+4, 0x1.258fe6216a2c3p+5}});
+  }
+  SCOPED_TRACE("c1-sss-8x8");
+  const ObmProblem paper(TileLatencyModel(Mesh::square(8), LatencyParams{}),
+                         synthesize_workload(parsec_config("C1"), 20140519));
+  SortSelectSwapMapper sss;
+  expect_percentiles(
+      run_simulation(paper, sss.map(paper), config_for("c1-sss-8x8")),
+      {{0x1.8ce871146acc3p+4, 0x1.6108d3dcb08d4p+5, 0x1.923333333333p+5},
+       {0x1.8bf843101ef3cp+4, 0x1.661e4129e4129p+5, 0x1.a61e3b7d516ebp+5},
+       {0x1.8b7fa4b96766p+4, 0x1.67832e5a481aap+5, 0x1.b0570a3d70a4p+5},
+       {0x1.8d291aae833ecp+4, 0x1.68f0bad5c84eep+5, 0x1.ae4f3faa84ac8p+5}});
 }
 
 // The batch API must agree exactly with serial run_simulation calls — a

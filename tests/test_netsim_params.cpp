@@ -117,21 +117,21 @@ INSTANTIATE_TEST_SUITE_P(
 // self-loop.
 TEST(NetParams, DirectedLinkCountHandlesDegenerateTorusWidths) {
   // Plain meshes: 2 * (r*(c-1) + c*(r-1)).
-  EXPECT_EQ(num_directed_links(Mesh(4, 4, {0})), 48u);
-  EXPECT_EQ(num_directed_links(Mesh(2, 4, {0})), 20u);
-  EXPECT_EQ(num_directed_links(Mesh(1, 4, {0})), 6u);
+  EXPECT_EQ(Mesh(4, 4, {0}).num_directed_links(), 48u);
+  EXPECT_EQ(Mesh(2, 4, {0}).num_directed_links(), 20u);
+  EXPECT_EQ(Mesh(1, 4, {0}).num_directed_links(), 6u);
 
   // Full-size torus: one extra wrap per row and per column.
-  EXPECT_EQ(num_directed_links(Mesh(4, 4, {0}, Wraparound::kTorus)), 64u);
-  EXPECT_EQ(num_directed_links(Mesh(3, 3, {0}, Wraparound::kTorus)), 36u);
+  EXPECT_EQ(Mesh(4, 4, {0}, Wraparound::kTorus).num_directed_links(), 64u);
+  EXPECT_EQ(Mesh(3, 3, {0}, Wraparound::kTorus).num_directed_links(), 36u);
 
   // Degenerate widths: a 2-wide dimension's wrap duplicates an existing
   // link; a 1-wide dimension's wrap is a self-loop. Neither adds links.
-  EXPECT_EQ(num_directed_links(Mesh(2, 4, {0}, Wraparound::kTorus)), 24u);
-  EXPECT_EQ(num_directed_links(Mesh(4, 2, {0}, Wraparound::kTorus)), 24u);
-  EXPECT_EQ(num_directed_links(Mesh(2, 2, {0}, Wraparound::kTorus)), 8u);
-  EXPECT_EQ(num_directed_links(Mesh(1, 4, {0}, Wraparound::kTorus)), 8u);
-  EXPECT_EQ(num_directed_links(Mesh(1, 2, {0}, Wraparound::kTorus)), 2u);
+  EXPECT_EQ(Mesh(2, 4, {0}, Wraparound::kTorus).num_directed_links(), 24u);
+  EXPECT_EQ(Mesh(4, 2, {0}, Wraparound::kTorus).num_directed_links(), 24u);
+  EXPECT_EQ(Mesh(2, 2, {0}, Wraparound::kTorus).num_directed_links(), 8u);
+  EXPECT_EQ(Mesh(1, 4, {0}, Wraparound::kTorus).num_directed_links(), 8u);
+  EXPECT_EQ(Mesh(1, 2, {0}, Wraparound::kTorus).num_directed_links(), 2u);
 }
 
 // Deeper buffers / more VCs must not hurt latency under contention.

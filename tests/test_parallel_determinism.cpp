@@ -217,12 +217,8 @@ TEST(ParallelDeterminismNetsim, BatchAcrossWorkerCounts) {
       for (std::size_t a = 0; a < s.per_app_histogram.size(); ++a) {
         const Histogram& hs = s.per_app_histogram[a];
         const Histogram& hq = q.per_app_histogram[a];
-        ASSERT_EQ(hq.bins(), hs.bins());
         EXPECT_EQ(hq.total(), hs.total());
-        for (std::size_t b = 0; b < hs.bins(); ++b) {
-          EXPECT_EQ(hq.bin_count(b), hs.bin_count(b))
-              << "app " << a << " bin " << b;
-        }
+        EXPECT_EQ(hq.counts(), hs.counts()) << "app " << a;
       }
     }
   }
@@ -256,12 +252,8 @@ void expect_sim_results_identical(const SimResult& s, const SimResult& q) {
   for (std::size_t a = 0; a < s.per_app_histogram.size(); ++a) {
     const Histogram& hs = s.per_app_histogram[a];
     const Histogram& hq = q.per_app_histogram[a];
-    ASSERT_EQ(hq.bins(), hs.bins());
     EXPECT_EQ(hq.total(), hs.total());
-    for (std::size_t b = 0; b < hs.bins(); ++b) {
-      EXPECT_EQ(hq.bin_count(b), hs.bin_count(b))
-          << "app " << a << " bin " << b;
-    }
+    EXPECT_EQ(hq.counts(), hs.counts()) << "app " << a;
   }
 }
 

@@ -99,9 +99,9 @@ TEST(DsentLite, EmptyWindowRejected) {
 }
 
 TEST(MeshLinkCount, KnownTopologies) {
-  EXPECT_EQ(mesh_link_count(Mesh::square(8)), 224u);  // 2*(8*7)*2
-  EXPECT_EQ(mesh_link_count(Mesh::square(4)), 48u);
-  EXPECT_EQ(mesh_link_count(Mesh::square(2)), 8u);
+  EXPECT_EQ(Mesh::square(8).num_directed_links(), 224u);  // 2*(8*7)*2
+  EXPECT_EQ(Mesh::square(4).num_directed_links(), 48u);
+  EXPECT_EQ(Mesh::square(2).num_directed_links(), 8u);
 }
 
 TEST(ActivityCounters, PlusEqualsAccumulates) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -139,29 +140,107 @@ TEST(InverseNormalCdf, DomainChecked) {
   EXPECT_THROW(inverse_normal_cdf(1.0), Error);
 }
 
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);    // bin 0
-  h.add(9.99);   // bin 9
-  h.add(-5.0);   // clamped to bin 0
-  h.add(100.0);  // clamped to bin 9
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(3), 3.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(3), 4.0);
+// The fixed-bin percentile the range-free histogram replaced: 400 unit bins
+// over [0, 400), larger samples clamped into the last bin.
+double fixed_bin_percentile(const std::vector<std::uint64_t>& samples,
+                            double p) {
+  std::vector<std::size_t> counts(400, 0);
+  for (const std::uint64_t x : samples) {
+    ++counts[std::min<std::uint64_t>(x, 399)];
+  }
+  const double target = p * static_cast<double>(samples.size());
+  double cum = 0.0;
+  for (std::size_t b = 0; b < counts.size(); ++b) {
+    const auto c = static_cast<double>(counts[b]);
+    if (cum + c >= target) {
+      const double frac = c > 0.0 ? (target - cum) / c : 0.0;
+      const auto lo = static_cast<double>(b);
+      return lo + frac * (static_cast<double>(b + 1) - lo);
+    }
+    cum += c;
+  }
+  return 400.0;
 }
 
 TEST(Histogram, PercentileUniform) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
+  Histogram h;
+  for (std::uint64_t i = 0; i < 100; ++i) h.add(i);
   EXPECT_NEAR(h.percentile(0.5), 50.0, 1.5);
   EXPECT_NEAR(h.percentile(0.9), 90.0, 1.5);
 }
 
-TEST(Histogram, InvalidConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 10), Error);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), Error);
+TEST(Histogram, BelowUnitRangeMatchesFixedBins) {
+  // Below 128 every bucket is one of the old unit bins, so a percentile that
+  // lands there is the same double, bit for bit, whatever the tail holds.
+  Rng rng(11);
+  std::vector<std::uint64_t> samples;
+  for (int i = 0; i < 4950; ++i) samples.push_back(rng.uniform_u32(128));
+  for (int i = 0; i < 50; ++i) {
+    samples.push_back(400 + rng.uniform_u32(1u << 20));
+  }
+  Histogram h;
+  for (const std::uint64_t x : samples) h.add(x);
+  for (const double p : {0.0, 0.01, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99}) {
+    EXPECT_EQ(h.percentile(p), fixed_bin_percentile(samples, p)) << p;
+  }
+  EXPECT_GT(h.percentile(1.0), 400.0);  // the fixed bins stopped at 400
+}
+
+TEST(Histogram, BucketEdgesAreContiguous) {
+  for (std::size_t b = 0; b < 1000; ++b) {
+    const double lo = Histogram::bucket_lo(b);
+    const double hi = Histogram::bucket_hi(b);
+    ASSERT_LT(lo, hi) << b;
+    EXPECT_EQ(Histogram::bucket_of(static_cast<std::uint64_t>(lo)), b);
+    EXPECT_EQ(Histogram::bucket_of(static_cast<std::uint64_t>(hi) - 1), b);
+  }
+  EXPECT_EQ(Histogram::bucket_of(127), 127u);
+  EXPECT_EQ(Histogram::bucket_lo(128), 128.0);
+}
+
+TEST(Histogram, LargeSampleIsBucketedNotClamped) {
+  Histogram h;
+  h.add(20000);
+  const std::size_t b = Histogram::bucket_of(20000);
+  const double lo = Histogram::bucket_lo(b);
+  const double hi = Histogram::bucket_hi(b);
+  EXPECT_LE(lo, 20000.0);
+  EXPECT_GT(hi, 20000.0);
+  EXPECT_LE(hi - lo, lo / 64.0);
+  ASSERT_EQ(h.counts().size(), b + 1);
+  EXPECT_EQ(h.counts()[b], 1u);
+  EXPECT_GE(h.percentile(1.0), lo);
+  EXPECT_LE(h.percentile(1.0), hi);
+}
+
+TEST(Histogram, P99WithinOneBucketOfNearestRank) {
+  Rng rng(5);
+  std::vector<std::uint64_t> samples;
+  Histogram h;
+  for (int i = 0; i < 10000; ++i) {
+    const auto x = static_cast<std::uint64_t>(rng.lognormal(6.0, 1.5));
+    samples.push_back(x);
+    h.add(x);
+  }
+  std::sort(samples.begin(), samples.end());
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(0.99 * static_cast<double>(samples.size())));
+  const std::uint64_t nearest_rank = samples[rank - 1];
+  ASSERT_GT(nearest_rank, 128u);  // the log-linear range is what is tested
+  const std::size_t b = Histogram::bucket_of(nearest_rank);
+  const double p99 = h.percentile(0.99);
+  EXPECT_GE(p99, Histogram::bucket_lo(b));
+  EXPECT_LE(p99, Histogram::bucket_hi(b));
+}
+
+TEST(Histogram, EmptyReturnsZero) {
+  const Histogram h;
+  EXPECT_EQ(h.total(), 0u);
+  EXPECT_TRUE(h.counts().empty());
+  EXPECT_EQ(h.percentile(0.0), 0.0);
+  EXPECT_EQ(h.percentile(0.99), 0.0);
+  EXPECT_EQ(h.percentile(1.0), 0.0);
+  EXPECT_THROW(h.percentile(1.5), Error);
 }
 
 }  // namespace

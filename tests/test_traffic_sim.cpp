@@ -284,6 +284,22 @@ TEST(Sim, BurstinessFattensTheTail) {
   EXPECT_GT(bursty.app_percentile(1, 0.99), steady.app_percentile(1, 0.99));
 }
 
+TEST(Sim, SaturatedTailsAreNotClamped) {
+  // Far past saturation both applications average well over 400 cycles.
+  // A histogram clamped at 400 put their p99 below that mean; unclamped, the
+  // p99 of these right-skewed queueing delays is at least the mean.
+  const ObmProblem p = small_problem();
+  SimConfig c;
+  c.warmup_cycles = 500;
+  c.measure_cycles = 3000;
+  c.traffic.injection_scale = 32.0;
+  const SimResult r = run_simulation(p, p.identity_mapping(), c);
+  for (std::size_t app = 0; app < 2; ++app) {
+    ASSERT_GT(r.apl[app], 400.0) << "app " << app;
+    EXPECT_GE(r.app_percentile(app, 0.99), r.apl[app]) << "app " << app;
+  }
+}
+
 TEST(TrafficEngine, BurstParamsValidated) {
   const ObmProblem p = small_problem();
   TrafficConfig cfg;

@@ -20,6 +20,7 @@
 #include "check/fuzzer.h"
 #include "core/cost_cache.h"
 #include "util/error.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -138,11 +139,11 @@ int main(int argc, char** argv) {
       if (arg == "--iterations") {
         const char* v = next();
         if (v == nullptr) return usage(argv[0]);
-        options.iterations = std::stoull(v);
+        options.iterations = parse_number<std::size_t>(v, arg);
       } else if (arg == "--seed") {
         const char* v = next();
         if (v == nullptr) return usage(argv[0]);
-        options.seed = std::stoull(v);
+        options.seed = parse_number<std::uint64_t>(v, arg);
       } else if (arg == "--oracle") {
         const char* v = next();
         if (v == nullptr) return usage(argv[0]);
@@ -162,8 +163,8 @@ int main(int argc, char** argv) {
         const char* seed = next();
         const char* file = next();
         if (seed == nullptr || file == nullptr) return usage(argv[0]);
-        const check::ScenarioSpec spec =
-            check::generate_scenario(std::stoull(seed));
+        const check::ScenarioSpec spec = check::generate_scenario(
+            parse_number<std::uint64_t>(seed, arg));
         check::save_repro(file, spec);
         std::cout << check::to_repro(spec);
         return 0;

@@ -13,12 +13,15 @@
 // Exit codes: 0 success, 2 bad usage.
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 
 #include "latency/model.h"
+#include "obs/json.h"
 #include "service/replay.h"
 #include "topology/mesh.h"
 #include "util/error.h"
+#include "util/parse.h"
 #include "util/table.h"
 
 namespace {
@@ -68,29 +71,31 @@ int main(int argc, char** argv) {
         return argv[++i];
       };
       if (arg == "--events") {
-        trace_config.num_events = std::stoul(value());
+        trace_config.num_events = parse_number<std::size_t>(value(), arg);
       } else if (arg == "--seed") {
-        trace_config.seed = std::stoull(value());
+        trace_config.seed = parse_number<std::uint64_t>(value(), arg);
       } else if (arg == "--mesh") {
-        mesh_side = static_cast<std::uint32_t>(std::stoul(value()));
+        mesh_side = parse_number<std::uint32_t>(value(), arg);
       } else if (arg == "--budget") {
-        service_config.migration_budget = std::stoul(value());
+        service_config.migration_budget =
+            parse_number<std::size_t>(value(), arg);
       } else if (arg == "--threshold") {
-        service_config.degradation_threshold = std::stod(value());
+        service_config.degradation_threshold =
+            parse_number<double>(value(), arg);
       } else if (arg == "--workers") {
-        workers = std::stoul(value());
+        workers = parse_number<std::size_t>(value(), arg);
         service_config.sss.parallel = {workers};
       } else if (arg == "--config") {
         trace_config.config = value();
       } else if (arg == "--max-app") {
         trace_config.max_threads_per_app =
-            static_cast<std::uint32_t>(std::stoul(value()));
+            parse_number<std::uint32_t>(value(), arg);
       } else if (arg == "--sample") {
-        sample_period = std::stoul(value());
+        sample_period = parse_number<std::size_t>(value(), arg);
       } else if (arg == "--simulate") {
         simulate = true;
       } else if (arg == "--sim-workers") {
-        sim_workers = std::stoul(value());
+        sim_workers = parse_number<std::size_t>(value(), arg);
       } else if (arg == "--json") {
         json_path = value();
       } else if (arg == "--help" || arg == "-h") {
@@ -109,7 +114,6 @@ int main(int argc, char** argv) {
     service::MappingService engine(TileLatencyModel(mesh, LatencyParams{}),
                                    service_config);
     service::ReplayOptions replay_options;
-    replay_options.collect_latencies = true;
     replay_options.objective_sample_period = sample_period;
     const service::ReplayStats stats =
         service::replay_trace(engine, events, replay_options);
@@ -120,8 +124,8 @@ int main(int argc, char** argv) {
             : 0.0;
     const double mean_us =
         stats.wall_ms * 1000.0 / static_cast<double>(stats.events);
-    const double p50 = service::percentile_us(stats.decision_us, 50.0);
-    const double p99 = service::percentile_us(stats.decision_us, 99.0);
+    const double p50 = stats.decision_ns.percentile(0.50) / 1000.0;
+    const double p99 = stats.decision_ns.percentile(0.99) / 1000.0;
 
     std::cout << "nocmap_service_replay — " << stats.events
               << " events on a " << mesh_side << "x" << mesh_side
@@ -174,30 +178,29 @@ int main(int argc, char** argv) {
     }
 
     if (!json_path.empty()) {
-      std::ofstream os(json_path);
-      if (!os) throw Error("cannot write " + json_path);
-      os << "{\n"
-         << "  \"events\": " << stats.events << ",\n"
-         << "  \"decisions_per_sec\": " << decisions_per_sec << ",\n"
-         << "  \"mean_decision_us\": " << mean_us << ",\n"
-         << "  \"p99_decision_us\": " << p99 << ",\n"
-         << "  \"accepted\": " << stats.accepted << ",\n"
-         << "  \"rejected\": " << stats.rejected << ",\n"
-         << "  \"fallbacks\": " << stats.fallbacks << ",\n"
-         << "  \"degraded\": " << stats.degraded << ",\n"
-         << "  \"moved_threads\": " << stats.moved_threads << ",\n"
-         << "  \"mean_objective_ratio\": " << stats.mean_objective_ratio
-         << ",\n";
+      std::ostringstream digest;
+      digest << std::hex << stats.digest;
+      obs::JsonValue doc = obs::JsonValue::object();
+      doc["events"] = std::uint64_t{stats.events};
+      doc["decisions_per_sec"] = decisions_per_sec;
+      doc["mean_decision_us"] = mean_us;
+      doc["p99_decision_us"] = p99;
+      doc["accepted"] = std::uint64_t{stats.accepted};
+      doc["rejected"] = std::uint64_t{stats.rejected};
+      doc["fallbacks"] = std::uint64_t{stats.fallbacks};
+      doc["degraded"] = std::uint64_t{stats.degraded};
+      doc["moved_threads"] = stats.moved_threads;
+      doc["mean_objective_ratio"] = stats.mean_objective_ratio;
       if (simulate) {
-        os << "  \"sim_g_apl\": " << sim.g_apl << ",\n"
-           << "  \"sim_max_apl\": " << sim.max_apl << ",\n"
-           << "  \"sim_packets_measured\": " << sim.packets_measured
-           << ",\n"
-           << "  \"sim_workers\": " << sim_workers << ",\n";
+        doc["sim_g_apl"] = sim.g_apl;
+        doc["sim_max_apl"] = sim.max_apl;
+        doc["sim_packets_measured"] = sim.packets_measured;
+        doc["sim_workers"] = std::uint64_t{sim_workers};
       }
-      os << "  \"digest\": \"" << std::hex << stats.digest << std::dec
-         << "\"\n"
-         << "}\n";
+      doc["digest"] = digest.str();
+      std::ofstream os(json_path);
+      os << doc.dump(2) << "\n";
+      if (!os) throw Error("cannot write " + json_path);
       std::cout << "[json: " << json_path << "]\n";
     }
   } catch (const std::exception& e) {

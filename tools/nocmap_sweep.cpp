@@ -24,6 +24,7 @@
 #include "sweep/runner.h"
 #include "sweep/spec.h"
 #include "util/error.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -65,6 +66,11 @@ const char* require_value(int argc, char** argv, int& i, const char* flag) {
   return argv[++i];
 }
 
+template <typename T>
+T require_number(int argc, char** argv, int& i, const char* flag) {
+  return parse_number<T>(require_value(argc, argv, i, flag), flag);
+}
+
 int cmd_expand(int argc, char** argv) {
   std::string spec_path;
   std::size_t list = 0;
@@ -72,7 +78,7 @@ int cmd_expand(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--list") {
-      list = std::stoull(require_value(argc, argv, i, "--list"));
+      list = require_number<std::size_t>(argc, argv, i, "--list");
     } else if (arg == "--digest") {
       digest_only = true;
     } else if (spec_path.empty() && !arg.empty() && arg[0] != '-') {
@@ -117,16 +123,16 @@ int cmd_run(int argc, char** argv) {
       options.out_dir = require_value(argc, argv, i, "--out");
     } else if (arg == "--threads") {
       options.parallel.num_threads =
-          std::stoull(require_value(argc, argv, i, "--threads"));
+          require_number<std::size_t>(argc, argv, i, "--threads");
     } else if (arg == "--sim-workers") {
       options.sim_workers =
-          std::stoull(require_value(argc, argv, i, "--sim-workers"));
+          require_number<std::size_t>(argc, argv, i, "--sim-workers");
     } else if (arg == "--chunk") {
       options.chunk_size =
-          std::stoull(require_value(argc, argv, i, "--chunk"));
+          require_number<std::size_t>(argc, argv, i, "--chunk");
     } else if (arg == "--max-scenarios") {
       options.max_scenarios =
-          std::stoull(require_value(argc, argv, i, "--max-scenarios"));
+          require_number<std::size_t>(argc, argv, i, "--max-scenarios");
     } else if (arg == "--quiet") {
       options.verbose = false;
     } else if (spec_path.empty() && !arg.empty() && arg[0] != '-') {
@@ -208,8 +214,8 @@ int cmd_bench(int argc, char** argv) {
     if (arg == "--out") {
       out_dir = require_value(argc, argv, i, "--out");
     } else if (arg == "--scenarios") {
-      scenarios = static_cast<std::uint32_t>(
-          std::stoul(require_value(argc, argv, i, "--scenarios")));
+      scenarios =
+          require_number<std::uint32_t>(argc, argv, i, "--scenarios");
     } else {
       return usage(argv[0]);
     }
