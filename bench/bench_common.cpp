@@ -70,26 +70,11 @@ std::vector<std::unique_ptr<Mapper>> paper_mappers(ParallelConfig parallel) {
   mappers.push_back(std::make_unique<MonteCarloMapper>(kMcTrials,
                                                        kAlgorithmSeed,
                                                        parallel));
-  AnnealingParams sa{.iterations = kSaIterations, .seed = kAlgorithmSeed};
-  sa.parallel = parallel;
-  mappers.push_back(std::make_unique<AnnealingMapper>(sa));
+  mappers.push_back(std::make_unique<AnnealingMapper>(
+      AnnealingParams{.iterations = kSaIterations, .seed = kAlgorithmSeed}));
   mappers.push_back(std::make_unique<SortSelectSwapMapper>(
       SssOptions{.parallel = parallel}));
   return mappers;
-}
-
-ParallelConfig bench_parallel_config() {
-  ParallelConfig config;  // hardware threads
-  if (const char* env = std::getenv("NOCMAP_THREADS")) {
-    config.num_threads =
-        static_cast<std::size_t>(std::strtoul(env, nullptr, 10));
-  }
-  return config;
-}
-
-std::vector<SimResult> simulate_batch(
-    const std::vector<BatchScenario>& scenarios) {
-  return run_simulation_batch(scenarios, bench_parallel_config());
 }
 
 void print_header(const std::string& title, const std::string& paper_ref) {
@@ -113,7 +98,7 @@ void print_header(const std::string& title, const std::string& paper_ref) {
   report.set("workload_seed", kWorkloadSeed);
   report.set("threads",
              static_cast<std::uint64_t>(
-                 bench_parallel_config().resolved_threads()));
+                 ParallelConfig::from_env().resolved_threads()));
   g_run_start = std::chrono::steady_clock::now();
   obs::init_tracing_from_env();
   std::atexit(flush_global_report);

@@ -39,23 +39,11 @@ ObmProblem standard_problem(const ConfigSpec& spec);
 ObmProblem standard_problem(const std::string& config_name);
 
 /// Freshly constructed mappers with the bench seeds, in paper order
-/// {Global, MC, SA, SSS}. The execution policy is deterministic, so any
-/// `parallel` value produces the same tables as the serial default — only
-/// the wall-clock changes.
+/// {Global, MC, SA, SSS}. `parallel` drives the MC and SSS fan-outs (SA
+/// runs one chain); both are deterministic, so any value produces the same
+/// tables as the serial default — only the wall-clock changes.
 std::vector<std::unique_ptr<Mapper>> paper_mappers(
     ParallelConfig parallel = ParallelConfig::serial_config());
-
-/// The execution policy for bench binaries: deterministic, with the worker
-/// count taken from the NOCMAP_THREADS environment variable (unset or 0
-/// means all hardware threads).
-ParallelConfig bench_parallel_config();
-
-/// Runs a scenario batch through run_simulation_batch under the bench
-/// execution policy. Results are slot-ordered and bit-identical at any
-/// NOCMAP_THREADS setting; every bench that needs more than one simulation
-/// goes through this so independent scenarios shard across workers.
-std::vector<SimResult> simulate_batch(
-    const std::vector<BatchScenario>& scenarios);
 
 /// Records one serial-vs-parallel wall-clock pair as the bench RunReport
 /// fields `<key>.serial_ms`, `<key>.parallel_ms` and `<key>.speedup`, and

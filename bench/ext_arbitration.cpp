@@ -36,7 +36,7 @@ int main() {
       {"SSS", &ms, Arbitration::kDistanceWeighted},
   };
 
-  ParallelTrialRunner runner(bench::bench_parallel_config());
+  ParallelTrialRunner runner(ParallelConfig::from_env());
   for (double scale : {1.0, 4.0}) {
     std::vector<SimResult> results(cells.size());
     runner.for_each(cells.size(), [&](std::size_t i) {

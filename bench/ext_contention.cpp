@@ -25,22 +25,20 @@ int main() {
   std::cout << "\n1. Predicted vs measured per-hop queuing td_q (SSS "
                "mapping of C1):\n";
   const std::vector<double> scales = {0.5, 1.0, 2.0, 4.0};
-  std::vector<BatchScenario> batch;
-  for (double scale : scales) {
-    SimConfig scfg;
-    scfg.warmup_cycles = 2000;
-    scfg.measure_cycles = 20000;
-    scfg.traffic.injection_scale = scale;
-    batch.push_back({&problem, &ms, scfg});
-  }
-  const std::vector<SimResult> sims = bench::simulate_batch(batch);
+  std::vector<SimResult> sims(scales.size());
+  ParallelTrialRunner(ParallelConfig::from_env())
+      .for_each(scales.size(), [&](std::size_t i) {
+        SimConfig scfg;
+        scfg.warmup_cycles = 2000;
+        scfg.measure_cycles = 20000;
+        scfg.traffic.injection_scale = scales[i];
+        sims[i] = run_simulation(problem, ms, scfg);
+      });
 
   TextTable tdq({"scale", "predicted td_q", "measured td_q",
                  "max link util"});
   for (std::size_t i = 0; i < scales.size(); ++i) {
-    ContentionConfig ccfg;
-    ccfg.injection_scale = scales[i];
-    const ContentionModel model(problem, ms, ccfg);
+    const ContentionModel model(problem, ms, scales[i]);
     tdq.add_row({fmt(scales[i], 1), fmt(model.predicted_td_q(), 3),
                  fmt(sims[i].activity.avg_queue_wait(), 3),
                  fmt(model.max_utilization(), 3)});

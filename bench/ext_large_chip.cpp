@@ -27,8 +27,8 @@ int main() {
   using namespace nocmap;
   bench::print_header("ext_large_chip — Figure 9 on a 16x16 / 256-core CMP",
                       "scale extension of the paper's 8x8 evaluation");
-  const ParallelConfig parallel = bench::bench_parallel_config();
-  std::cout << "Parallel MC/SA/SSS: " << parallel.resolved_threads()
+  const ParallelConfig parallel = ParallelConfig::from_env();
+  std::cout << "Parallel MC/SSS: " << parallel.resolved_threads()
             << " worker(s)\n";
 
   TextTable t({"cfg", "Global max-APL", "MC max-APL", "SA max-APL",
@@ -50,10 +50,8 @@ int main() {
     GlobalMapper global;
     MonteCarloMapper mc(2000, bench::kAlgorithmSeed,  // scaled-down trials
                         parallel);
-    AnnealingParams sa_params{.iterations = 100000,
-                              .seed = bench::kAlgorithmSeed};
-    sa_params.parallel = parallel;
-    AnnealingMapper sa(sa_params);
+    AnnealingMapper sa(AnnealingParams{.iterations = 100000,
+                                       .seed = bench::kAlgorithmSeed});
     SortSelectSwapMapper sss(
         SssOptions{.parallel = ParallelConfig::serial_config()});
     SortSelectSwapMapper sss_par(SssOptions{.parallel = parallel});

@@ -3,8 +3,8 @@
 // relative to saturation, plus a routing-algorithm comparison (XY — the
 // paper's choice — vs YX vs O1TURN) under rising load.
 //
-// All scenarios are independent, so the whole bench is one simulation batch
-// (run_simulation_batch): tables are printed from the slot-ordered results
+// All scenarios are independent, so the whole bench is one fan-out of
+// run_simulation calls: tables are printed from the slot-ordered results
 // afterwards, and NOCMAP_THREADS only changes the wall-clock.
 #include <iostream>
 
@@ -26,10 +26,8 @@ int main() {
       RoutingAlgo::kXY, RoutingAlgo::kYX, RoutingAlgo::kO1Turn};
   const std::vector<double> burst_scales = {1.0, 3.0};
 
-  std::vector<BatchScenario> batch;
-  auto add = [&](const SimConfig& cfg) {
-    batch.push_back({&problem, &mapping, cfg});
-  };
+  std::vector<SimConfig> configs;
+  auto add = [&](const SimConfig& cfg) { configs.push_back(cfg); };
   // Section 1: injection-scale sweep.
   for (double scale : sweep_scales) {
     SimConfig cfg;
@@ -62,7 +60,11 @@ int main() {
     add(cfg);
   }
 
-  const std::vector<SimResult> results = bench::simulate_batch(batch);
+  std::vector<SimResult> results(configs.size());
+  ParallelTrialRunner(ParallelConfig::from_env())
+      .for_each(configs.size(), [&](std::size_t i) {
+        results[i] = run_simulation(problem, mapping, configs[i]);
+      });
   std::size_t slot = 0;
 
   std::cout << "\n1. Injection-scale sweep (XY routing, SSS mapping of C1; "

@@ -56,7 +56,7 @@ int main() {
   bench::print_header("ext_scaling — quality & runtime vs chip size",
                       "extension of paper Section IV.B complexity analysis");
 
-  const ParallelConfig parallel = bench::bench_parallel_config();
+  const ParallelConfig parallel = ParallelConfig::from_env();
   std::cout << "Parallel SSS: " << parallel.resolved_threads()
             << " worker(s); times are the median of " << kCalls
             << " calls\n";

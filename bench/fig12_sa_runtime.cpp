@@ -64,7 +64,7 @@ int main() {
     // Per-configuration chains are independent pure units; shard them
     // across the deterministic runner (same results at any worker count).
     std::vector<double> results(configs.size(), 0.0);
-    ParallelTrialRunner runner(bench::bench_parallel_config());
+    ParallelTrialRunner runner(ParallelConfig::from_env());
     runner.for_each(configs.size(), [&](std::size_t c) {
       const ObmProblem problem = bench::standard_problem(configs[c]);
       AnnealingMapper sa(AnnealingParams{

@@ -14,10 +14,11 @@
 //                        allocation.
 //  * mesh8_o1turn_vc4  — O1TURN with 4 VCs: widest per-port VC scan and
 //                        split VC ranges.
-//  * batch8_mixed      — run_simulation_batch over 8 mixed-load scenarios:
-//                        the batch API the figure benches shard across
-//                        workers (timed at 1 worker so the number tracks
-//                        engine throughput, not core count).
+//  * batch8_mixed      — 8 mixed-load scenarios through a 1-worker
+//                        ParallelTrialRunner::for_each: the scenario fan-out
+//                        the figure benches shard across workers (timed at
+//                        1 worker so the number tracks engine throughput,
+//                        not core count).
 //  * mesh64_parallel_w{1,2,4,8} — one 64x64 mesh (4096 tiles) stepped with
 //                        1/2/4/8 spatial-partition workers (DESIGN.md §16):
 //                        the within-simulation scaling sweep. The w1/w8
@@ -133,18 +134,18 @@ int main(int argc, char** argv) {
            }));
   }
   {
-    std::vector<BatchScenario> batch;
-    for (std::size_t i = 0; i < 8; ++i) {
-      SimConfig cfg;
-      cfg.warmup_cycles = 500;
-      cfg.measure_cycles = 2000;
-      cfg.traffic.injection_scale = 1.0 + static_cast<double>(i);
-      batch.push_back({&small, &small_map, cfg});
+    std::vector<SimConfig> configs(8);
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      configs[i].warmup_cycles = 500;
+      configs[i].measure_cycles = 2000;
+      configs[i].traffic.injection_scale = 1.0 + static_cast<double>(i);
     }
+    ParallelTrialRunner runner(ParallelConfig::serial_config());
     record("batch8_mixed", ms_per_run([&] {
-             const auto out =
-                 run_simulation_batch(batch,
-                                      ParallelConfig::serial_config());
+             std::vector<SimResult> out(configs.size());
+             runner.for_each(configs.size(), [&](std::size_t i) {
+               out[i] = run_simulation(small, small_map, configs[i]);
+             });
              for (const SimResult& r : out) g_sink += r.g_apl;
            }));
   }

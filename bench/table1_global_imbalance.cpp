@@ -22,7 +22,7 @@ int main() {
   double sum_g_rand = 0, sum_g_glob = 0, sum_max_rand = 0, sum_max_glob = 0,
          sum_dev_rand = 0, sum_dev_glob = 0;
   const std::vector<std::string> configs{"C1", "C2", "C3", "C4"};
-  ParallelTrialRunner runner(bench::bench_parallel_config());
+  ParallelTrialRunner runner(ParallelConfig::from_env());
 
   for (const auto& name : configs) {
     const ObmProblem problem = bench::standard_problem(name);

@@ -57,8 +57,7 @@ int main() {
   SimConfig sim_cfg;
   sim_cfg.warmup_cycles = 3000;
   sim_cfg.measure_cycles = 80000;
-  const SimResult measured =
-      bench::simulate_batch({{&problem, &mapping, sim_cfg}}).front();
+  const SimResult measured = run_simulation(problem, mapping, sim_cfg);
 
   TextTable apl_table({"application", "analytic APL", "measured APL",
                        "measured - analytic"});

@@ -82,11 +82,11 @@ void ContentionModel::add_multicast_tree(TileId from,
 
 ContentionModel::ContentionModel(const ObmProblem& problem,
                                  const Mapping& mapping,
-                                 const ContentionConfig& config)
+                                 double injection_scale)
     : mesh_(&problem.mesh()) {
   NOCMAP_REQUIRE(mapping.is_valid_permutation(problem.num_threads()),
                  "contention model needs a valid mapping");
-  NOCMAP_REQUIRE(config.injection_scale > 0.0,
+  NOCMAP_REQUIRE(injection_scale > 0.0,
                  "injection scale must be positive");
   load_.assign(problem.num_tiles() * kLinkSlots, 0.0);
 
@@ -99,48 +99,37 @@ ContentionModel::ContentionModel(const ObmProblem& problem,
     const ThreadProfile& t = wl.thread(j);
     const TileId s = mapping.tile_of(j);
     // Rates are requests per kilocycle.
-    const double cache_rate =
-        t.cache_rate / 1000.0 * config.injection_scale;
-    const double memory_rate =
-        t.memory_rate / 1000.0 * config.injection_scale;
+    const double cache_rate = t.cache_rate / 1000.0 * injection_scale;
+    const double memory_rate = t.memory_rate / 1000.0 * injection_scale;
 
     if (cache_rate > 0.0) {
       const double per_bank = cache_rate / n;
       for (TileId bank = 0; bank < problem.num_tiles(); ++bank) {
-        add_flow(s, bank, per_bank * config.request_flits);
-        if (config.include_replies) {
-          add_flow(bank, s, per_bank * config.reply_flits);
-        }
+        add_flow(s, bank, per_bank * kShortPacketFlits);
+        add_flow(bank, s, per_bank * kLongPacketFlits);
       }
     }
     if (memory_rate > 0.0) {
       switch (mode) {
         case MemoryTrafficMode::kProximity: {
           const TileId mc = mesh_->nearest_mc(s);
-          add_flow(s, mc, memory_rate * config.request_flits);
-          if (config.include_replies) {
-            add_flow(mc, s, memory_rate * config.reply_flits);
-          }
+          add_flow(s, mc, memory_rate * kShortPacketFlits);
+          add_flow(mc, s, memory_rate * kLongPacketFlits);
           break;
         }
         case MemoryTrafficMode::kInterleaved: {
           const double per_mc =
               memory_rate / static_cast<double>(mcs.size());
           for (TileId mc : mcs) {
-            add_flow(s, mc, per_mc * config.request_flits);
-            if (config.include_replies) {
-              add_flow(mc, s, per_mc * config.reply_flits);
-            }
+            add_flow(s, mc, per_mc * kShortPacketFlits);
+            add_flow(mc, s, per_mc * kLongPacketFlits);
           }
           break;
         }
         case MemoryTrafficMode::kMulticast: {
-          add_multicast_tree(s, mcs, memory_rate * config.request_flits);
+          add_multicast_tree(s, mcs, memory_rate * kShortPacketFlits);
           // One data reply, from the designated responder (nearest MC).
-          if (config.include_replies) {
-            add_flow(mesh_->nearest_mc(s), s,
-                     memory_rate * config.reply_flits);
-          }
+          add_flow(mesh_->nearest_mc(s), s, memory_rate * kLongPacketFlits);
           break;
         }
       }

@@ -25,17 +25,12 @@
 
 namespace nocmap {
 
-struct ContentionConfig {
-  double injection_scale = 1.0;  ///< multiplier on workload rates
-  double request_flits = 1.0;    ///< short packet
-  double reply_flits = 5.0;      ///< long data packet
-  bool include_replies = true;   ///< model the reply direction too
-};
-
 class ContentionModel {
  public:
+  /// Requests are kShortPacketFlits and replies kLongPacketFlits long
+  /// (latency/model.h); `injection_scale` multiplies the workload rates.
   ContentionModel(const ObmProblem& problem, const Mapping& mapping,
-                  const ContentionConfig& config = {});
+                  double injection_scale = 1.0);
 
   /// Flits/cycle on the directed link from `from` to its neighbour `to`
   /// (must be mesh-adjacent).

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
 
 #include "util/error.h"
+#include "util/parse.h"
 
 namespace nocmap {
 
@@ -14,6 +16,19 @@ std::size_t ParallelConfig::resolved_threads() const {
   if (num_threads != 0) return num_threads;
   const std::size_t hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
+}
+
+ParallelConfig ParallelConfig::from_env() {
+  return {parse_thread_count(std::getenv("NOCMAP_THREADS"))};
+}
+
+std::size_t parse_thread_count(const char* text) {
+  if (text == nullptr) return 0;
+  try {
+    return parse_number<std::size_t>(text, "NOCMAP_THREADS");
+  } catch (const Error&) {
+    return 0;
+  }
 }
 
 ParallelTrialRunner::ParallelTrialRunner(const ParallelConfig& config)

@@ -16,8 +16,8 @@
 //      deterministic tie-breaking (lowest index wins).
 //
 // ParallelConfig is the knob threaded through every mapper's options and the
-// bench layer; ParallelTrialRunner is the execution engine the mappers,
-// run_simulation_batch and the sweep runner share. It runs on the same
+// bench layer; ParallelTrialRunner is the execution engine the mappers, the
+// benches' scenario fan-outs and the sweep runner share. It runs on the same
 // CycleWorkerTeam (util/cycle_barrier.h) that steps the partitioned netsim.
 #pragma once
 
@@ -44,7 +44,15 @@ struct ParallelConfig {
   bool serial() const { return resolved_threads() == 1; }
 
   static ParallelConfig serial_config() { return {1}; }
+  /// The worker count named by the NOCMAP_THREADS environment variable
+  /// (parse_thread_count): the policy every bench and tool fan-out honours.
+  static ParallelConfig from_env();
 };
+
+/// Parses a NOCMAP_THREADS value. A whole non-negative number is the worker
+/// count; null, empty, negative or non-numeric text yields 0 (all hardware
+/// threads), never a wrapped or partly parsed count.
+std::size_t parse_thread_count(const char* text);
 
 /// Runs batches of independent work units for a mapper, inline when the
 /// config resolves to one thread and on an owned CycleWorkerTeam otherwise:

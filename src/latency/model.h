@@ -28,6 +28,7 @@
 // which reduces to the plain Manhattan distance on a 2D mesh.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -62,13 +63,18 @@ struct LatencyParams {
   double per_hop() const { return td_r + td_w + td_q; }
 };
 
-/// Serialization parameters for deriving an average td_s from a packet mix.
-/// With 128-bit links, a 16-bit short packet is 1 flit and a 64-byte-payload
-/// long packet is 5 flits (paper Section V.A); serialization in cycles
-/// equals the flit count.
+/// The packet format (paper Section V.A): with 128-bit links a 16-bit short
+/// packet (requests, coherence forwards) is 1 flit and a 64-byte-payload
+/// long packet (data replies) is 5 flits. The simulator's traffic engine and
+/// the contention model both read these.
+inline constexpr std::uint32_t kShortPacketFlits = 1;
+inline constexpr std::uint32_t kLongPacketFlits = 5;
+
+/// Serialization parameters for deriving an average td_s from a packet mix;
+/// serialization in cycles equals the flit count.
 struct PacketMix {
-  double short_flits = 1.0;
-  double long_flits = 5.0;
+  double short_flits = kShortPacketFlits;
+  double long_flits = kLongPacketFlits;
   /// Fraction of packets that are short (requests vs. data replies).
   double short_fraction = 0.8;
 

@@ -119,7 +119,7 @@ void Network::inject_packet(const PacketInfo& info) {
 
   // The packet table lives with the domain that will eject it.
   Domain& sink_domain = domains_[domain_of(info.dst)];
-  NOCMAP_REQUIRE(sink_domain.expected.emplace(info.id, info).second,
+  NOCMAP_REQUIRE(sink_domain.expected.emplace(info.id, InFlight{info}).second,
                  "duplicate packet id");
   ++packets_injected_;
 
@@ -270,21 +270,20 @@ void Network::tick_routers(Domain& d) {
 }
 
 void Network::process_sink(Domain& d, const PendingSink& sink) {
-  Ni& ni = nis_[sink.tile];
   ++d.flits_ejected;
   // The NI consumes the flit immediately; recredit the router's local
   // output VC so ejection never stalls.
   d.engine.receive_credit(sink.tile - d.first, PortDir::kLocal, sink.out_vc);
-  const std::uint32_t seen = ++ni.sink_flits[sink.flit.packet];
+  const auto it = d.expected.find(sink.flit.packet);
+  NOCMAP_REQUIRE(it != d.expected.end(), "flit for unknown packet");
+  InFlight& packet = it->second;
+  ++packet.flits_received;
   if (!sink.flit.is_tail) return;
 
-  auto it = d.expected.find(sink.flit.packet);
-  NOCMAP_REQUIRE(it != d.expected.end(), "tail for unknown packet");
-  NOCMAP_REQUIRE(seen == it->second.flits,
+  NOCMAP_REQUIRE(packet.flits_received == packet.info.flits,
                  "tail ejected before all body flits");
-  NOCMAP_REQUIRE(it->second.dst == sink.tile, "packet ejected at wrong tile");
-  d.fresh_ejections.push_back({it->second, now_});
-  ni.sink_flits.erase(sink.flit.packet);
+  NOCMAP_REQUIRE(packet.info.dst == sink.tile, "packet ejected at wrong tile");
+  d.fresh_ejections.push_back({packet.info, now_});
   d.expected.erase(it);
   ++d.packets_completed;
 }

@@ -76,7 +76,6 @@ class Network {
           std::size_t sim_workers = 1);
 
   const Mesh& mesh() const { return *mesh_; }
-  const NetworkConfig& config() const { return config_; }
   Cycle now() const { return now_; }
 
   /// Row-band domains the mesh is partitioned into (1 = serial).
@@ -135,8 +134,13 @@ class Network {
     std::vector<std::uint32_t> credits;
     bool vc_held = false;
     std::uint32_t held_vc = 0;
-    // Sink-side reassembly: flits received for the current packets.
-    std::unordered_map<PacketId, std::uint32_t> sink_flits;
+  };
+
+  /// A packet on its way to a sink: its description plus the flits of it
+  /// ejected so far (sink-side reassembly).
+  struct InFlight {
+    PacketInfo info;
+    std::uint32_t flits_received = 0;
   };
 
   struct PendingFlit {
@@ -188,7 +192,7 @@ class Network {
     std::vector<std::uint64_t> ni_active_words;
     /// Packets expected to eject in this domain (keyed by id, filled at
     /// injection time from info.dst — the sink-side packet table).
-    std::unordered_map<PacketId, PacketInfo> expected;
+    std::unordered_map<PacketId, InFlight> expected;
     /// Ejections produced this cycle, ascending tile order; moved to the
     /// global list (domain order == tile order) at the commit barrier.
     std::vector<Ejection> fresh_ejections;

@@ -23,10 +23,6 @@ const obs::Gauge g_link_util("netsim.max_link_utilization");
 const obs::Gauge g_crossbar("netsim.max_crossbar_per_cycle");
 const obs::Gauge g_queue_wait("netsim.max_avg_queue_wait");
 const obs::Gauge g_occupancy("netsim.max_queue_occupancy");
-// Batch metrics: one batch == one run_simulation_batch call.
-const obs::Timer t_batch("netsim.batch.run");
-const obs::Counter c_batches("netsim.batch.batches");
-const obs::Counter c_batch_scenarios("netsim.batch.scenarios");
 // Spatial-partition metrics (DESIGN.md §16): runs that used more than one
 // domain, the domains they summed to, and the halo-exchange volume.
 const obs::Counter c_parallel_runs("netsim.parallel.runs");
@@ -186,25 +182,6 @@ SimResult run_simulation(const ObmProblem& problem, const Mapping& mapping,
     c_parallel_boundary.add(net.boundary_flits());
   }
   return result;
-}
-
-std::vector<SimResult> run_simulation_batch(
-    const std::vector<BatchScenario>& scenarios,
-    const ParallelConfig& parallel) {
-  const obs::ScopedTimer batch_scope(t_batch);
-  for (const BatchScenario& s : scenarios) {
-    NOCMAP_REQUIRE(s.problem != nullptr && s.mapping != nullptr,
-                   "batch scenario needs a problem and a mapping");
-  }
-  std::vector<SimResult> results(scenarios.size());
-  ParallelTrialRunner runner(parallel);
-  runner.for_each(scenarios.size(), [&](std::size_t i) {
-    const BatchScenario& s = scenarios[i];
-    results[i] = run_simulation(*s.problem, *s.mapping, s.config);
-  });
-  c_batches.add();
-  c_batch_scenarios.add(scenarios.size());
-  return results;
 }
 
 }  // namespace nocmap

@@ -11,7 +11,6 @@
 
 #include <vector>
 
-#include "core/parallel.h"
 #include "core/problem.h"
 #include "netsim/traffic.h"
 #include "util/stats.h"
@@ -28,8 +27,9 @@ struct SimConfig {
   /// parallel each cycle (DESIGN.md §16). Results are bit-identical at
   /// every value; 0 resolves to the hardware concurrency. Default 1 is the
   /// serial engine — exactly the pre-partitioning behavior. Orthogonal to
-  /// run_simulation_batch's across-scenario parallelism: use sim_workers
-  /// for one large mesh, batch workers for many scenarios.
+  /// across-scenario parallelism (a ParallelTrialRunner::for_each over
+  /// run_simulation calls): use sim_workers for one large mesh, scenario
+  /// workers for many scenarios.
   std::size_t sim_workers = 1;
   TrafficConfig traffic;
   NetworkConfig network;
@@ -114,23 +114,5 @@ struct SimResult {
 /// (problem, mapping, config).
 SimResult run_simulation(const ObmProblem& problem, const Mapping& mapping,
                          const SimConfig& config);
-
-/// One element of a simulation batch. The problem and mapping must outlive
-/// the run_simulation_batch call.
-struct BatchScenario {
-  const ObmProblem* problem = nullptr;
-  const Mapping* mapping = nullptr;
-  SimConfig config;
-};
-
-/// Runs every scenario through run_simulation, sharding the batch across
-/// the parallel runner (src/core/parallel.h discipline: fixed geometry,
-/// pure units, slotted results). Results are index-aligned with the input
-/// and bit-identical at any worker count — each scenario is itself
-/// deterministic and writes only its own slot, so the merge is the
-/// identity.
-std::vector<SimResult> run_simulation_batch(
-    const std::vector<BatchScenario>& scenarios,
-    const ParallelConfig& parallel);
 
 }  // namespace nocmap

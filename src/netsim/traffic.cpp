@@ -118,9 +118,8 @@ void TrafficEngine::generate(Network& net, Cycle now,
        it = pending_replies_.erase(it)) {
     PacketInfo pkt = it->second;
     pkt.created = now;
-    pkt.flits = pkt.cls == PacketClass::kCacheForward
-                    ? net.config().short_packet_flits
-                    : net.config().long_packet_flits;
+    pkt.flits = pkt.cls == PacketClass::kCacheForward ? kShortPacketFlits
+                                                      : kLongPacketFlits;
     if (pkt.src == pkt.dst) {
       // Degenerate follow-up (e.g. owner == requester tile): zero latency.
       locals.push_back({pkt.cls, pkt.app, pkt.thread});
@@ -178,7 +177,7 @@ void TrafficEngine::generate(Network& net, Cycle now,
       info.cls = e.cls;
       info.src = e.tile;
       info.dst = e.dst;
-      info.flits = net.config().short_packet_flits;
+      info.flits = kShortPacketFlits;
       info.app = src.app;
       info.thread = src.thread;
       info.created = now;
@@ -219,7 +218,7 @@ void TrafficEngine::emit_multicast(Network& net, TileId from,
                         : PacketClass::kMemoryForward;
     info.src = from;
     info.dst = branch.endpoint;
-    info.flits = net.config().short_packet_flits;
+    info.flits = kShortPacketFlits;
     info.app = app;
     info.thread = thread;
     info.created = created;

@@ -4,7 +4,8 @@
 // The simulator models the paper's Table-2 network: a mesh of canonical
 // 3-stage credit-based wormhole routers with virtual channels and XY
 // (dimension-order) routing; 128-bit links make request packets 1 flit and
-// 64-byte data replies 5 flits.
+// 64-byte data replies 5 flits (kShortPacketFlits / kLongPacketFlits,
+// latency/model.h).
 #pragma once
 
 #include <cstdint>
@@ -141,8 +142,6 @@ struct NetworkConfig {
   std::uint32_t router_pipeline = 3;   ///< cycles a flit spends in a router
   std::uint32_t link_latency = 1;      ///< cycles per planar inter-router link
   std::uint32_t tsv_link_latency = 1;  ///< cycles per vertical (TSV) link
-  std::uint32_t short_packet_flits = 1;
-  std::uint32_t long_packet_flits = 5;
   RoutingAlgo routing = RoutingAlgo::kXY;  ///< the paper uses XY
   Arbitration arbitration = Arbitration::kRoundRobin;
   std::uint64_t arbitration_seed = 1;  ///< for the probabilistic arbiter

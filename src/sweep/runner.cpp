@@ -5,6 +5,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "core/annealing_mapper.h"
@@ -38,7 +39,6 @@ std::unique_ptr<Mapper> make_mapper(const std::string& name,
     AnnealingParams params;
     params.iterations = options.sa_iterations;
     params.seed = options.algorithm_seed;
-    params.parallel = serial;
     return std::make_unique<AnnealingMapper>(params);
   }
   if (name == "SSS") {
@@ -65,17 +65,12 @@ SimConfig sim_config_for(const CampaignSpec& spec,
   return config;
 }
 
-/// One scenario's in-flight state between the map+evaluate stage and the
-/// batched simulation stage.
-struct ScenarioRun {
-  std::unique_ptr<ObmProblem> problem;
-  Mapping mapping;
-  LatencyReport report;
-  double map_us = 0.0;
-};
-
+/// One scenario's log record: the analytic report of its mapping, the
+/// simulated digest when `sim` is non-null, and `map_us`.
 obs::JsonValue scenario_record(const SweepScenario& scenario,
-                               const ScenarioRun& run, const SimResult* sim) {
+                               const ObmProblem& problem,
+                               const LatencyReport& report,
+                               const SimResult* sim, double map_us) {
   obs::JsonValue rec = obs::JsonValue::object();
   rec["id"] = std::uint64_t{scenario.id};
   rec["index"] = std::uint64_t{scenario.index};
@@ -94,10 +89,10 @@ obs::JsonValue scenario_record(const SweepScenario& scenario,
   rec["injection_scale"] = scenario.spec.injection_scale;
   rec["bursty"] = scenario.spec.bursty;
   rec["mapper"] = scenario.mapper;
-  rec["max_apl"] = run.report.max_apl;
-  rec["g_apl"] = run.report.g_apl;
-  rec["dev_apl"] = run.report.dev_apl;
-  rec["objective"] = run.report.objective;
+  rec["max_apl"] = report.max_apl;
+  rec["g_apl"] = report.g_apl;
+  rec["dev_apl"] = report.dev_apl;
+  rec["objective"] = report.objective;
   if (sim != nullptr) {
     obs::JsonValue s = obs::JsonValue::object();
     s["max_apl"] = sim->max_apl;
@@ -107,7 +102,7 @@ obs::JsonValue scenario_record(const SweepScenario& scenario,
     s["link_utilization"] = sim->load.link_utilization;
     s["max_crossbar_per_cycle"] = sim->load.max_crossbar_per_cycle;
     s["drain_incomplete"] = sim->drain_incomplete;
-    const Mesh& mesh = run.problem->mesh();
+    const Mesh& mesh = problem.mesh();
     const DsentLitePowerModel power_model;
     const PowerReport power =
         power_model.report(sim->activity, sim->measured_cycles,
@@ -120,7 +115,7 @@ obs::JsonValue scenario_record(const SweepScenario& scenario,
   }
   // Wall clock of the map+evaluate stage — the one record field that is
   // *not* reproducible run to run; the aggregator ignores it.
-  rec["map_us"] = run.map_us;
+  rec["map_us"] = map_us;
   return rec;
 }
 
@@ -241,61 +236,45 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     }
     const obs::ScopedTimer chunk_timer(t_chunk);
 
-    // Stage 1: map + analytic evaluation, one pure unit per scenario
-    // sharded across workers (the mappers themselves run serial — see
-    // make_mapper).
-    std::vector<ScenarioRun> runs(static_cast<std::size_t>(chunk));
-    {
-      const obs::ScopedTimer map_timer(t_map_eval);
-      runner.for_each(static_cast<std::size_t>(chunk), [&](std::size_t i) {
-        const SweepScenario& scenario = expansion.scenarios[next + i];
-        const auto start = std::chrono::steady_clock::now();
-        ScenarioRun& run = runs[i];
-        run.problem =
-            std::make_unique<ObmProblem>(check::build_problem(scenario.spec));
-        std::unique_ptr<Mapper> mapper =
-            make_mapper(scenario.mapper, spec.mapper_options);
-        run.mapping = mapper->map(*run.problem);
-        run.report = evaluate(*run.problem, run.mapping);
-        run.map_us = std::chrono::duration<double, std::micro>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
-      });
-    }
-
-    // Stage 2: cycle-accurate simulation for the eligible scenarios of the
-    // chunk, sharded through the existing batch API. Simulator-unsupported
-    // topologies (torus wraparound) stay analytic-only — classified here
-    // instead of tripping the simulator's NOCMAP_REQUIRE.
-    std::vector<std::size_t> sim_slot(static_cast<std::size_t>(chunk),
-                                      ParallelTrialRunner::npos);
-    std::vector<BatchScenario> batch;
-    if (spec.netsim.enabled) {
-      for (std::size_t i = 0; i < chunk; ++i) {
-        const SweepScenario& scenario = expansion.scenarios[next + i];
-        if (!check::simulator_supported(scenario.spec)) continue;
-        sim_slot[i] = batch.size();
+    // One pure unit per scenario, sharded across workers: build the
+    // problem, map it (the mapper itself runs serial — see make_mapper),
+    // evaluate, simulate when the netsim stage applies, and render the
+    // record into the unit's own slot. Simulator-unsupported topologies
+    // (torus wraparound) stay analytic-only — classified here instead of
+    // tripping the simulator's NOCMAP_REQUIRE.
+    std::vector<std::string> lines(static_cast<std::size_t>(chunk));
+    runner.for_each(lines.size(), [&](std::size_t i) {
+      const SweepScenario& scenario = expansion.scenarios[next + i];
+      const auto start = std::chrono::steady_clock::now();
+      const ObmProblem problem = check::build_problem(scenario.spec);
+      Mapping mapping;
+      LatencyReport report;
+      {
+        const obs::ScopedTimer map_timer(t_map_eval);
+        mapping =
+            make_mapper(scenario.mapper, spec.mapper_options)->map(problem);
+        report = evaluate(problem, mapping);
+      }
+      const double map_us = std::chrono::duration<double, std::micro>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+      std::optional<SimResult> sim;
+      if (spec.netsim.enabled && check::simulator_supported(scenario.spec)) {
         SimConfig sim_config = sim_config_for(spec, scenario.spec);
         // Within-simulation partitioning: an execution knob, invisible in
         // the records (bit-identical at every width).
         sim_config.sim_workers = options.sim_workers;
-        batch.push_back(BatchScenario{runs[i].problem.get(), &runs[i].mapping,
-                                      sim_config});
+        sim = run_simulation(problem, mapping, sim_config);
       }
-    }
-    const std::vector<SimResult> sims =
-        batch.empty() ? std::vector<SimResult>{}
-                      : run_simulation_batch(batch, options.parallel);
+      lines[i] = scenario_record(scenario, problem, report,
+                                 sim ? &*sim : nullptr, map_us)
+                     .dump(0);
+    });
 
-    // Stage 3: serial append in id order, flushed per line so a kill
-    // loses at most the line being written.
-    for (std::size_t i = 0; i < chunk; ++i) {
-      const SweepScenario& scenario = expansion.scenarios[next + i];
-      const SimResult* sim = sim_slot[i] == ParallelTrialRunner::npos
-                                 ? nullptr
-                                 : &sims[sim_slot[i]];
-      out << scenario_record(scenario, runs[i], sim).dump(0) << '\n'
-          << std::flush;
+    // Serial append in id order, flushed per line so a kill loses at most
+    // the line being written.
+    for (const std::string& line : lines) {
+      out << line << '\n' << std::flush;
       NOCMAP_REQUIRE(out.good(),
                      "write to " + log_path.string() + " failed");
     }

@@ -1,10 +1,9 @@
 // Resumable campaign execution (DESIGN.md §15, docs/campaigns.md).
 //
-// run_campaign drives an expanded spec through the repo's two existing
-// fan-out engines — ParallelTrialRunner for the map+evaluate stage and
-// run_simulation_batch for the cycle-accurate stage — in fixed-size chunks,
-// appending one compact JSON line per completed scenario to
-// <out_dir>/campaign.jsonl. Scenarios complete strictly in id order, so the
+// run_campaign drives an expanded spec through ParallelTrialRunner in
+// fixed-size chunks — one unit per scenario maps, evaluates and (when the
+// netsim stage applies) simulates it — appending one compact JSON line per
+// completed scenario to <out_dir>/campaign.jsonl. Scenarios complete strictly in id order, so the
 // log is always a prefix of the full campaign: resuming is "count the
 // complete lines, truncate any torn tail, continue from there". Every
 // per-scenario record is deterministic for the spec (mappers run their
@@ -31,7 +30,7 @@ inline constexpr const char* kSweepLogSchema = "nocmap.sweep_log/1";
 struct CampaignOptions {
   /// Directory for campaign.jsonl (created on demand).
   std::string out_dir = "campaign";
-  /// Worker policy for both fan-out stages.
+  /// Worker policy for the per-scenario fan-out.
   ParallelConfig parallel;
   /// Spatial-partition workers *inside* each simulated scenario
   /// (SimConfig::sim_workers, DESIGN.md §16). Pure execution knob: results

@@ -37,9 +37,7 @@ TEST(Contention, SingleFlowLoadsExactPath) {
   const Mesh& mesh = p.mesh();
   Mapping m = p.identity_mapping();
   std::swap(m.thread_to_tile[0], m.thread_to_tile[5]);  // thread 0 -> (1,1)
-  ContentionConfig cfg;
-  cfg.reply_flits = 5.0;
-  const ContentionModel model(p, m, cfg);
+  const ContentionModel model(p, m);
 
   const TileId t11 = mesh.tile_at(1, 1);
   const TileId t10 = mesh.tile_at(1, 0);
@@ -57,10 +55,9 @@ TEST(Contention, SingleFlowLoadsExactPath) {
 TEST(Contention, RepliesCanBeExcluded) {
   const ObmProblem p = single_flow_problem(1000.0);
   Mapping m = p.identity_mapping();
-  ContentionConfig cfg;
-  cfg.include_replies = false;
-  const ContentionModel model(p, m, cfg);
-  // Thread 0 sits on tile 0 == the MC corner: no flow at all.
+  const ContentionModel model(p, m);
+  // Thread 0 sits on tile 0 == the MC corner: its request and its reply
+  // both have src == dst, so no link carries any load.
   EXPECT_NEAR(model.total_flit_hops(), 0.0, 1e-12);
 }
 
@@ -69,8 +66,7 @@ TEST(Contention, FlitHopConservation) {
   const ObmProblem p = c1_problem();
   SortSelectSwapMapper sss;
   const Mapping m = sss.map(p);
-  ContentionConfig cfg;
-  const ContentionModel model(p, m, cfg);
+  const ContentionModel model(p, m);
 
   const Mesh& mesh = p.mesh();
   const auto n = static_cast<double>(p.num_tiles());
@@ -81,10 +77,10 @@ TEST(Contention, FlitHopConservation) {
     for (TileId d = 0; d < p.num_tiles(); ++d) {
       const double hops = mesh.hops(s, d);
       expected += t.cache_rate / 1000.0 / n *
-                  (cfg.request_flits + cfg.reply_flits) * hops;
+                  (kShortPacketFlits + kLongPacketFlits) * hops;
     }
     expected += t.memory_rate / 1000.0 *
-                (cfg.request_flits + cfg.reply_flits) *
+                (kShortPacketFlits + kLongPacketFlits) *
                 static_cast<double>(mesh.hops(s, mesh.nearest_mc(s)));
   }
   EXPECT_NEAR(model.total_flit_hops(), expected, 1e-9);
@@ -93,10 +89,8 @@ TEST(Contention, FlitHopConservation) {
 TEST(Contention, LoadScalesLinearly) {
   const ObmProblem p = c1_problem();
   const Mapping m = p.identity_mapping();
-  ContentionConfig c1, c2;
-  c2.injection_scale = 3.0;
-  const ContentionModel m1(p, m, c1);
-  const ContentionModel m2(p, m, c2);
+  const ContentionModel m1(p, m);
+  const ContentionModel m2(p, m, 3.0);
   EXPECT_NEAR(m2.max_utilization(), 3.0 * m1.max_utilization(), 1e-9);
   EXPECT_NEAR(m2.total_flit_hops(), 3.0 * m1.total_flit_hops(), 1e-9);
   EXPECT_NEAR(m1.saturation_scale(), 3.0 * m2.saturation_scale(), 1e-9);
@@ -250,9 +244,7 @@ TEST(Contention, InvalidInputsRejected) {
   Mapping bad;
   bad.thread_to_tile.assign(p.num_threads(), 0);
   EXPECT_THROW(ContentionModel(p, bad), Error);
-  ContentionConfig cfg;
-  cfg.injection_scale = 0.0;
-  EXPECT_THROW(ContentionModel(p, p.identity_mapping(), cfg), Error);
+  EXPECT_THROW(ContentionModel(p, p.identity_mapping(), 0.0), Error);
 }
 
 }  // namespace

@@ -226,34 +226,5 @@ TEST(NetsimGolden, TailPercentilesMatchFixedBinHistogram) {
        {0x1.8d291aae833ecp+4, 0x1.68f0bad5c84eep+5, 0x1.ae4f3faa84ac8p+5}});
 }
 
-// The batch API must agree exactly with serial run_simulation calls — a
-// batch is a pure fan-out with slotted results, so this holds at any
-// worker count (test_parallel_determinism covers 1/2/8 workers).
-TEST(NetsimGolden, BatchMatchesSerialRuns) {
-  const ObmProblem p = small_problem();
-  const Mapping id16 = p.identity_mapping();
-  const char* tags[] = {"default-4x4", "yx", "forwarding"};
-  std::vector<SimConfig> configs;
-  std::vector<BatchScenario> batch;
-  for (const char* tag : tags) configs.push_back(config_for(tag));
-  for (const SimConfig& c : configs) batch.push_back({&p, &id16, c});
-
-  ParallelConfig serial;
-  serial.num_threads = 1;
-  const std::vector<SimResult> results = run_simulation_batch(batch, serial);
-  ASSERT_EQ(results.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    SCOPED_TRACE(tags[i]);
-    const SimResult direct = run_simulation(p, id16, configs[i]);
-    ASSERT_EQ(results[i].apl.size(), direct.apl.size());
-    for (std::size_t a = 0; a < direct.apl.size(); ++a) {
-      EXPECT_EQ(results[i].apl[a], direct.apl[a]);
-    }
-    EXPECT_EQ(results[i].g_apl, direct.g_apl);
-    EXPECT_EQ(results[i].packets_measured, direct.packets_measured);
-    EXPECT_EQ(results[i].flits_injected, direct.flits_injected);
-  }
-}
-
 }  // namespace
 }  // namespace nocmap

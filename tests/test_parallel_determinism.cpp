@@ -19,6 +19,7 @@
 #include "core/genetic_mapper.h"
 #include "core/metrics.h"
 #include "core/monte_carlo_mapper.h"
+#include "core/parallel.h"
 #include "core/sss_mapper.h"
 #include "netsim/sim.h"
 #include "workload/synthesis.h"
@@ -172,9 +173,20 @@ TEST(ParallelDeterminismSa, MoreRestartsNeverWorse) {
 }
 
 // ---------------------------------------------------------------------------
-// Netsim batches: each scenario is a pure, deterministic unit writing only
-// its own result slot, so a batch's per-app APL vectors and latency
-// histograms must be byte-identical at any worker count.
+// Netsim scenario fan-out: each run_simulation is a pure, deterministic unit
+// writing only its own result slot, so the per-app APL vectors and latency
+// histograms of a for_each over scenarios must be byte-identical at any
+// worker count.
+
+std::vector<SimResult> simulate_all(const ObmProblem& p, const Mapping& m,
+                                    const std::vector<SimConfig>& configs,
+                                    const ParallelConfig& parallel) {
+  std::vector<SimResult> results(configs.size());
+  ParallelTrialRunner(parallel).for_each(configs.size(), [&](std::size_t i) {
+    results[i] = run_simulation(p, m, configs[i]);
+  });
+  return results;
+}
 
 TEST(ParallelDeterminismNetsim, BatchAcrossWorkerCounts) {
   const ObmProblem p = seeded_problem(4, 2);
@@ -186,17 +198,14 @@ TEST(ParallelDeterminismNetsim, BatchAcrossWorkerCounts) {
     configs[i].measure_cycles = 4000;
     configs[i].traffic.injection_scale = 1.0 + static_cast<double>(i);
   }
-  std::vector<BatchScenario> batch;
-  for (const SimConfig& c : configs) batch.push_back({&p, &id, c});
-
   const std::vector<SimResult> serial =
-      run_simulation_batch(batch, ParallelConfig::serial_config());
-  ASSERT_EQ(serial.size(), batch.size());
+      simulate_all(p, id, configs, ParallelConfig::serial_config());
+  ASSERT_EQ(serial.size(), configs.size());
 
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
                                     std::size_t{8}}) {
     const std::vector<SimResult> parallel =
-        run_simulation_batch(batch, ParallelConfig{workers});
+        simulate_all(p, id, configs, ParallelConfig{workers});
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
       SCOPED_TRACE("scenario " + std::to_string(i) + " at " +
@@ -228,7 +237,7 @@ TEST(ParallelDeterminismNetsim, BatchAcrossWorkerCounts) {
 // Spatially partitioned netsim (DESIGN.md §16): one simulation stepped by
 // several workers over row-band domains must be bit-identical to the serial
 // engine — full SimResult, histograms included. This is within-simulation
-// parallelism, orthogonal to the batch fan-out above.
+// parallelism, orthogonal to the scenario fan-out above.
 
 void expect_sim_results_identical(const SimResult& s, const SimResult& q) {
   ASSERT_EQ(q.apl.size(), s.apl.size());
@@ -277,7 +286,7 @@ TEST(ParallelDeterminismNetsim, PartitionedSimAcrossWorkerCounts) {
 }
 
 TEST(ParallelDeterminismNetsim, PartitionedSimComposesWithBatchWorkers) {
-  // Both levels at once: a batch fanned over scenario workers where each
+  // Both levels at once: scenarios fanned over scenario workers where each
   // scenario also partitions its own mesh. The two teams must not
   // interfere — results stay bit-identical to fully-serial execution.
   const ObmProblem p = seeded_problem(8, 2);
@@ -289,17 +298,13 @@ TEST(ParallelDeterminismNetsim, PartitionedSimComposesWithBatchWorkers) {
     configs[i].traffic.injection_scale = 1.0 + static_cast<double>(i);
   }
 
-  std::vector<BatchScenario> serial_batch;
-  for (const SimConfig& c : configs) serial_batch.push_back({&p, &id, c});
   const std::vector<SimResult> serial =
-      run_simulation_batch(serial_batch, ParallelConfig::serial_config());
+      simulate_all(p, id, configs, ParallelConfig::serial_config());
 
   std::vector<SimConfig> partitioned = configs;
   for (SimConfig& c : partitioned) c.sim_workers = 4;
-  std::vector<BatchScenario> nested_batch;
-  for (const SimConfig& c : partitioned) nested_batch.push_back({&p, &id, c});
   const std::vector<SimResult> nested =
-      run_simulation_batch(nested_batch, ParallelConfig{2});
+      simulate_all(p, id, partitioned, ParallelConfig{2});
 
   ASSERT_EQ(nested.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {

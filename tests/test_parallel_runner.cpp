@@ -120,5 +120,16 @@ TEST(ParallelConfig, ZeroResolvesToTheHardwareThreadCount) {
   EXPECT_EQ(ParallelTrialRunner(all).num_threads(), all.resolved_threads());
 }
 
+// NOCMAP_THREADS is a whole worker count or nothing: a negative value must
+// not wrap to 2^64-1 workers, and "2x" must not parse as 2.
+TEST(ParallelConfig, ThreadCountTextIsWholeNumberOrAllThreads) {
+  EXPECT_EQ(parse_thread_count(nullptr), 0u);
+  EXPECT_EQ(parse_thread_count(""), 0u);
+  EXPECT_EQ(parse_thread_count("0"), 0u);
+  EXPECT_EQ(parse_thread_count("3"), 3u);
+  EXPECT_EQ(parse_thread_count("-1"), 0u);
+  EXPECT_EQ(parse_thread_count("2x"), 0u);
+}
+
 }  // namespace
 }  // namespace nocmap

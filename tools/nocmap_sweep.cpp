@@ -12,7 +12,6 @@
 // spec error. `run` writes a RunReport with the sweep.* counter snapshot to
 // <out>/REPORT_nocmap_sweep.json next to the campaign log.
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -52,13 +51,6 @@ int usage(const char* argv0) {
       << "    --out DIR            output directory (default 'bench_results')\n"
       << "    --scenarios N        campaign size (default 96)\n";
   return 2;
-}
-
-std::size_t env_threads() {
-  if (const char* env = std::getenv("NOCMAP_THREADS")) {
-    return static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
-  }
-  return 0;
 }
 
 const char* require_value(int argc, char** argv, int& i, const char* flag) {
@@ -115,7 +107,7 @@ int cmd_expand(int argc, char** argv) {
 int cmd_run(int argc, char** argv) {
   std::string spec_path;
   sweep::CampaignOptions options;
-  options.parallel.num_threads = env_threads();
+  options.parallel = ParallelConfig::from_env();
   options.verbose = true;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -232,7 +224,7 @@ int cmd_bench(int argc, char** argv) {
   spec.seed.count = std::max<std::uint32_t>(1, scenarios / 8);
 
   sweep::CampaignOptions options;
-  options.parallel.num_threads = env_threads();
+  options.parallel = ParallelConfig::from_env();
   options.out_dir =
       (std::filesystem::path(out_dir) / "bench_sweep_campaign").string();
   std::filesystem::remove_all(options.out_dir);
