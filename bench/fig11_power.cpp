@@ -32,7 +32,6 @@ int main() {
   sim_cfg.warmup_cycles = 2000;
   sim_cfg.measure_cycles = 40000;
 
-  const DsentLitePowerModel power;
   std::vector<double> dynamic_mw(configs.size() * kMethods, 0.0);
   std::vector<double> max_apl(dynamic_mw.size(), 0.0);
   std::vector<double> dev_apl(dynamic_mw.size(), 0.0);
@@ -43,11 +42,9 @@ int main() {
         auto mappers = bench::paper_mappers();
         const SimResult r = run_simulation(
             problem, mappers[idx % kMethods]->map(problem), sim_cfg);
-        dynamic_mw[idx] = power
-                              .report(r.activity, r.measured_cycles,
-                                      problem.mesh().num_tiles(),
-                                      problem.mesh().num_directed_links())
-                              .dynamic_mw;
+        dynamic_mw[idx] =
+            power_report(r.activity, r.measured_cycles, problem.mesh())
+                .dynamic_mw;
         max_apl[idx] = r.max_apl;
         dev_apl[idx] = r.dev_apl;
       });
@@ -76,9 +73,7 @@ int main() {
               << fmt_percent(sums[m] / sums[0] - 1.0) << "\n";
   }
   std::cout << "\nStatic power is identical across schemes ("
-            << fmt(power
-                       .report(ActivityCounters{}, 1, 64,
-                               Mesh::square(8).num_directed_links())
+            << fmt(power_report(ActivityCounters{}, 1, Mesh::square(8))
                        .static_mw,
                    1)
             << " mW for the 8x8 fabric) and therefore not compared.\n";

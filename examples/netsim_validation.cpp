@@ -48,11 +48,8 @@ int main() {
                "across applications is what the mapper optimizes.\n";
 
   // Power from the measured activity.
-  const DsentLitePowerModel power;
-  const PowerReport pr = power.report(measured.activity,
-                                      measured.measured_cycles,
-                                      mesh.num_tiles(),
-                                      mesh.num_directed_links());
+  const PowerReport pr =
+      power_report(measured.activity, measured.measured_cycles, mesh);
   std::cout << "\nDSENT-lite power during the run:\n"
             << "  dynamic " << pr.dynamic_mw << " mW (buffers "
             << pr.buffer_mw << ", crossbars " << pr.crossbar_mw

@@ -49,7 +49,6 @@ std::vector<std::unique_ptr<Mapper>> scenario_mappers(
   AnnealingParams sa;
   sa.iterations = 4000;
   sa.seed = spec.seed ^ 0x5341ULL;
-  sa.parallel = ParallelConfig::serial_config();
   mappers.push_back(std::make_unique<AnnealingMapper>(sa));
   SssOptions sss;
   sss.parallel = ParallelConfig::serial_config();

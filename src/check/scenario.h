@@ -55,8 +55,10 @@ struct ScenarioSpec {
   std::uint32_t num_tiles() const {
     return mesh_side * mesh_side * mesh_layers;
   }
-  std::uint32_t num_threads() const {
-    return num_applications * threads_per_app;
+  /// In 64 bits: the product of two uint32 fields from a repro file must
+  /// not wrap past the "more threads than tiles" check.
+  std::uint64_t num_threads() const {
+    return std::uint64_t{num_applications} * threads_per_app;
   }
 
   friend bool operator==(const ScenarioSpec&, const ScenarioSpec&) = default;

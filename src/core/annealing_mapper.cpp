@@ -175,10 +175,7 @@ Mapping AnnealingMapper::map(const ObmProblem& problem) {
 
     // Geometric cooling relative to the initial max-APL magnitude, so
     // acceptance probabilities stay meaningful for all objectives.
-    const double initial_max_apl = table.max_apl(num);
-    const double t0 = std::max(
-        params_.initial_temp_fraction * std::max(initial_max_apl, 1.0), 1e-9);
-    const double t_end = std::max(t0 * params_.final_temp_fraction, 1e-12);
+    const auto [t0, t_end] = cooling_schedule(table.max_apl(num));
     const double alpha =
         std::pow(t_end / t0, 1.0 / static_cast<double>(params_.iterations));
 

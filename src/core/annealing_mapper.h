@@ -10,6 +10,7 @@
 // sweep it.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "core/mapper.h"
@@ -32,10 +33,6 @@ const char* anneal_objective_name(AnnealObjective objective);
 
 struct AnnealingParams {
   std::size_t iterations = 200000;
-  /// Initial temperature as a fraction of the initial max-APL.
-  double initial_temp_fraction = 0.05;
-  /// Terminal temperature as a fraction of the initial temperature.
-  double final_temp_fraction = 1e-4;
   std::uint64_t seed = 1;
   AnnealObjective objective = AnnealObjective::kMaxApl;
   /// Independent chains; the best final state wins (ties to the lowest
@@ -48,6 +45,22 @@ struct AnnealingParams {
   /// parallelism comes from running restarts concurrently.
   ParallelConfig parallel = {};
 };
+
+/// Initial and terminal temperature of a geometric cooling schedule.
+struct CoolingSchedule {
+  double t0 = 0.0;
+  double t_end = 0.0;
+};
+
+/// The schedule SA and CSA share: the initial temperature is 0.05 of the
+/// starting max-APL (taken as at least 1), the terminal one 1e-4 of that.
+inline CoolingSchedule cooling_schedule(double initial_max_apl) {
+  constexpr double kInitialTempFraction = 0.05;
+  constexpr double kFinalTempFraction = 1e-4;
+  const double t0 =
+      std::max(kInitialTempFraction * std::max(initial_max_apl, 1.0), 1e-9);
+  return {t0, std::max(t0 * kFinalTempFraction, 1e-12)};
+}
 
 class AnnealingMapper final : public Mapper {
  public:

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <vector>
 
+#include "core/annealing_mapper.h"
 #include "core/cost_cache.h"
 #include "core/evaluator.h"
 #include "util/rng.h"
@@ -11,19 +12,22 @@ namespace nocmap {
 
 namespace {
 
-/// Tile → cluster index for a mesh tiled by `side`-sized square clusters
-/// (ragged edges join the last row/column of clusters).
-std::vector<std::size_t> build_clusters(const Mesh& mesh, std::uint32_t side,
+/// Tiles per cluster edge.
+constexpr std::uint32_t kClusterSide = 2;
+
+/// Tile → cluster index for a mesh tiled by kClusterSide-sized square
+/// clusters (ragged edges join the last row/column of clusters).
+std::vector<std::size_t> build_clusters(const Mesh& mesh,
                                         std::size_t& num_clusters) {
-  const std::uint32_t rows = (mesh.rows() + side - 1) / side;
-  const std::uint32_t cols = (mesh.cols() + side - 1) / side;
+  const std::uint32_t rows = (mesh.rows() + kClusterSide - 1) / kClusterSide;
+  const std::uint32_t cols = (mesh.cols() + kClusterSide - 1) / kClusterSide;
   num_clusters = static_cast<std::size_t>(rows) * cols;
   std::vector<std::size_t> cluster_of(mesh.num_tiles());
   for (TileId t = 0; t < mesh.num_tiles(); ++t) {
     const TileCoord c = mesh.coord_of(t);
     cluster_of[t] = static_cast<std::size_t>(
-        std::min(c.row / side, rows - 1) * cols +
-        std::min(c.col / side, cols - 1));
+        std::min(c.row / kClusterSide, rows - 1) * cols +
+        std::min(c.col / kClusterSide, cols - 1));
   }
   return cluster_of;
 }
@@ -31,7 +35,6 @@ std::vector<std::size_t> build_clusters(const Mesh& mesh, std::uint32_t side,
 }  // namespace
 
 Mapping ClusterSaMapper::map(const ObmProblem& problem) {
-  NOCMAP_REQUIRE(params_.cluster_side >= 1, "cluster side must be >= 1");
   const std::size_t n = problem.num_threads();
   Rng rng(params_.seed);
 
@@ -49,15 +52,13 @@ Mapping ClusterSaMapper::map(const ObmProblem& problem) {
   Mapping best = eval.mapping();
   double best_obj = eval.objective();
 
-  const double scale = std::max(eval.max_apl(), 1.0);
-  const double t0 = std::max(params_.initial_temp_fraction * scale, 1e-9);
-  const double t_end = std::max(t0 * params_.final_temp_fraction, 1e-12);
+  const auto [t0, t_end] = cooling_schedule(eval.max_apl());
 
   // ---- Phase 1: cluster-granularity annealing. Swapping two equal-size
   // clusters means swapping the tiles of their resident threads pairwise.
   std::size_t num_clusters = 0;
   const std::vector<std::size_t> cluster_of =
-      build_clusters(problem.mesh(), params_.cluster_side, num_clusters);
+      build_clusters(problem.mesh(), num_clusters);
   std::vector<std::vector<TileId>> cluster_tiles(num_clusters);
   for (TileId t = 0; t < problem.num_tiles(); ++t) {
     cluster_tiles[cluster_of[t]].push_back(t);

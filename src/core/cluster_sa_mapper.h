@@ -3,10 +3,10 @@
 // names alongside plain SA and genetic search.
 //
 // Two phases:
-//   1. Coarse: partition the mesh into square tile clusters (default 2×2)
-//     and anneal at cluster granularity — a move swaps the thread groups
-//     of two clusters wholesale. This explores the layout space in far
-//     fewer, larger steps than thread-level SA.
+//   1. Coarse: partition the mesh into 2×2 tile clusters and anneal at
+//     cluster granularity — a move swaps the thread groups of two clusters
+//     wholesale. This explores the layout space in far fewer, larger steps
+//     than thread-level SA.
 //   2. Fine: standard thread-swap annealing from the coarse solution.
 //
 // Objective: the OBM max-APL (weighted when the problem has QoS weights),
@@ -20,11 +20,8 @@
 namespace nocmap {
 
 struct ClusterSaParams {
-  std::uint32_t cluster_side = 2;      ///< tiles per cluster edge
   std::size_t coarse_iterations = 2000;
   std::size_t fine_iterations = 20000;
-  double initial_temp_fraction = 0.05;
-  double final_temp_fraction = 1e-4;
   std::uint64_t seed = 1;
 };
 

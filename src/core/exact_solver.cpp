@@ -14,6 +14,9 @@ namespace nocmap {
 
 namespace {
 
+/// Largest instance the solver accepts (see solve_obm_exact).
+constexpr std::size_t kMaxThreads = 20;
+
 struct SearchState {
   const BatchEvaluator* table;  // objective fold; numerators are per slot
   const ThreadCostCache* cache;
@@ -98,8 +101,7 @@ struct SearchState {
 ExactResult solve_obm_exact(const ObmProblem& problem,
                             const ExactSolverOptions& options) {
   const std::size_t n = problem.num_threads();
-  NOCMAP_REQUIRE(n <= options.max_threads,
-                 "instance too large for the exact solver");
+  NOCMAP_REQUIRE(n <= kMaxThreads, "instance too large for the exact solver");
 
   const ThreadCostCache cache(problem.workload(), problem.model());
   const BatchEvaluator table(problem, cache);

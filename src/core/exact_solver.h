@@ -30,12 +30,10 @@ struct ExactResult {
 struct ExactSolverOptions {
   /// Hard cap on explored search nodes.
   std::uint64_t max_nodes = 50'000'000;
-  /// Practical instance-size guard: refuse absurd inputs outright.
-  std::size_t max_threads = 20;
 };
 
 /// Solves OBM exactly (within the node budget). Throws if the problem has
-/// more threads than options.max_threads.
+/// more than 20 threads, a practical size guard against absurd inputs.
 ExactResult solve_obm_exact(const ObmProblem& problem,
                             const ExactSolverOptions& options = {});
 

@@ -29,6 +29,11 @@ const obs::Counter c_evaluations("ga.evaluations");
 // of this constant never changes results.
 constexpr std::size_t kFitnessBatch = 32;
 
+// Operator rates and the individuals copied unchanged into each generation.
+constexpr double kCrossoverRate = 0.9;
+constexpr double kMutationRate = 0.2;  ///< probability of one swap per child
+constexpr std::size_t kElites = 2;
+
 /// Two bounded indices from one raw 32-bit draw: the first is the
 /// multiply-shift map (x·bound) >> 32, the second reuses the low 32 bits of
 /// that product as a fresh variate. Carries the plain multiply-shift modulo
@@ -115,10 +120,8 @@ void pmx_into(const TileId* a, const TileId* b, const TileId* inv_a,
 }  // namespace
 
 Mapping GeneticMapper::map(const ObmProblem& problem) {
-  NOCMAP_REQUIRE(params_.population >= 2, "population must be >= 2");
-  NOCMAP_REQUIRE(params_.elites < params_.population,
-                 "elites must be < population");
-  NOCMAP_REQUIRE(params_.tournament >= 1, "tournament must be >= 1");
+  NOCMAP_REQUIRE(params_.population > kElites,
+                 "population must exceed the 2 elites");
 
   const obs::ScopedTimer map_scope(t_map);
   const std::size_t n = problem.num_threads();
@@ -190,38 +193,25 @@ Mapping GeneticMapper::map(const ObmProblem& problem) {
                               std::span<double>(fit.data() + lo, hi - lo));
                         });
 
-  // Tournament over the unsorted population: uniform index draws (paired,
-  // two contestants per raw draw), first pick then strictly-better
-  // replacements — exactly the classic selection pressure without
-  // requiring a sorted array.
+  // Tournament of four over the unsorted population: two paired uniform
+  // index draws (two contestants per raw draw), first pick then
+  // strictly-better replacements — exactly the classic selection pressure
+  // without requiring a sorted array.
   // Contestant comparisons are data-random, so every "keep the better"
   // decision is a conditional select (ternary compiles to cmov), never a
   // branch — at two picks per child the mispredict tax would be real.
   const auto upop = static_cast<std::uint32_t>(pop_size);
   auto tournament_pick = [&]() -> std::size_t {
-    std::size_t best;
-    std::size_t t;
-    if (params_.tournament >= 2) {
-      const auto [i1, i2] = bounded_pair(rng, upop);
-      best = fit[i2] < fit[i1] ? i2 : i1;
-      t = 2;
-    } else {
-      return bounded_pair(rng, upop).first;
-    }
-    for (; t + 1 < params_.tournament; t += 2) {
-      const auto [i1, i2] = bounded_pair(rng, upop);
-      best = fit[i1] < fit[best] ? std::size_t{i1} : best;
-      best = fit[i2] < fit[best] ? std::size_t{i2} : best;
-    }
-    if (t < params_.tournament) {
-      const std::size_t i1 = bounded_pair(rng, upop).first;
-      best = fit[i1] < fit[best] ? i1 : best;
-    }
+    const auto [i1, i2] = bounded_pair(rng, upop);
+    std::size_t best = fit[i2] < fit[i1] ? i2 : i1;
+    const auto [i3, i4] = bounded_pair(rng, upop);
+    best = fit[i3] < fit[best] ? std::size_t{i3} : best;
+    best = fit[i4] < fit[best] ? std::size_t{i4} : best;
     return best;
   };
 
   std::uint64_t evaluations = pop_size;  // initial fitness fan-out
-  const std::size_t offspring = pop_size - params_.elites;
+  const std::size_t offspring = pop_size - kElites;
   std::vector<std::uint8_t> elite_taken(pop_size);
   std::vector<std::uint32_t> pmx_displaced(n);
   std::vector<std::uint32_t> pmx_diffs(n);
@@ -232,7 +222,7 @@ Mapping GeneticMapper::map(const ObmProblem& problem) {
     // rank lookup, so the former O(P log P) sort per generation reduces to
     // O(elites · P) with a deterministic tie-break.
     std::fill(elite_taken.begin(), elite_taken.end(), std::uint8_t{0});
-    for (std::size_t e = 0; e < params_.elites; ++e) {
+    for (std::size_t e = 0; e < kElites; ++e) {
       std::size_t best = ParallelTrialRunner::npos;
       for (std::size_t k = 0; k < pop_size; ++k) {
         if (elite_taken[k]) continue;
@@ -253,7 +243,7 @@ Mapping GeneticMapper::map(const ObmProblem& problem) {
     auto mutate = [&](TileId* child, TileId* child_inv, double* child_num) {
       // Operator decisions are single-draw uniform32 comparisons: the rates
       // are coarse tuning constants, so 2^-32 resolution loses nothing.
-      if (rng.uniform32() < params_.mutation_rate) {
+      if (rng.uniform32() < kMutationRate) {
         const auto [x, y] = bounded_pair(rng, un);
         const TileId tx = child[x];
         const TileId ty = child[y];
@@ -266,7 +256,7 @@ Mapping GeneticMapper::map(const ObmProblem& problem) {
         child_inv[tx] = static_cast<TileId>(y);
       }
     };
-    for (std::size_t k = params_.elites; k < pop_size; k += 2) {
+    for (std::size_t k = kElites; k < pop_size; k += 2) {
       const std::size_t pa = tournament_pick();
       const std::size_t pb = tournament_pick();
       const bool twins = k + 1 < pop_size;
@@ -276,7 +266,7 @@ Mapping GeneticMapper::map(const ObmProblem& problem) {
       TileId* c2 = twins ? &next[(k + 1) * n] : nullptr;
       TileId* c2_inv = twins ? &next_inv[(k + 1) * n] : nullptr;
       double* c2_num = twins ? &next_num[(k + 1) * num_slots] : nullptr;
-      if (rng.uniform32() < params_.crossover_rate) {
+      if (rng.uniform32() < kCrossoverRate) {
         auto [lo, hi] = bounded_pair(rng, un);
         if (lo > hi) std::swap(lo, hi);
         // Each child's numerators start as its base parent's (the one it is
@@ -316,10 +306,10 @@ Mapping GeneticMapper::map(const ObmProblem& problem) {
     // the tolerance here — anything larger is a delta-bookkeeping bug.
     {
       std::vector<double> check(offspring);
-      evaluator.score_rows(&next[params_.elites * n], n, offspring,
+      evaluator.score_rows(&next[kElites * n], n, offspring,
                            std::span<double>(check));
       for (std::size_t i = 0; i < offspring; ++i) {
-        NOCMAP_ASSERT(std::abs(next_fit[params_.elites + i] - check[i]) <=
+        NOCMAP_ASSERT(std::abs(next_fit[kElites + i] - check[i]) <=
                       1e-6 * std::max(1.0, std::abs(check[i])));
       }
     }

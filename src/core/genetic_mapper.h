@@ -5,9 +5,10 @@
 // time-consuming to reach a satisfying solution"; we implement it so that
 // claim can be measured rather than assumed (see ext_heuristic_faceoff).
 //
-// Standard permutation GA: tournament selection, PMX (partially mapped
-// crossover, which preserves permutation validity), swap mutation, and
-// elitism, with max-APL as the (minimized) fitness.
+// Standard permutation GA: tournament selection of four, PMX (partially
+// mapped crossover, which preserves permutation validity) at rate 0.9, one
+// swap mutation per offspring at rate 0.2, and two elites, with max-APL as
+// the (minimized) fitness.
 #pragma once
 
 #include <cstdint>
@@ -18,12 +19,8 @@
 namespace nocmap {
 
 struct GeneticParams {
-  std::size_t population = 64;
+  std::size_t population = 64;  ///< must exceed the two elites
   std::size_t generations = 200;
-  std::size_t tournament = 4;
-  double crossover_rate = 0.9;
-  double mutation_rate = 0.2;  ///< probability of one swap per offspring
-  std::size_t elites = 2;      ///< individuals copied unchanged
   std::uint64_t seed = 1;
   /// Fitness-evaluation execution policy. Breeding (selection, PMX,
   /// mutation) stays on one RNG stream and is serial; the per-individual

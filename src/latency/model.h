@@ -70,19 +70,6 @@ struct LatencyParams {
 inline constexpr std::uint32_t kShortPacketFlits = 1;
 inline constexpr std::uint32_t kLongPacketFlits = 5;
 
-/// Serialization parameters for deriving an average td_s from a packet mix;
-/// serialization in cycles equals the flit count.
-struct PacketMix {
-  double short_flits = kShortPacketFlits;
-  double long_flits = kLongPacketFlits;
-  /// Fraction of packets that are short (requests vs. data replies).
-  double short_fraction = 0.8;
-
-  double average_serialization() const {
-    return short_fraction * short_flits + (1.0 - short_fraction) * long_flits;
-  }
-};
-
 /// Per-tile latency arrays for one chip: the {TC(k)} and {TM(k)} of the
 /// problem statement (Section III.B). Immutable after construction.
 class TileLatencyModel {

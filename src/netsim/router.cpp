@@ -4,6 +4,9 @@
 
 namespace nocmap {
 
+/// Seed of the per-router arbiter streams of the distance-weighted policy.
+constexpr std::uint64_t kArbitrationSeed = 1;
+
 PortDir opposite(PortDir d) {
   switch (d) {
     case PortDir::kNorth: return PortDir::kSouth;
@@ -53,7 +56,7 @@ RouterEngine::RouterEngine(const Mesh& mesh, const NetworkConfig& config,
   for (std::size_t r = 0; r < num_routers; ++r) {
     const auto tile = static_cast<TileId>(first_tile + r);
     arbiter_rng_.emplace_back(
-        splitmix64(config.arbitration_seed) ^
+        splitmix64(kArbitrationSeed) ^
         splitmix64(static_cast<std::uint64_t>(tile) + 1));
     coord_.push_back(mesh.coord_of(tile));
   }

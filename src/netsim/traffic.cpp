@@ -5,6 +5,12 @@
 
 namespace nocmap {
 
+// Service latencies of a shared-L2 bank and of a memory controller (paper
+// Table 2), and the mean ON+OFF period of a bursty source, in cycles.
+constexpr Cycle kL2ServiceLatency = 6;
+constexpr Cycle kMemoryServiceLatency = 128;
+constexpr double kBurstDwellCycles = 200;
+
 TrafficEngine::TrafficEngine(const ObmProblem& problem, const Mapping& mapping,
                              const TrafficConfig& config)
     : problem_(&problem), config_(config) {
@@ -18,8 +24,6 @@ TrafficEngine::TrafficEngine(const ObmProblem& problem, const Mapping& mapping,
   NOCMAP_REQUIRE(!config.bursty || (config.burst_duty > 0.0 &&
                                     config.burst_duty < 1.0),
                  "burst duty must be in (0,1)");
-  NOCMAP_REQUIRE(!config.bursty || config.burst_dwell_cycles >= 2.0,
-                 "burst dwell must be at least 2 cycles");
 
   const Rng base(splitmix64(config.seed) ^ 0x9d3f5c1e2b4a6879ULL);
   coherence_rng_ = base.fork(0xc0ffee);
@@ -57,9 +61,8 @@ void TrafficEngine::draw_tile(TileId tile, std::vector<DrawEntry>& out) {
       (src.cache_per_cycle > 0.0 || src.memory_per_cycle > 0.0)) {
     // Two-state Markov modulation: ON at rate/duty, OFF at zero; dwell
     // times chosen so the long-run mean rate is unchanged.
-    const double t_on = config_.burst_duty * config_.burst_dwell_cycles;
-    const double t_off =
-        (1.0 - config_.burst_duty) * config_.burst_dwell_cycles;
+    const double t_on = config_.burst_duty * kBurstDwellCycles;
+    const double t_off = (1.0 - config_.burst_duty) * kBurstDwellCycles;
     if (src.burst_on) {
       if (src.rng.bernoulli(std::min(1.0, 1.0 / t_on))) {
         src.burst_on = false;
@@ -203,7 +206,7 @@ void TrafficEngine::emit_multicast(Network& net, TileId from,
       locals->push_back({PacketClass::kMemoryRequest, app, thread});
     }
     if (from == responder) {
-      schedule(now + config_.memory_service_latency,
+      schedule(now + kMemoryServiceLatency,
                PacketClass::kMemoryReply, from, requester, app, thread);
     }
   }
@@ -262,7 +265,7 @@ void TrafficEngine::on_ejection(Network& net, const Ejection& ejection,
 
   switch (pkt.cls) {
     case PacketClass::kCacheRequest: {
-      const Cycle due = now + config_.l2_service_latency;
+      const Cycle due = now + kL2ServiceLatency;
       if (config_.forward_probability > 0.0 &&
           coherence_rng_.bernoulli(config_.forward_probability)) {
         // Line dirty in another private L1: the bank forwards to the owner
@@ -284,7 +287,7 @@ void TrafficEngine::on_ejection(Network& net, const Ejection& ejection,
                pkt.app, pkt.thread);
       break;
     case PacketClass::kMemoryRequest:
-      schedule(now + config_.memory_service_latency,
+      schedule(now + kMemoryServiceLatency,
                PacketClass::kMemoryReply, pkt.dst, requester, pkt.app,
                pkt.thread);
       break;

@@ -15,9 +15,9 @@
 // is recorded as a zero-latency access, exactly as the analytic model's
 // H = 0 / no-serialization case. When a request ejects at its destination,
 // the serviced reply (5-flit data packet) is scheduled back after the L2 or
-// memory service latency. Optionally, a fraction of cache requests take the
-// coherence forwarding path of Section II.B: bank → owner L1 (short
-// forward) → requester (data reply).
+// memory service latency (6 and 128 cycles, paper Table 2). Optionally, a
+// fraction of cache requests take the coherence forwarding path of Section
+// II.B: bank → owner L1 (short forward) → requester (data reply).
 #pragma once
 
 #include <map>
@@ -36,8 +36,6 @@ struct TrafficConfig {
   std::uint64_t seed = 1;
   /// Multiplier applied to workload rates (rates are per kilocycle).
   double injection_scale = 1.0;
-  std::uint32_t l2_service_latency = 6;      ///< paper Table 2
-  std::uint32_t memory_service_latency = 128;  ///< paper Table 2
   /// Fraction of cache requests whose line is dirty in another private L1:
   /// the L2 bank sends a short forward to the owner tile, which supplies
   /// the data reply to the requester directly (paper Section II.B's
@@ -45,12 +43,12 @@ struct TrafficConfig {
   double forward_probability = 0.0;
   /// Bursty (two-state Markov on/off) injection. When enabled, each thread
   /// alternates between ON phases at rate/duty and OFF phases at zero,
-  /// preserving its mean rate — real applications burst, and bursts stress
-  /// queuing in ways the mean cannot. Disabled (steady Bernoulli) by
-  /// default, matching the analytic model's assumptions.
+  /// preserving its mean rate, with a mean ON+OFF period of 200 cycles —
+  /// real applications burst, and bursts stress queuing in ways the mean
+  /// cannot. Disabled (steady Bernoulli) by default, matching the analytic
+  /// model's assumptions.
   bool bursty = false;
-  double burst_duty = 0.3;          ///< fraction of time in the ON state
-  double burst_dwell_cycles = 200;  ///< mean ON+OFF period length
+  double burst_duty = 0.3;  ///< fraction of time in the ON state
   /// How memory requests pick their MC destination (latency/model.h).
   MemoryTrafficMode memory_mode = MemoryTrafficMode::kProximity;
 };

@@ -144,7 +144,6 @@ struct NetworkConfig {
   std::uint32_t tsv_link_latency = 1;  ///< cycles per vertical (TSV) link
   RoutingAlgo routing = RoutingAlgo::kXY;  ///< the paper uses XY
   Arbitration arbitration = Arbitration::kRoundRobin;
-  std::uint64_t arbitration_seed = 1;  ///< for the probabilistic arbiter
 
   /// VC range [lo, hi) a flit of the given sub-route may claim. Under
   /// O1TURN the VCs are split between the XY and YX classes (deadlock

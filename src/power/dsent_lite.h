@@ -7,8 +7,8 @@
 // a 3-stage VC router with 1 mm links). The paper's Figure-11 claim is
 // purely *relative* — SSS dynamic power within ~2.7% of Global — and
 // relative dynamic power depends only on activity ratios, so absolute
-// calibration is not load-bearing; the constants are still documented and
-// overridable.
+// calibration is not load-bearing; the model evaluates this one
+// technology point, and its constants are documented below.
 //
 // Static power is modelled as a constant per router + per link, reported
 // separately (the paper notes static power is approximately equal across
@@ -19,21 +19,18 @@
 
 namespace nocmap {
 
-/// Per-event energies in picojoules and leakage in milliwatts.
-struct PowerParams {
-  // 45 nm, 1.0 V, 128-bit flit defaults.
-  double buffer_write_pj = 1.25;   ///< flit write into an input VC buffer
-  double buffer_read_pj = 0.95;    ///< flit read out of an input VC buffer
-  double crossbar_pj = 1.65;       ///< 5x5 crossbar traversal per flit
-  double sw_arbiter_pj = 0.12;     ///< switch-allocator grant
-  double vc_arbiter_pj = 0.18;     ///< output-VC allocation (head flits)
-  double link_pj = 2.10;           ///< 1 mm 128-bit link traversal per flit
+// Per-event energies in picojoules (45 nm, 1.0 V, 128-bit flits).
+inline constexpr double kBufferWritePj = 1.25;  ///< flit into a VC buffer
+inline constexpr double kBufferReadPj = 0.95;   ///< flit out of a VC buffer
+inline constexpr double kCrossbarPj = 1.65;     ///< 5x5 crossbar traversal
+inline constexpr double kSwArbiterPj = 0.12;    ///< switch-allocator grant
+inline constexpr double kVcArbiterPj = 0.18;    ///< output-VC allocation
+inline constexpr double kLinkPj = 2.10;         ///< 1 mm link traversal
 
-  double router_leakage_mw = 4.8;  ///< per router
-  double link_leakage_mw = 1.1;    ///< per unidirectional inter-router link
-
-  double clock_ghz = 2.0;          ///< paper Table 2
-};
+// Leakage in milliwatts, and the clock (paper Table 2).
+inline constexpr double kRouterLeakageMw = 4.8;  ///< per router
+inline constexpr double kLinkLeakageMw = 1.1;    ///< per directed link
+inline constexpr double kClockGhz = 2.0;
 
 /// Power breakdown in milliwatts.
 struct PowerReport {
@@ -46,23 +43,10 @@ struct PowerReport {
   double total_mw = 0.0;
 };
 
-class DsentLitePowerModel {
- public:
-  explicit DsentLitePowerModel(PowerParams params = {}) : params_(params) {}
-
-  const PowerParams& params() const { return params_; }
-
-  /// Converts measured activity over `cycles` into a power report for a
-  /// network with `num_routers` routers and `num_links` unidirectional
-  /// inter-router links.
-  PowerReport report(const ActivityCounters& activity, Cycle cycles,
-                     std::size_t num_routers, std::size_t num_links) const;
-
-  /// Energy of a single event set (picojoules); exposed for unit tests.
-  double dynamic_energy_pj(const ActivityCounters& activity) const;
-
- private:
-  PowerParams params_;
-};
+/// Converts measured activity over `cycles` into a power report for
+/// `mesh`: one leaking router per tile and one per directed inter-router
+/// link. Throws nocmap::Error on an empty window.
+PowerReport power_report(const ActivityCounters& activity, Cycle cycles,
+                         const Mesh& mesh);
 
 }  // namespace nocmap

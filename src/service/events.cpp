@@ -38,6 +38,11 @@ Application synthesize_app(const std::string& config_name,
 const char* kConfigCycle[] = {"C1", "C2", "C3", "C4",
                               "C5", "C6", "C7", "C8"};
 
+/// Fraction of events (given live applications exist) that are phase
+/// changes; the rest split between arrivals and departures, biased towards
+/// arrivals while the chip is mostly empty.
+constexpr double kPhaseChangeFraction = 0.25;
+
 }  // namespace
 
 std::vector<Event> generate_trace(const TraceConfig& config) {
@@ -47,9 +52,6 @@ std::vector<Event> generate_trace(const TraceConfig& config) {
                  "trace thread-count range is empty");
   NOCMAP_REQUIRE(config.min_threads_per_app <= config.num_tiles,
                  "smallest application exceeds the chip");
-  NOCMAP_REQUIRE(config.phase_change_fraction >= 0.0 &&
-                     config.phase_change_fraction <= 1.0,
-                 "phase-change fraction must be a probability");
 
   Rng rng(config.seed, 0x73657276ULL);  // "serv"
   std::vector<Event> events;
@@ -73,7 +75,7 @@ std::vector<Event> generate_trace(const TraceConfig& config) {
     const double r = rng.uniform();
     const double occupancy =
         static_cast<double>(occupied) / static_cast<double>(config.num_tiles);
-    if (!live.empty() && r < config.phase_change_fraction) {
+    if (!live.empty() && r < kPhaseChangeFraction) {
       // Phase change of a random live application: same thread count, a
       // fresh rate draw (possibly a different Table-3 configuration).
       const Live& target =

@@ -7,8 +7,9 @@
 // request rates). Every event carries an external application id so a
 // trace is self-describing and replayable.
 //
-// generate_trace() synthesizes a deterministic event stream from one seed:
-// it simulates the chip's admission bookkeeping (an arrival fits iff its
+// generate_trace() synthesizes a deterministic event stream from one seed
+// (once applications are live, a quarter of the events are phase changes).
+// It simulates the chip's admission bookkeeping (an arrival fits iff its
 // thread count is at most the free-tile count, exactly the MappingService
 // admission rule) so departures and phase changes always reference live
 // applications, while arrivals deliberately include over-capacity requests
@@ -48,10 +49,6 @@ struct TraceConfig {
   std::uint32_t num_tiles = 64;
   std::uint32_t min_threads_per_app = 2;
   std::uint32_t max_threads_per_app = 16;
-  /// Fraction of events (given live applications exist) that are phase
-  /// changes; the rest split between arrivals and departures, biased
-  /// towards arrivals while the chip is mostly empty.
-  double phase_change_fraction = 0.25;
   /// Table-3 configuration for rate synthesis; empty cycles C1..C8.
   std::string config;
 };

@@ -102,11 +102,8 @@ obs::JsonValue scenario_record(const SweepScenario& scenario,
     s["link_utilization"] = sim->load.link_utilization;
     s["max_crossbar_per_cycle"] = sim->load.max_crossbar_per_cycle;
     s["drain_incomplete"] = sim->drain_incomplete;
-    const Mesh& mesh = problem.mesh();
-    const DsentLitePowerModel power_model;
     const PowerReport power =
-        power_model.report(sim->activity, sim->measured_cycles,
-                           mesh.num_tiles(), mesh.num_directed_links());
+        power_report(sim->activity, sim->measured_cycles, problem.mesh());
     s["dynamic_mw"] = power.dynamic_mw;
     s["total_mw"] = power.total_mw;
     rec["sim"] = std::move(s);

@@ -2,12 +2,31 @@
 
 #include <cmath>
 #include <fstream>
+#include <limits>
+#include <set>
 #include <sstream>
 #include <vector>
+
+#include "util/parse.h"
 
 namespace nocmap {
 
 void write_workload_csv(const Workload& workload, std::ostream& out) {
+  // Refuse the names read_workload_csv would reject or misread.
+  std::set<std::string> names;
+  for (std::size_t a = 0; a < workload.num_applications(); ++a) {
+    const std::string& name = workload.application(a).name;
+    NOCMAP_REQUIRE(!name.empty(), "application " + std::to_string(a) +
+                                      " has no name to write to CSV");
+    NOCMAP_REQUIRE(name.find_first_of(",\n") == std::string::npos,
+                   "application name '" + name +
+                       "' holds a comma or newline");
+    NOCMAP_REQUIRE(names.insert(name).second,
+                   "application name '" + name + "' is used twice");
+  }
+  // Enough digits that every rate reads back to the same double.
+  const std::streamsize precision =
+      out.precision(std::numeric_limits<double>::max_digits10);
   out << "application,thread,cache_rate,memory_rate\n";
   for (std::size_t a = 0; a < workload.num_applications(); ++a) {
     const Application& app = workload.application(a);
@@ -16,12 +35,15 @@ void write_workload_csv(const Workload& workload, std::ostream& out) {
           << app.threads[t].memory_rate << '\n';
     }
   }
+  out.precision(precision);
 }
 
 void save_workload_csv(const Workload& workload, const std::string& path) {
+  std::ostringstream text;
+  write_workload_csv(workload, text);  // refuses bad names before any I/O
   std::ofstream out(path);
   NOCMAP_REQUIRE(out.good(), "cannot open workload CSV for writing: " + path);
-  write_workload_csv(workload, out);
+  out << text.str();
   NOCMAP_REQUIRE(out.good(), "write failure on workload CSV: " + path);
 }
 
@@ -37,22 +59,11 @@ std::vector<std::string> split_csv_line(const std::string& line) {
 }
 
 double parse_rate(const std::string& cell, std::size_t line_no) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(cell, &used);
-    NOCMAP_REQUIRE(used == cell.size(),
-                   "trailing junk in rate on CSV line " +
-                       std::to_string(line_no));
-    NOCMAP_REQUIRE(std::isfinite(v), "non-finite rate on CSV line " +
-                                         std::to_string(line_no));
-    NOCMAP_REQUIRE(v >= 0.0, "negative rate on CSV line " +
-                                 std::to_string(line_no));
-    return v;
-  } catch (const std::invalid_argument&) {
-    throw Error("non-numeric rate on CSV line " + std::to_string(line_no));
-  } catch (const std::out_of_range&) {
-    throw Error("rate out of range on CSV line " + std::to_string(line_no));
-  }
+  const std::string where = "CSV line " + std::to_string(line_no);
+  const double v = parse_number<double>(cell, "rate on " + where);
+  NOCMAP_REQUIRE(std::isfinite(v), "non-finite rate on " + where);
+  NOCMAP_REQUIRE(v >= 0.0, "negative rate on " + where);
+  return v;
 }
 
 }  // namespace

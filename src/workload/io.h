@@ -19,13 +19,16 @@
 
 namespace nocmap {
 
-/// Writes the workload as CSV. Throws nocmap::Error on I/O failure.
+/// Writes the workload as CSV, every rate with enough digits to read back
+/// exactly. Throws nocmap::Error on I/O failure and, before writing
+/// anything, on an application name the reader cannot take back: empty,
+/// holding a comma or newline, or used twice.
 void save_workload_csv(const Workload& workload, const std::string& path);
 void write_workload_csv(const Workload& workload, std::ostream& out);
 
 /// Parses a workload from CSV. Throws nocmap::Error on malformed input
-/// (bad header, non-numeric, non-finite or negative rates, thread-index
-/// gaps).
+/// (bad header, rates that are not one whole number token, non-finite or
+/// negative rates, thread-index gaps).
 Workload load_workload_csv(const std::string& path);
 Workload read_workload_csv(std::istream& in);
 

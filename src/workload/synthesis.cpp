@@ -32,6 +32,14 @@ ConfigSpec parsec_config(const std::string& name) {
 
 namespace {
 
+// The Table-3 calibration (see the header comment): the within-application
+// cv of thread cache rates is the configuration's cv scaled and clamped,
+// and the lognormal sigma of the per-thread cache:memory ratio jitter.
+constexpr double kWithinAppCvScale = 0.03;
+constexpr double kMinWithinAppCv = 0.2;
+constexpr double kMaxWithinAppCv = 0.7;
+constexpr double kRatioJitterSigma = 0.35;
+
 /// Deterministic lognormal quantile sample of size n whose population
 /// coefficient of variation equals `cv` (mu = 0; caller rescales the mean).
 std::vector<double> lognormal_quantiles(std::size_t n, double cv) {
@@ -64,8 +72,6 @@ Workload synthesize_workload(const ConfigSpec& spec, std::uint64_t seed,
                  "need at least one load multiplier");
   NOCMAP_REQUIRE(spec.cache.mean > 0.0 && spec.memory.mean > 0.0,
                  "config means must be positive");
-  NOCMAP_REQUIRE(options.within_app_cv_scale >= 0.0,
-                 "cv scale must be non-negative");
 
   const std::size_t num_apps = options.num_applications;
   const std::size_t per_app = options.threads_per_app;
@@ -76,9 +82,8 @@ Workload synthesize_workload(const ConfigSpec& spec, std::uint64_t seed,
   // (the published value is temporal; see header), preserving the
   // configurations' variance ordering.
   const double table_cv = spec.cache.stddev / spec.cache.mean;
-  const double within_cv =
-      std::clamp(options.within_app_cv_scale * table_cv,
-                 options.min_within_app_cv, options.max_within_app_cv);
+  const double within_cv = std::clamp(kWithinAppCvScale * table_cv,
+                                      kMinWithinAppCv, kMaxWithinAppCv);
 
   // 1. Per application: deterministic quantile sample, shuffled so thread
   //    index does not encode rate, scaled by the application multiplier
@@ -106,7 +111,7 @@ Workload synthesize_workload(const ConfigSpec& spec, std::uint64_t seed,
   std::vector<double> all_memory(n);
   for (std::size_t j = 0; j < n; ++j) {
     const double ratio =
-        base_ratio * rng.lognormal(0.0, options.ratio_jitter_sigma);
+        base_ratio * rng.lognormal(0.0, kRatioJitterSigma);
     all_memory[j] = all_cache[j] / ratio;
   }
   rescale_mean(all_memory, spec.memory.mean);

@@ -18,14 +18,15 @@
 //    corner region) require moderate within-application heterogeneity and
 //    strong across-application load differences.
 //  * Per-thread cache rates inside each application are deterministic
-//    lognormal quantiles with a moderate coefficient of variation, scaled
-//    per configuration from the Table-3 cv so the configurations' variance
-//    *ordering* is preserved.
+//    lognormal quantiles with a moderate coefficient of variation: 0.03 of
+//    the configuration's Table-3 cv, clamped to [0.2, 0.7], so the
+//    configurations' variance *ordering* is preserved.
 //  * Per-application load multipliers make the applications' total rates
 //    distinct ("Application 1 … lightest traffic"), then a global rescale
 //    pins the exact Table-3 mean.
-//  * Memory rates follow m_j = c_j / ratio_j with jittered per-thread
-//    ratios, rescaled so the configuration's memory-rate mean is exact.
+//  * Memory rates follow m_j = c_j / ratio_j with per-thread ratios
+//    jittered lognormally (sigma 0.35), rescaled so the configuration's
+//    memory-rate mean is exact.
 //
 // Everything is deterministic given (spec, seed).
 #pragma once
@@ -67,14 +68,6 @@ struct SynthesisOptions {
   /// Table-1 shape matches (Global ≈ +7..10% max-APL and ~3.5-4x dev-APL
   /// over the random average).
   std::vector<double> app_load_multipliers = {0.25, 0.7, 1.3, 1.75};
-  /// Lognormal sigma of the per-thread cache:memory ratio jitter.
-  double ratio_jitter_sigma = 0.35;
-  /// Within-application coefficient of variation of thread cache rates is
-  /// derived from the config's Table-3 cv scaled by this factor...
-  double within_app_cv_scale = 0.03;
-  /// ...and clamped to this range (see the header comment).
-  double min_within_app_cv = 0.2;
-  double max_within_app_cv = 0.7;
 };
 
 /// Generates a Workload matching `spec` as described above. The result has

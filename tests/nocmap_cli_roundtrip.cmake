@@ -1,0 +1,31 @@
+# Drives nocmap_cli through both of its CSV formats: write a sample
+# workload, map it and save the mapping, then evaluate the saved mapping.
+# Every step must exit 0, and the last two must print the same max-APL line.
+#
+#   cmake -DCLI=<nocmap_cli> -DDIR=<scratch dir> -P nocmap_cli_roundtrip.cmake
+cmake_minimum_required(VERSION 3.16)
+
+file(MAKE_DIRECTORY ${DIR})
+set(workload ${DIR}/w.csv)
+set(mapping ${DIR}/m.csv)
+
+function(run_cli out_var)
+  execute_process(COMMAND ${CLI} ${ARGN}
+    OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    string(REPLACE ";" " " args "${ARGN}")
+    message(FATAL_ERROR "nocmap_cli ${args} exited with ${rc}:\n${out}${err}")
+  endif()
+  set(${out_var} "${out}" PARENT_SCOPE)
+endfunction()
+
+run_cli(ignored --sample ${workload})
+run_cli(solved ${workload} --output ${mapping})
+run_cli(loaded ${workload} --mapping ${mapping})
+
+string(REGEX MATCH "max-APL [^\n]*" solved_line "${solved}")
+string(REGEX MATCH "max-APL [^\n]*" loaded_line "${loaded}")
+if(solved_line STREQUAL "" OR NOT solved_line STREQUAL loaded_line)
+  message(FATAL_ERROR "max-APL differs between the solved and the loaded "
+                      "mapping:\n  '${solved_line}'\n  '${loaded_line}'")
+endif()

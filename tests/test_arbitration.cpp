@@ -64,9 +64,7 @@ TEST(DistanceArbitration, HotspotDrains) {
 TEST(DistanceArbitration, DeterministicForSeed) {
   auto run_once = [&] {
     const Mesh mesh = Mesh::square(4);
-    NetworkConfig cfg = dw_config();
-    cfg.arbitration_seed = 9;
-    Network net(mesh, cfg);
+    Network net(mesh, dw_config());
     for (PacketId id = 1; id <= 40; ++id) {
       net.inject_packet(make_packet(
           id, static_cast<TileId>(id % 16),

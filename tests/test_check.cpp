@@ -96,6 +96,13 @@ TEST(Repro, RejectsMalformedInput) {
   EXPECT_THROW(from_repro(with("torus", "0x1")), Error);
   EXPECT_THROW(from_repro(with("mesh_side", "-4")), Error);
   EXPECT_THROW(from_repro(with("mesh_side", "4294967300")), Error);
+
+  // 65536 x 65536 threads is 2^32: the count must not wrap to 0 and pass
+  // the "more threads than tiles" check.
+  ScenarioSpec wrapped = spec;
+  wrapped.num_applications = 65536;
+  wrapped.threads_per_app = 65536;
+  EXPECT_THROW(from_repro(to_repro(wrapped)), Error);
 }
 
 TEST(Repro, SaveLoadFileRoundTrip) {

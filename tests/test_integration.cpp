@@ -123,16 +123,10 @@ TEST(Integration, Figure11PowerOverheadSmall) {
   const SimResult rg = run_simulation(p, global.map(p), cfg);
   const SimResult rs = run_simulation(p, sss.map(p), cfg);
 
-  const DsentLitePowerModel power;
-  const std::size_t links = p.mesh().num_directed_links();
-  const double pg = power
-                        .report(rg.activity, rg.measured_cycles,
-                                p.mesh().num_tiles(), links)
-                        .dynamic_mw;
-  const double ps = power
-                        .report(rs.activity, rs.measured_cycles,
-                                p.mesh().num_tiles(), links)
-                        .dynamic_mw;
+  const double pg =
+      power_report(rg.activity, rg.measured_cycles, p.mesh()).dynamic_mw;
+  const double ps =
+      power_report(rs.activity, rs.measured_cycles, p.mesh()).dynamic_mw;
   EXPECT_GT(pg, 0.0);
   EXPECT_LT(std::abs(ps - pg) / pg, 0.10);  // paper: <= 2.7% overhead
 }

@@ -15,12 +15,6 @@ TEST(LatencyParams, PerHop) {
   EXPECT_DOUBLE_EQ(p.per_hop(), 4.5);
 }
 
-TEST(PacketMix, AverageSerialization) {
-  const PacketMix mix{.short_flits = 1.0, .long_flits = 5.0,
-                      .short_fraction = 0.5};
-  EXPECT_DOUBLE_EQ(mix.average_serialization(), 3.0);
-}
-
 TEST(TileLatencyModel, TcFormulaOn4x4) {
   // 4x4 mesh, Fig-5 parameters: corner HC = 3.0, edge HC = 2.5,
   // center HC = 2.0; TC = HC*4 + 1*(15/16).

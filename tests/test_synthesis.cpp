@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
 
 namespace nocmap {
@@ -147,6 +149,34 @@ TEST(Synthesis, InvalidOptionsRejected) {
   opt.num_applications = 4;
   opt.app_load_multipliers = {};
   EXPECT_THROW(synthesize_workload(parsec_config("C1"), 1, opt), Error);
+}
+
+// FNV-1a/64 over the bits of every cache and memory rate of C1..C8 at
+// seed 20140519, with 4 x 16 then 4 x 64 threads per configuration,
+// recorded before the Table-3 calibration became constants: any change to
+// the synthesis arithmetic or its draw order moves it.
+TEST(Synthesis, Table3RatesArePinned) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&](double x) {
+    const auto bits = std::bit_cast<std::uint64_t>(x);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const std::size_t per_app : {16, 64}) {
+    SynthesisOptions options;
+    options.threads_per_app = per_app;
+    for (const ConfigSpec& spec : parsec_table3_configs()) {
+      const Workload wl = synthesize_workload(spec, 20140519, options);
+      ASSERT_EQ(wl.num_threads(), 4 * per_app);
+      for (std::size_t j = 0; j < wl.num_threads(); ++j) {
+        mix(wl.thread(j).cache_rate);
+        mix(wl.thread(j).memory_rate);
+      }
+    }
+  }
+  EXPECT_EQ(h, 0xabaeae6d079efe7cULL);
 }
 
 TEST(MeasureMoments, HandComputed) {

@@ -308,9 +308,6 @@ TEST(TrafficEngine, BurstParamsValidated) {
   EXPECT_THROW(TrafficEngine(p, p.identity_mapping(), cfg), Error);
   cfg.burst_duty = 1.0;
   EXPECT_THROW(TrafficEngine(p, p.identity_mapping(), cfg), Error);
-  cfg.burst_duty = 0.3;
-  cfg.burst_dwell_cycles = 1.0;
-  EXPECT_THROW(TrafficEngine(p, p.identity_mapping(), cfg), Error);
 }
 
 TEST(TrafficEngine, ForwardProbabilityValidated) {

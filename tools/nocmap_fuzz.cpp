@@ -199,7 +199,7 @@ int main(int argc, char** argv) {
       print_failure(failure);
     }
     return report.ok() ? 0 : 1;
-  } catch (const Error& e) {
+  } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
   }
