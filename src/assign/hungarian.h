@@ -142,12 +142,6 @@ class AssignmentWorkspace {
   /// solve otherwise — in particular every rectangular solve runs cold).
   const Assignment& solve_warm(const CostView& view);
 
-  /// Result of the most recent solve (valid until the next one).
-  const Assignment& last() const { return result_; }
-
-  /// Drops the warm-start state; the next solve_warm runs cold.
-  void invalidate() { warm_cols_ = 0; }
-
  private:
   void solve_impl(const CostView& view, bool warm);
   /// Returns the number of shortest-path scan steps (inner Dijkstra

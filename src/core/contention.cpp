@@ -164,16 +164,6 @@ double ContentionModel::queue_delay(double utilization) {
   return u / (2.0 * (1.0 - u));
 }
 
-double ContentionModel::expected_packet_queuing(TileId src,
-                                                TileId dst) const {
-  if (src == dst) return 0.0;
-  double total = 0.0;
-  walk_path(*mesh_, src, dst, [&](TileId at, TileId next) {
-    total += queue_delay(link_load(at, next));
-  });
-  return total;
-}
-
 double ContentionModel::predicted_td_q() const {
   // A random flit lands on link L with probability proportional to L's
   // load, and then waits W(u_L).

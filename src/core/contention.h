@@ -33,12 +33,9 @@ class ContentionModel {
                   double injection_scale = 1.0);
 
   /// Flits/cycle on the directed link from `from` to its neighbour `to`
-  /// (must be mesh-adjacent).
+  /// (must be mesh-adjacent). Capacity is 1 flit/cycle, so a link's load
+  /// is its utilization.
   double link_load(TileId from, TileId to) const;
-  /// Same as link_load (capacity is 1 flit/cycle, so load == utilization).
-  double link_utilization(TileId from, TileId to) const {
-    return link_load(from, to);
-  }
 
   double max_utilization() const;
   /// Mean utilization over all directed links (including idle ones).
@@ -51,9 +48,6 @@ class ContentionModel {
   /// M/D/1 waiting time on one link (cycles per flit); clamped just below
   /// capacity to stay finite.
   static double queue_delay(double utilization);
-
-  /// Expected queuing a packet accumulates along the XYZ path src→dst.
-  double expected_packet_queuing(TileId src, TileId dst) const;
 
   /// Flit-weighted average per-hop queuing — the model's td_q estimate,
   /// comparable with ActivityCounters::avg_queue_wait().

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <exception>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #include "util/error.h"
@@ -22,10 +23,19 @@ ParallelConfig ParallelConfig::from_env() {
   return {parse_thread_count(std::getenv("NOCMAP_THREADS"))};
 }
 
+std::size_t parse_worker_count(std::string_view text, std::string_view what) {
+  const auto count = parse_number<std::size_t>(text, what);
+  NOCMAP_REQUIRE(count <= kMaxWorkers,
+                 std::string(what) + " is " + std::string(text) +
+                     ", above the worker bound " +
+                     std::to_string(kMaxWorkers));
+  return count;
+}
+
 std::size_t parse_thread_count(const char* text) {
   if (text == nullptr) return 0;
   try {
-    return parse_number<std::size_t>(text, "NOCMAP_THREADS");
+    return parse_worker_count(text, "NOCMAP_THREADS");
   } catch (const Error&) {
     return 0;
   }

@@ -25,6 +25,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <string_view>
 
 #include "util/cycle_barrier.h"
 
@@ -49,9 +50,19 @@ struct ParallelConfig {
   static ParallelConfig from_env();
 };
 
-/// Parses a NOCMAP_THREADS value. A whole non-negative number is the worker
-/// count; null, empty, negative or non-numeric text yields 0 (all hardware
-/// threads), never a wrapped or partly parsed count.
+/// Largest worker count accepted from outside the program (NOCMAP_THREADS
+/// and the tools' worker options), so a typo cannot ask the OS for millions
+/// of threads. Above every count a test, bench or CI leg uses (the largest
+/// is 64 netsim workers); 0 still resolves to all hardware threads.
+inline constexpr std::size_t kMaxWorkers = 256;
+
+/// Parses a worker-count option: a whole number in [0, kMaxWorkers].
+/// Anything else throws Error naming `what`, the option the text came from.
+std::size_t parse_worker_count(std::string_view text, std::string_view what);
+
+/// Parses a NOCMAP_THREADS value. A whole number up to kMaxWorkers is the
+/// worker count; null, empty, negative, non-numeric or larger text yields 0
+/// (all hardware threads), never a wrapped or partly parsed count.
 std::size_t parse_thread_count(const char* text);
 
 /// Runs batches of independent work units for a mapper, inline when the

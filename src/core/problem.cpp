@@ -42,7 +42,6 @@ ObmProblem::ObmProblem(TileLatencyModel model, Workload workload,
                  "one service weight per application required");
   for (double w : app_weights_) {
     NOCMAP_REQUIRE(w > 0.0, "service weights must be positive");
-    if (w != 1.0) weighted_ = true;
   }
 }
 

@@ -59,8 +59,6 @@ class ObmProblem {
 
   /// Service weight of application i (1.0 unless set at construction).
   double app_weight(std::size_t i) const;
-  /// True when any weight differs from 1 (the weighted-OBM variant).
-  bool is_weighted() const { return weighted_; }
 
   /// Identity mapping (thread j on tile j), handy as a starting point.
   Mapping identity_mapping() const;
@@ -69,7 +67,6 @@ class ObmProblem {
   TileLatencyModel model_;
   Workload workload_;
   std::vector<double> app_weights_;
-  bool weighted_ = false;
 };
 
 }  // namespace nocmap

@@ -151,23 +151,26 @@ BudgetedRemapResult remap_budgeted(const ObmProblem& problem,
   };
 
   BudgetedRemapResult out;
+  // Forced moves lower-bound every assignment within the fresh tile sets,
+  // λ = 0 included: when they alone exceed the budget nothing fits, so no
+  // assignment is solved and everything stays where it is.
+  if (count_forced_moves(problem, fresh, old_mapping) > max_moved_threads) {
+    out.reverted_to_old = true;
+    out.remap = finish_remap(problem, old_mapping, old_mapping);
+    return out;
+  }
   Mapping best = assign_within_tile_sets(problem, fresh, old_mapping, 0.0);
   if (moves(best) > max_moved_threads) {
-    // Forced moves lower-bound every sticky solution: when they alone
-    // exceed the budget no penalty fits, so the search is skipped. (When
-    // they fit, the search always succeeds: λ → ∞ moves only those.)
-    double penalty = std::numeric_limits<double>::infinity();
-    if (count_forced_moves(problem, fresh, old_mapping) <= max_moved_threads) {
-      penalty = smallest_fitting_penalty([&](double lambda) {
-        Mapping sticky =
-            assign_within_tile_sets(problem, fresh, old_mapping, lambda);
-        if (moves(sticky) > max_moved_threads) return false;
-        best = std::move(sticky);
-        return true;
-      });
-    }
+    // The forced moves fit, so the search succeeds (λ → ∞ moves only
+    // those) unless the penalty overflows its search range.
+    const double penalty = smallest_fitting_penalty([&](double lambda) {
+      Mapping sticky =
+          assign_within_tile_sets(problem, fresh, old_mapping, lambda);
+      if (moves(sticky) > max_moved_threads) return false;
+      best = std::move(sticky);
+      return true;
+    });
     if (std::isinf(penalty)) {
-      // Keep everything where it is.
       best = old_mapping;
       out.reverted_to_old = true;
     } else {

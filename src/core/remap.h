@@ -67,19 +67,19 @@ struct BudgetedRemapResult {
 /// `max_moved_threads` threads (zero-rate pad threads move for free and are
 /// not counted, as in remap_balanced):
 ///
-///   1. Solve the unconstrained remap (λ = 0); done if within budget.
-///   2. Otherwise search (smallest_fitting_penalty) the migration penalty λ
-///      down to the smallest value whose sticky solution fits the budget,
-///      so quality degrades no more than the budget demands.
-///   3. Threads whose old tile is not in their application's fresh tile set
+///   1. Threads whose old tile is not in their application's fresh tile set
 ///      *must* move under any penalty; when those forced moves alone exceed
 ///      the budget, the old mapping is returned unchanged (an identity
-///      remap, `reverted_to_old` set).
+///      remap, `reverted_to_old` set) without solving an assignment.
+///   2. Solve the unconstrained remap (λ = 0); done if within budget.
+///   3. Otherwise search (smallest_fitting_penalty) the migration penalty λ
+///      down to the smallest value whose sticky solution fits the budget,
+///      so quality degrades no more than the budget demands.
 ///
 /// A budget of 0 therefore always produces an identity remap; a budget of
 /// SIZE_MAX (or >= the real-thread count) reproduces remap_balanced(λ=0)
 /// exactly. Unlike remap_balanced, `old_mapping` must be a valid permutation
-/// for the problem (step 3's fallback has to be a legal mapping).
+/// for the problem (step 1's fallback has to be a legal mapping).
 BudgetedRemapResult remap_budgeted(const ObmProblem& problem,
                                    const Mapping& old_mapping,
                                    std::size_t max_moved_threads,

@@ -25,8 +25,8 @@ struct SamResult {
   double apl = 0.0;
 };
 
-/// Eq. 13 from thread profiles, for every caller that has no cache (the
-/// profile-based solve_sam, core/remap.h and the online service): fills
+/// Eq. 13 from thread profiles, for every caller that has no cache
+/// (core/remap.h and the online service): fills
 /// `cost` row-major with cost[t·|tiles| + k] = c_t·TC(tiles[k]) +
 /// m_t·TM(tiles[k]), plus the migration penalty λ·(c_t + m_t) wherever
 /// thread t has an old tile (t < old_tiles.size()) other than tiles[k], and
@@ -56,16 +56,11 @@ inline CostView sam_cost_view(std::span<const ThreadProfile> threads,
   return CostView(cost.data(), rows, cols, cols);
 }
 
-/// Optimally assigns `threads` to `tiles` (equal sizes required).
-SamResult solve_sam(std::span<const ThreadProfile> threads,
-                    std::span<const TileId> tiles,
-                    const TileLatencyModel& model);
-
-/// Cache-backed variant for the contiguous global thread range
-/// [first_thread, first_thread + tiles.size()): solves in place over the
-/// shared memoized ThreadCostCache through a lazy CostView (no matrix
-/// materialization) in a caller-owned workspace. Pure with respect to the
-/// cache, so concurrent calls with distinct workspaces (e.g. the
+/// Optimally assigns the contiguous global thread range
+/// [first_thread, first_thread + tiles.size()) to `tiles`: solves in place
+/// over the shared memoized ThreadCostCache through a lazy CostView (no
+/// matrix materialization) in a caller-owned workspace. Pure with respect to
+/// the cache, so concurrent calls with distinct workspaces (e.g. the
 /// per-application SAM solves of the parallel SSS stages) are safe. With
 /// `warm` the workspace's column potentials from its previous solve seed
 /// the kernel — use for repeated near-identical solves of the *same logical

@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -85,9 +84,6 @@ class TileLatencyModel {
   double tc(TileId k) const { return tc_[k]; }
   /// Memory-request latency from tile k (cycles; destination per mode()).
   double tm(TileId k) const { return tm_[k]; }
-
-  std::span<const double> tc_array() const { return tc_; }
-  std::span<const double> tm_array() const { return tm_; }
 
   /// Average hop count HC_k of eq. 3 (exposed for Fig. 3 and validation;
   /// TSV-weighted on a stacked mesh).

@@ -351,57 +351,26 @@ std::uint64_t Network::flits_ejected() const {
   return total;
 }
 
-const ActivityCounters& Network::router_activity(TileId t) const {
-  NOCMAP_REQUIRE(t < mesh_->num_tiles(), "router id out of range");
-  const Domain& d = domains_[domain_of(t)];
-  return d.engine.activity(t - d.first);
-}
-
-ActivityCounters Network::total_activity() const {
-  ActivityCounters total;
-  std::uint64_t links = 0;
-  for (const Domain& d : domains_) {
-    for (std::size_t r = 0; r < d.engine.num_routers(); ++r) {
-      total += d.engine.activity(r);
-    }
-    links += d.link_traversals;
-  }
-  total.link_traversals = links;
-  return total;
-}
-
 void Network::reset_activity() {
   for (Domain& d : domains_) {
     d.engine.reset_activity();
     d.link_traversals = 0;
   }
-  have_snapshot_ = false;
 }
 
-void Network::snapshot_activity() {
-  const std::size_t n = mesh_->num_tiles();
-  measured_activity_.resize(n);
-  measured_link_traversals_ = 0;
+ActivityRecord Network::snapshot_activity() const {
+  ActivityRecord record;
+  record.routers.reserve(mesh_->num_tiles());
+  std::uint64_t links = 0;
   for (const Domain& d : domains_) {
     for (std::size_t r = 0; r < d.engine.num_routers(); ++r) {
-      measured_activity_[d.first + r] = d.engine.activity(r);
+      record.routers.push_back(d.engine.activity(r));
+      record.total += d.engine.activity(r);
     }
-    measured_link_traversals_ += d.link_traversals;
+    links += d.link_traversals;
   }
-  have_snapshot_ = true;
-}
-
-const ActivityCounters& Network::measured_router_activity(TileId t) const {
-  NOCMAP_REQUIRE(t < mesh_->num_tiles(), "router id out of range");
-  return have_snapshot_ ? measured_activity_[t] : router_activity(t);
-}
-
-ActivityCounters Network::measured_total_activity() const {
-  if (!have_snapshot_) return total_activity();
-  ActivityCounters total;
-  for (const auto& a : measured_activity_) total += a;
-  total.link_traversals = measured_link_traversals_;
-  return total;
+  record.total.link_traversals = links;
+  return record;
 }
 
 }  // namespace nocmap

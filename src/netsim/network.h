@@ -64,6 +64,15 @@ struct Ejection {
   Cycle latency() const { return ejected - info.created; }
 };
 
+/// Fabric activity over one stretch of cycles: each router's own counters,
+/// and their sum with the network's link traversals. Links are counted by
+/// the network, not by a router, so only the total's link_traversals is
+/// nonzero.
+struct ActivityRecord {
+  std::vector<ActivityCounters> routers;  ///< indexed by TileId
+  ActivityCounters total;
+};
+
 class Network {
  public:
   /// `sim_workers` requests the spatial partition width: the mesh is split
@@ -111,21 +120,12 @@ class Network {
   std::uint64_t flits_injected() const;
   std::uint64_t flits_ejected() const;
 
-  /// Sum of router activity counters (plus link traversals counted here).
-  ActivityCounters total_activity() const;
-  /// One router's own counters (tests / per-router utilization studies).
-  const ActivityCounters& router_activity(TileId t) const;
+  /// Zeroes every router's counters and the link-traversal count.
   void reset_activity();
-
-  /// Freezes the current per-router counters as the measurement-window
-  /// snapshot, so load summaries computed later (e.g. after a drain phase)
-  /// cannot be inflated by post-window traffic.
-  void snapshot_activity();
-  /// Per-router counters as of the last snapshot_activity() call (falls
-  /// back to the live counters when no snapshot was taken).
-  const ActivityCounters& measured_router_activity(TileId t) const;
-  /// Sum of the snapshot counters, link traversals included.
-  ActivityCounters measured_total_activity() const;
+  /// The activity since the last reset_activity(). The record is a copy,
+  /// so later traffic (e.g. a drain phase) cannot change a window's
+  /// numbers once taken.
+  ActivityRecord snapshot_activity() const;
 
  private:
   struct Ni {
@@ -240,11 +240,6 @@ class Network {
   std::vector<Ejection> ejections_;
   std::uint64_t packets_injected_ = 0;
   std::uint64_t boundary_flits_ = 0;
-
-  // Measurement-window snapshot (snapshot_activity).
-  std::vector<ActivityCounters> measured_activity_;
-  std::uint64_t measured_link_traversals_ = 0;
-  bool have_snapshot_ = false;
 };
 
 }  // namespace nocmap

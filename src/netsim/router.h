@@ -72,9 +72,9 @@ struct Departure {
 };
 
 /// Structure-of-arrays router state for `num_routers` consecutive tiles
-/// starting at `first_tile`. The Network runs one engine for the whole mesh
-/// (router index == TileId); the standalone Router below wraps a one-router
-/// engine for unit tests and micro-level studies.
+/// starting at `first_tile`. The Network runs one engine per row-band
+/// domain (router index == TileId - first_tile); a one-router engine is a
+/// single router in isolation.
 class RouterEngine {
  public:
   RouterEngine(const Mesh& mesh, const NetworkConfig& config,
@@ -166,39 +166,6 @@ class RouterEngine {
   std::array<std::uint64_t, kNumPorts> port_slot_mask_{};
 
   std::vector<std::uint64_t> active_words_;
-};
-
-/// One router viewed in isolation: the unit-test / single-tile facade over
-/// a one-router engine. Same cycle-exact behaviour as a router embedded in
-/// a Network's engine.
-class Router {
- public:
-  Router(TileId id, const Mesh& mesh, const NetworkConfig& config)
-      : id_(id), engine_(mesh, config, 1, id) {}
-
-  TileId id() const { return id_; }
-
-  bool can_accept(PortDir port, std::uint32_t vc) const {
-    return engine_.can_accept(0, port, vc);
-  }
-  void receive_flit(PortDir port, std::uint32_t vc, const Flit& flit,
-                    Cycle now) {
-    engine_.receive_flit(0, port, vc, flit, now);
-  }
-  void receive_credit(PortDir port, std::uint32_t vc) {
-    engine_.receive_credit(0, port, vc);
-  }
-  void tick(Cycle now, std::vector<Departure>& out) {
-    engine_.tick(0, now, out);
-  }
-
-  const ActivityCounters& activity() const { return engine_.activity(0); }
-  void reset_activity() { engine_.reset_activity(); }
-  std::size_t buffered_flits() const { return engine_.buffered_flits(0); }
-
- private:
-  TileId id_;
-  RouterEngine engine_;
 };
 
 }  // namespace nocmap

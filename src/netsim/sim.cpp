@@ -29,16 +29,15 @@ const obs::Counter c_parallel_runs("netsim.parallel.runs");
 const obs::Counter c_parallel_domains("netsim.parallel.domains");
 const obs::Counter c_parallel_boundary("netsim.parallel.boundary_flits");
 
-RouterLoadSummary summarize_load(const Network& net, const Mesh& mesh,
-                                 Cycle measured) {
+RouterLoadSummary summarize_load(const ActivityRecord& window,
+                                 const Mesh& mesh, Cycle measured) {
   RouterLoadSummary load;
   if (measured == 0) return load;
   const double cycles = static_cast<double>(measured);
   const std::size_t tiles = mesh.num_tiles();
   double crossbar_sum = 0.0;
   for (std::size_t t = 0; t < tiles; ++t) {
-    const ActivityCounters& a =
-        net.measured_router_activity(static_cast<TileId>(t));
+    const ActivityCounters& a = window.routers[t];
     const double per_cycle = static_cast<double>(a.crossbar_traversals) /
                              cycles;
     crossbar_sum += per_cycle;
@@ -55,7 +54,7 @@ RouterLoadSummary summarize_load(const Network& net, const Mesh& mesh,
   load.mean_crossbar_per_cycle =
       crossbar_sum / static_cast<double>(tiles);
   load.link_utilization =
-      static_cast<double>(net.measured_total_activity().link_traversals) /
+      static_cast<double>(window.total.link_traversals) /
       (static_cast<double>(mesh.num_directed_links()) * cycles);
   return load;
 }
@@ -93,9 +92,21 @@ SimResult run_simulation(const ObmProblem& problem, const Mapping& mapping,
     ++result.packets_measured;
   };
 
-  auto drain_ejections = [&](Cycle now) {
+  // One cycle: issue the traffic due at `issue`, advance the network, and
+  // hand every ejection to the traffic layer and the latency record. Only
+  // the measurement window records its local accesses.
+  auto step = [&](Cycle issue, bool record_locals) {
+    locals.clear();
+    traffic.generate(net, issue, locals);
+    if (record_locals) {
+      for (const LocalAccess& la : locals) {
+        record(la.app, la.cls, 0, issue);
+        ++result.local_accesses;
+      }
+    }
+    net.step();
     for (const Ejection& e : net.take_ejections()) {
-      traffic.on_ejection(net, e, now);
+      traffic.on_ejection(net, e, net.now());
       record(e.info.app, e.info.cls, e.latency(), e.info.created);
     }
   };
@@ -103,33 +114,24 @@ SimResult run_simulation(const ObmProblem& problem, const Mapping& mapping,
   // --- Warmup: latency samples and activity are discarded (record() drops
   // anything created before measure_start).
   Cycle cycle = 0;
-  for (; cycle < measure_start; ++cycle) {
-    locals.clear();
-    traffic.generate(net, cycle, locals);
-    net.step();
-    drain_ejections(net.now());
-  }
+  for (; cycle < measure_start; ++cycle) step(cycle, false);
   // Resetting between the loops (not on a cycle == measure_start test
   // inside a combined loop) also covers measure_cycles == 0, which
   // previously never reset and leaked warmup activity into the result.
   net.reset_activity();
 
   // --- Measurement window.
-  for (; cycle < measure_end; ++cycle) {
-    locals.clear();
-    traffic.generate(net, cycle, locals);
-    for (const LocalAccess& la : locals) {
-      record(la.app, la.cls, 0, cycle);
-      ++result.local_accesses;
-    }
-    net.step();
-    drain_ejections(net.now());
-  }
-  // Freeze the window's per-router counters: the drain below keeps moving
-  // flits, and its activity must not inflate the load summary.
-  net.snapshot_activity();
-  result.activity = net.measured_total_activity();
+  for (; cycle < measure_end; ++cycle) step(cycle, true);
+  // The window's record is taken before the drain below keeps moving
+  // flits, so drain activity cannot inflate the load summary. It is freed
+  // before the drain, so at most one record is alive at a time.
   result.measured_cycles = measure_end - measure_start;
+  {
+    const ActivityRecord window = net.snapshot_activity();
+    result.activity = window.total;
+    result.load =
+        summarize_load(window, problem.mesh(), result.measured_cycles);
+  }
 
   // --- Drain: stop creating requests, let replies and in-flight packets
   // finish so no measured packet is censored.
@@ -137,16 +139,12 @@ SimResult run_simulation(const ObmProblem& problem, const Mapping& mapping,
   Cycle drained = 0;
   while ((net.packets_in_flight() > 0 || !traffic.idle()) &&
          drained < config.max_drain_cycles) {
-    locals.clear();
-    traffic.generate(net, net.now(), locals);  // issues due replies only
-    net.step();
-    drain_ejections(net.now());
+    step(net.now(), false);  // issues due replies only
     ++drained;
   }
   result.drain_incomplete =
       net.packets_in_flight() > 0 || !traffic.idle();
-  result.activity_with_drain = net.total_activity();
-  result.load = summarize_load(net, problem.mesh(), result.measured_cycles);
+  result.activity_with_drain = net.snapshot_activity().total;
 
   // --- Aggregate metrics.
   result.apl.resize(num_apps, 0.0);

@@ -121,8 +121,6 @@ void TrafficEngine::generate(Network& net, Cycle now,
        it = pending_replies_.erase(it)) {
     PacketInfo pkt = it->second;
     pkt.created = now;
-    pkt.flits = pkt.cls == PacketClass::kCacheForward ? kShortPacketFlits
-                                                      : kLongPacketFlits;
     if (pkt.src == pkt.dst) {
       // Degenerate follow-up (e.g. owner == requester tile): zero latency.
       locals.push_back({pkt.cls, pkt.app, pkt.thread});
@@ -239,7 +237,8 @@ void TrafficEngine::schedule(Cycle due, PacketClass cls, TileId src,
   pkt.cls = cls;
   pkt.src = src;
   pkt.dst = dst;
-  pkt.flits = 0;  // filled from the network's packet format at injection
+  pkt.flits = cls == PacketClass::kCacheForward ? kShortPacketFlits
+                                                : kLongPacketFlits;
   pkt.app = app;
   pkt.thread = thread;
   pending_replies_.emplace(due, pkt);

@@ -119,7 +119,8 @@ class TrafficEngine {
   /// and writes only sources_[tile] and `out`.
   void draw_tile(TileId tile, std::vector<DrawEntry>& out);
 
-  /// Schedules a follow-up packet (reply or forward) of a transaction.
+  /// Schedules a follow-up packet of a transaction, sized by its class: a
+  /// forward is short, a reply long.
   void schedule(Cycle due, PacketClass cls, TileId src, TileId dst,
                 std::size_t app, std::size_t thread);
 

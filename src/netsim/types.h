@@ -50,10 +50,6 @@ inline const char* packet_class_name(PacketClass c) {
   return "?";
 }
 
-inline bool is_request(PacketClass c) {
-  return c == PacketClass::kCacheRequest || c == PacketClass::kMemoryRequest;
-}
-
 /// Immutable description of one packet in flight.
 struct PacketInfo {
   PacketId id = 0;

@@ -186,18 +186,6 @@ bool JsonValue::as_bool() const {
   return bool_;
 }
 
-std::int64_t JsonValue::as_int() const {
-  if (type_ == Type::kInt) return int_;
-  if (type_ == Type::kUint) {
-    NOCMAP_REQUIRE(uint_ <= static_cast<std::uint64_t>(
-                                std::numeric_limits<std::int64_t>::max()),
-                   "json integer out of int64 range");
-    return static_cast<std::int64_t>(uint_);
-  }
-  NOCMAP_REQUIRE(false, "json value is not an integer");
-  return 0;
-}
-
 std::uint64_t JsonValue::as_uint() const {
   if (type_ == Type::kUint) return uint_;
   if (type_ == Type::kInt) {

@@ -44,22 +44,15 @@ class JsonValue {
     return v;
   }
 
-  Type type() const { return type_; }
   bool is_null() const { return type_ == Type::kNull; }
   bool is_object() const { return type_ == Type::kObject; }
   bool is_array() const { return type_ == Type::kArray; }
   bool is_string() const { return type_ == Type::kString; }
-  bool is_number() const {
-    return type_ == Type::kInt || type_ == Type::kUint ||
-           type_ == Type::kDouble;
-  }
 
   /// Typed accessors; each throws nocmap::Error when the value is not of
   /// (or not convertible to) the requested type. as_double accepts any
-  /// number; as_int accepts integer-typed values and range-checks kUint;
-  /// as_uint additionally accepts non-negative kInt.
+  /// number; as_uint accepts integer-typed values that are not negative.
   bool as_bool() const;
-  std::int64_t as_int() const;
   std::uint64_t as_uint() const;
   double as_double() const;
   const std::string& as_string() const;

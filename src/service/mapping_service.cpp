@@ -254,6 +254,8 @@ std::size_t MappingService::run_fallback(std::size_t budget) {
   const Mapping old = snapshot_mapping();
   const BudgetedRemapResult r =
       remap_budgeted(problem, old, budget, config_.sss);
+  // A revert keeps every resident where it is: nothing to apply.
+  if (r.reverted_to_old) return 0;
 
   // Apply the remap: snapshot thread order is resident order, so walk it.
   std::size_t j = 0;

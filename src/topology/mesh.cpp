@@ -111,7 +111,6 @@ void Mesh::init() {
   }
 
   nearest_mc_.assign(n, 0);
-  mc_distance_.assign(n, 0);
   mc_weighted_.assign(n, 0.0);
   for (TileId t = 0; t < n; ++t) {
     double best = std::numeric_limits<double>::max();
@@ -124,7 +123,6 @@ void Mesh::init() {
       }
     }
     nearest_mc_[t] = best_mc;
-    mc_distance_[t] = hops(t, best_mc);
     mc_weighted_[t] = best;
   }
 }
@@ -169,18 +167,6 @@ TileId Mesh::from_paper_number(std::uint32_t k) const {
   return k - 1;
 }
 
-std::uint32_t Mesh::hops(TileId a, TileId b) const {
-  const TileCoord ca = coord_of(a);
-  const TileCoord cb = coord_of(b);
-  std::uint32_t dr = abs_diff(ca.row, cb.row);
-  std::uint32_t dc = abs_diff(ca.col, cb.col);
-  if (wraparound_ == Wraparound::kTorus) {
-    dr = std::min(dr, rows_ - dr);
-    dc = std::min(dc, cols_ - dc);
-  }
-  return dr + dc + abs_diff(ca.layer, cb.layer);
-}
-
 double Mesh::weighted_hops(TileId a, TileId b) const {
   const TileCoord ca = coord_of(a);
   const TileCoord cb = coord_of(b);
@@ -219,7 +205,8 @@ double Mesh::avg_hops_to_all(TileId t) const {
   const double total =
       static_cast<double>(row_sum) * cols_ * layers_ +
       static_cast<double>(col_sum) * rows_ * layers_ +
-      static_cast<double>(layer_sum) * tiles_per_layer();
+      static_cast<double>(layer_sum) *
+          static_cast<double>(tiles_per_layer());
   return total / static_cast<double>(num_tiles());
 }
 
@@ -235,14 +222,9 @@ double Mesh::avg_weighted_hops_to_all(TileId t) const {
   const double unweighted_total =
       avg_hops_to_all(t) * static_cast<double>(num_tiles());
   const double layer_total =
-      static_cast<double>(layer_sum) * tiles_per_layer();
+      static_cast<double>(layer_sum) * static_cast<double>(tiles_per_layer());
   return (unweighted_total + (tsv_hop_cost_ - 1.0) * layer_total) /
          static_cast<double>(num_tiles());
-}
-
-std::uint32_t Mesh::hops_to_nearest_mc(TileId t) const {
-  NOCMAP_REQUIRE(t < num_tiles(), "tile id out of range");
-  return mc_distance_[t];
 }
 
 double Mesh::weighted_hops_to_nearest_mc(TileId t) const {

@@ -131,30 +131,22 @@ class Mesh {
   std::uint32_t paper_number(TileId t) const { return t + 1; }
   TileId from_paper_number(std::uint32_t k) const;
 
-  /// Hop count between two tiles under dimension-order routing (Manhattan
-  /// distance across row, column, and layer).
-  std::uint32_t hops(TileId a, TileId b) const;
-
-  /// Distance with vertical hops weighted by tsv_hop_cost():
-  /// planar_hops + tsv_hop_cost * layer_hops. Equals hops() on a 2D mesh.
+  /// Distance under dimension-order routing with vertical hops weighted by
+  /// tsv_hop_cost(): planar_hops + tsv_hop_cost * layer_hops. On a 2D mesh
+  /// or torus, and on a stack with unit TSV cost, it is the hop count: the
+  /// Manhattan distance across row, column and layer.
   double weighted_hops(TileId a, TileId b) const;
 
-  /// Average hop count from `t` to all tiles including itself — the paper's
-  /// HC_k (eq. 3): the expected distance of a cache packet whose bank is
-  /// uniformly address-hashed over all N tiles.
-  double avg_hops_to_all(TileId t) const;
-
-  /// Average weighted_hops() from `t` to all tiles including itself; the
-  /// 3D generalization of HC_k. Equals avg_hops_to_all() on a 2D mesh.
+  /// Average weighted_hops() from `t` to all tiles including itself — the
+  /// paper's HC_k (eq. 3) and its 3D generalization: the expected distance
+  /// of a cache packet whose bank is uniformly address-hashed over all N
+  /// tiles.
   double avg_weighted_hops_to_all(TileId t) const;
 
-  /// Hop count from `t` to its nearest memory controller — the paper's HM_k.
-  /// For a square mesh with corner MCs this equals eq. 4. "Nearest" is by
-  /// weighted distance (ties toward the lowest MC id); this returns the
-  /// plain hop count to that chosen MC.
-  std::uint32_t hops_to_nearest_mc(TileId t) const;
-
-  /// Weighted distance from `t` to its nearest MC (the generalized HM_k).
+  /// Weighted distance from `t` to its nearest memory controller — the
+  /// paper's HM_k, generalized. For a square mesh with corner MCs this
+  /// equals eq. 4. "Nearest" is by weighted distance, ties toward the
+  /// lowest MC id.
   double weighted_hops_to_nearest_mc(TileId t) const;
 
   /// The nearest MC tile itself (weighted distance, ties broken toward the
@@ -167,6 +159,9 @@ class Mesh {
 
  private:
   void init();
+  /// Unweighted average hop count from `t` to all tiles (the planar HC_k);
+  /// avg_weighted_hops_to_all adds the TSV term on a stack.
+  double avg_hops_to_all(TileId t) const;
 
   std::uint32_t layers_ = 1;
   std::uint32_t rows_;
@@ -176,7 +171,6 @@ class Mesh {
   std::vector<TileId> mc_tiles_;
   std::vector<std::uint8_t> is_mc_;         // indexed by TileId
   std::vector<TileId> nearest_mc_;          // precomputed per tile
-  std::vector<std::uint32_t> mc_distance_;  // plain hops to nearest_mc_[t]
   std::vector<double> mc_weighted_;         // weighted hops to nearest_mc_[t]
 };
 

@@ -19,12 +19,22 @@ constexpr int kSpinIterations = 4096;
 CycleWorkerTeam::CycleWorkerTeam(std::size_t size) : size_(size) {
   NOCMAP_REQUIRE(size >= 1, "worker team needs at least one worker");
   threads_.reserve(size - 1);
-  for (std::size_t w = 1; w < size; ++w) {
-    threads_.emplace_back([this, w] { worker_loop(w); });
+  try {
+    for (std::size_t w = 1; w < size; ++w) {
+      threads_.emplace_back([this, w] { worker_loop(w); });
+    }
+  } catch (...) {
+    // A thread failed to start (std::system_error). No destructor runs for
+    // a half-built team, and destroying a joinable std::thread terminates
+    // the process, so park and join the workers that did start first.
+    stop();
+    throw;
   }
 }
 
-CycleWorkerTeam::~CycleWorkerTeam() {
+CycleWorkerTeam::~CycleWorkerTeam() { stop(); }
+
+void CycleWorkerTeam::stop() {
   epoch_.store(kStopEpoch, std::memory_order_release);
   epoch_.notify_all();
   for (std::thread& t : threads_) t.join();

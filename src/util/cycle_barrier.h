@@ -43,6 +43,8 @@ class CycleWorkerTeam {
  public:
   /// A team of `size` workers (>= 1). Worker 0 is the calling thread;
   /// size - 1 threads are spawned and parked until run() or destruction.
+  /// If a thread fails to start, the ones already started are joined and
+  /// the std::system_error propagates.
   explicit CycleWorkerTeam(std::size_t size);
   ~CycleWorkerTeam();
 
@@ -66,6 +68,8 @@ class CycleWorkerTeam {
  private:
   void run_impl(void (*fn)(void*, std::size_t), void* ctx);
   void worker_loop(std::size_t index);
+  /// Parks every started worker for good and joins it.
+  void stop();
   void record_error();
 
   std::size_t size_ = 1;

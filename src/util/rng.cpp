@@ -14,16 +14,6 @@ Rng::Rng(std::uint64_t seed, std::uint64_t stream)
   (*this)();
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  NOCMAP_REQUIRE(lo <= hi, "uniform_int requires lo <= hi");
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  // Span fits in 32 bits for all nocmap uses (tile/thread counts).
-  NOCMAP_REQUIRE(span <= 0x100000000ULL, "uniform_int span too large");
-  if (span == 0x100000000ULL) return lo + static_cast<std::int64_t>((*this)());
-  return lo + static_cast<std::int64_t>(
-                  uniform_u32(static_cast<std::uint32_t>(span)));
-}
-
 double Rng::uniform() {
   // 53-bit mantissa from two draws for full double resolution.
   const std::uint64_t hi = (*this)();
@@ -65,13 +55,6 @@ double Rng::lognormal(double mu, double sigma) {
 bool Rng::bernoulli(double p) {
   NOCMAP_REQUIRE(p >= 0.0 && p <= 1.0, "bernoulli p must be in [0,1]");
   return uniform() < p;
-}
-
-double Rng::exponential(double rate) {
-  NOCMAP_REQUIRE(rate > 0.0, "exponential rate must be positive");
-  double u = uniform();
-  while (u <= 0.0) u = uniform();
-  return -std::log(u) / rate;
 }
 
 Rng Rng::fork(std::uint64_t salt) const {

@@ -67,9 +67,6 @@ class Rng {
     return static_cast<std::uint32_t>(m >> 32);
   }
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-
   /// Uniform double in [0, 1).
   double uniform();
 
@@ -93,9 +90,6 @@ class Rng {
 
   /// Bernoulli trial with success probability p.
   bool bernoulli(double p);
-
-  /// Exponential with the given rate (mean 1/rate).
-  double exponential(double rate);
 
   /// In-place Fisher–Yates shuffle. The span overload shuffles storage that
   /// is not its own vector (rows of a flat genome pool); both make the same

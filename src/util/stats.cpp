@@ -30,12 +30,6 @@ double stddev_population(std::span<const double> xs) {
   return std::sqrt(sum_sq_dev(xs, mean(xs)) / static_cast<double>(xs.size()));
 }
 
-double stddev_sample(std::span<const double> xs) {
-  if (xs.size() < 2) return 0.0;
-  return std::sqrt(sum_sq_dev(xs, mean(xs)) /
-                   static_cast<double>(xs.size() - 1));
-}
-
 double min_value(std::span<const double> xs) {
   NOCMAP_REQUIRE(!xs.empty(), "min_value of empty span");
   return *std::min_element(xs.begin(), xs.end());
@@ -66,30 +60,8 @@ void RunningStats::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  // Chan et al. parallel-variance combination.
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
-
 double RunningStats::stddev_population() const {
   return std::sqrt(variance_population());
-}
-
-double RunningStats::stddev_sample() const {
-  return std::sqrt(variance_sample());
 }
 
 double inverse_normal_cdf(double p) {

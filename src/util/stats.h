@@ -19,9 +19,6 @@ double mean(std::span<const double> xs);
 /// population statistic over the A applications.
 double stddev_population(std::span<const double> xs);
 
-/// Sample standard deviation (divide by N-1); 0 when fewer than 2 values.
-double stddev_sample(std::span<const double> xs);
-
 double min_value(std::span<const double> xs);
 double max_value(std::span<const double> xs);
 
@@ -36,16 +33,11 @@ double min_to_max_ratio(std::span<const double> xs);
 class RunningStats {
  public:
   void add(double x);
-  void merge(const RunningStats& other);
 
   std::size_t count() const { return n_; }
   double mean() const { return n_ ? mean_ : 0.0; }
   double variance_population() const { return n_ ? m2_ / static_cast<double>(n_) : 0.0; }
-  double variance_sample() const {
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-  }
   double stddev_population() const;
-  double stddev_sample() const;
   double min() const { return n_ ? min_ : 0.0; }
   double max() const { return n_ ? max_ : 0.0; }
   double sum() const { return n_ ? mean_ * static_cast<double>(n_) : 0.0; }

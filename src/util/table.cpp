@@ -1,6 +1,7 @@
 #include "util/table.h"
 
 #include <algorithm>
+#include <fstream>
 #include <iomanip>
 #include <sstream>
 
@@ -47,14 +48,31 @@ void TextTable::print(std::ostream& os) const {
   for (const auto& row : rows_) print_row(row);
 }
 
-void TextTable::write_csv(CsvWriter& writer) const {
-  writer.write_row(header_);
-  for (const auto& row : rows_) writer.write_row(row);
+void TextTable::save_csv(const std::string& path) const {
+  std::ofstream out(path);
+  NOCMAP_REQUIRE(out.good(), "cannot open CSV file: " + path);
+  auto write_row = [&](const std::vector<std::string>& cells) {
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      out << csv_escape(cells[i]);
+      if (i + 1 < cells.size()) out << ',';
+    }
+    out << '\n';
+  };
+  write_row(header_);
+  for (const auto& row : rows_) write_row(row);
 }
 
-void TextTable::save_csv(const std::string& path) const {
-  CsvWriter writer(path);
-  write_csv(writer);
+std::string csv_escape(const std::string& cell) {
+  const bool needs_quoting =
+      cell.find_first_of(",\"\n\r") != std::string::npos;
+  if (!needs_quoting) return cell;
+  std::string out = "\"";
+  for (char ch : cell) {
+    if (ch == '"') out += '"';
+    out += ch;
+  }
+  out += '"';
+  return out;
 }
 
 std::string fmt(double v, int precision) {

@@ -8,8 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "util/csv.h"
-
 namespace nocmap {
 
 /// A simple column-aligned text table. Cells are strings; helpers format
@@ -24,11 +22,9 @@ class TextTable {
   /// Renders with column separators and a header rule.
   void print(std::ostream& os) const;
 
-  /// Writes header + rows through a CsvWriter (machine-readable twin of
-  /// print(), for external plotting).
-  void write_csv(CsvWriter& writer) const;
-
-  /// Convenience: writes the table to `path` as CSV.
+  /// Writes header + rows to `path` as RFC-4180-ish CSV (the
+  /// machine-readable twin of print(), for external plotting). Throws
+  /// nocmap::Error when the file cannot be written.
   void save_csv(const std::string& path) const;
 
   std::size_t rows() const { return rows_.size(); }
@@ -37,6 +33,10 @@ class TextTable {
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
 };
+
+/// Escapes a single CSV cell per RFC 4180: quotes cells that contain
+/// commas, quotes or newlines.
+std::string csv_escape(const std::string& cell);
 
 /// Formats a double with fixed precision (default 2 decimals).
 std::string fmt(double v, int precision = 2);

@@ -1,6 +1,5 @@
 #include "workload/workload.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace nocmap {
@@ -76,15 +75,6 @@ Workload Workload::padded_to(std::size_t total_threads) const {
   idle.name = "idle";
   idle.threads.assign(total_threads - num_threads(), ThreadProfile{});
   apps.push_back(std::move(idle));
-  return Workload(std::move(apps));
-}
-
-Workload Workload::sorted_by_total_rate() const {
-  auto apps = apps_;
-  std::stable_sort(apps.begin(), apps.end(),
-                   [](const Application& a, const Application& b) {
-                     return a.total_rate() < b.total_rate();
-                   });
   return Workload(std::move(apps));
 }
 

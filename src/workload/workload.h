@@ -68,11 +68,6 @@ class Workload {
   /// than tiles, pad and solve the same problem).
   Workload padded_to(std::size_t total_threads) const;
 
-  /// Applications sorted by ascending total communication rate keep their
-  /// data but are renamed/arranged so "Application 1 is the lightest", as in
-  /// the paper's result figures.
-  Workload sorted_by_total_rate() const;
-
  private:
   std::vector<Application> apps_;
   std::vector<ThreadProfile> flat_;

@@ -127,7 +127,7 @@ TEST(DistanceArbitration, EqualizesNearVsFarUnderContention) {
     double near_sum = 0.0, far_sum = 0.0;
     std::size_t near_n = 0, far_n = 0;
     for (const auto& e : run_until_drained(net, 500000)) {
-      const auto d = mesh.hops(e.info.src, hot);
+      const double d = mesh.weighted_hops(e.info.src, hot);
       if (d <= 2) {
         near_sum += static_cast<double>(e.latency());
         ++near_n;

@@ -173,15 +173,14 @@ TEST_P(WarmColdIdentityProperty, WarmAssignmentIdenticalToCold) {
 INSTANTIATE_TEST_SUITE_P(Seeds, WarmColdIdentityProperty,
                          ::testing::Range(0, 20));
 
-TEST(Workspace, InvalidateForcesColdPath) {
+TEST(Workspace, SolveAfterASolveRunsCold) {
   Rng rng(77);
   const CostMatrix a = random_matrix(6, rng);
   const CostMatrix b = random_matrix(6, rng);
 
   AssignmentWorkspace ws;
   ws.solve(CostView::of(a));
-  ws.invalidate();
-  const Assignment after = ws.solve_warm(CostView::of(b));
+  const Assignment after = ws.solve(CostView::of(b));
 
   AssignmentWorkspace fresh;
   const Assignment cold = fresh.solve(CostView::of(b));
@@ -299,23 +298,34 @@ TEST(Sam, WorkspaceOverloadMatchesClassicPath) {
   const TileLatencyModel model(mesh, LatencyParams{});
   const ThreadCostCache cache(wl, model);
 
-  // The classic path builds its matrix from the thread profiles; its APL
-  // divides by a plain sum where the cache uses a prefix-sum difference.
+  // The classic path is the service's: the matrix from the thread profiles
+  // (sam_cost_view) and an APL over a plain sum, where the cache uses a
+  // prefix-sum difference.
   const std::size_t lo = wl.first_thread(0);
   const std::vector<TileId> tiles{2, 13, 5, 8, 11, 1, 15, 4};
-  const SamResult classic =
-      solve_sam(wl.application(0).threads, tiles, model);
+  const std::vector<ThreadProfile>& threads = wl.application(0).threads;
+  std::vector<double> cost;
+  AssignmentWorkspace classic_ws;
+  const Assignment& classic =
+      classic_ws.solve(sam_cost_view(threads, tiles, model, cost));
+  std::vector<TileId> classic_tiles;
+  for (const std::size_t col : classic.row_to_col) {
+    classic_tiles.push_back(tiles[col]);
+  }
+  double volume = 0.0;
+  for (const ThreadProfile& t : threads) volume += t.total_rate();
+  const double classic_apl = classic.total_cost / volume;
 
   AssignmentWorkspace ws;
   const SamResult cold = solve_sam(cache, lo, tiles, ws);
-  EXPECT_EQ(cold.tiles, classic.tiles);
-  EXPECT_NEAR(cold.apl, classic.apl, 1e-9);
+  EXPECT_EQ(cold.tiles, classic_tiles);
+  EXPECT_NEAR(cold.apl, classic_apl, 1e-9);
 
   // Warm re-solves of the same site must keep returning the same answer.
   for (int pass = 0; pass < 3; ++pass) {
     const SamResult warm = solve_sam(cache, lo, tiles, ws, /*warm=*/true);
-    EXPECT_EQ(warm.tiles, classic.tiles);
-    EXPECT_NEAR(warm.apl, classic.apl, 1e-9);
+    EXPECT_EQ(warm.tiles, classic_tiles);
+    EXPECT_NEAR(warm.apl, classic_apl, 1e-9);
   }
 }
 

@@ -75,13 +75,13 @@ TEST(Contention, FlitHopConservation) {
     const ThreadProfile& t = p.workload().thread(j);
     const TileId s = m.tile_of(j);
     for (TileId d = 0; d < p.num_tiles(); ++d) {
-      const double hops = mesh.hops(s, d);
+      const double hops = mesh.weighted_hops(s, d);
       expected += t.cache_rate / 1000.0 / n *
                   (kShortPacketFlits + kLongPacketFlits) * hops;
     }
     expected += t.memory_rate / 1000.0 *
                 (kShortPacketFlits + kLongPacketFlits) *
-                static_cast<double>(mesh.hops(s, mesh.nearest_mc(s)));
+                mesh.weighted_hops(s, mesh.nearest_mc(s));
   }
   EXPECT_NEAR(model.total_flit_hops(), expected, 1e-9);
 }
@@ -151,22 +151,6 @@ TEST(Contention, SaturationScaleBracketsSimulatedKnee) {
   const double saturated = g_apl_at(predicted * 3.0);
   EXPECT_LT(fluid, 60.0);
   EXPECT_GT(saturated, 3.0 * fluid);
-}
-
-TEST(Contention, ExpectedPacketQueuingSumsPath) {
-  const ObmProblem p = single_flow_problem(1000.0);
-  const Mesh& mesh = p.mesh();
-  Mapping m = p.identity_mapping();
-  std::swap(m.thread_to_tile[0], m.thread_to_tile[5]);
-  const ContentionModel model(p, m);
-  const double along =
-      model.expected_packet_queuing(mesh.tile_at(1, 1), mesh.tile_at(0, 0));
-  const double hop1 = ContentionModel::queue_delay(
-      model.link_load(mesh.tile_at(1, 1), mesh.tile_at(1, 0)));
-  const double hop2 = ContentionModel::queue_delay(
-      model.link_load(mesh.tile_at(1, 0), mesh.tile_at(0, 0)));
-  EXPECT_NEAR(along, hop1 + hop2, 1e-12);
-  EXPECT_DOUBLE_EQ(model.expected_packet_queuing(3, 3), 0.0);
 }
 
 // --- Multicast trees --------------------------------------------------------

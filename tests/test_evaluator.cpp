@@ -212,7 +212,7 @@ TEST(EvaluatorProperty, TenThousandMixedOpsWeightedQos) {
   ObmProblem p(TileLatencyModel(mesh, LatencyParams{}),
                synthesize_workload(parsec_config("C4"), 23),
                {2.0, 0.5, 1.0, 1.25});
-  ASSERT_TRUE(p.is_weighted());
+  ASSERT_EQ(p.app_weight(0), 2.0);
   run_mixed_op_sweep(p, 777);
 }
 

@@ -48,8 +48,7 @@ TEST(TileLatencyModel, TmFormulaForNonMcTiles) {
   for (TileId t = 0; t < mesh.num_tiles(); ++t) {
     if (mesh.is_mc(t)) continue;
     const double expected =
-        static_cast<double>(mesh.hops_to_nearest_mc(t)) * p.per_hop() +
-        p.td_s;
+        mesh.weighted_hops_to_nearest_mc(t) * p.per_hop() + p.td_s;
     EXPECT_DOUBLE_EQ(model.tm(t), expected);
   }
 }
@@ -73,17 +72,6 @@ TEST(TileLatencyModel, SymmetryOfTcUnderMeshSymmetry) {
   EXPECT_DOUBLE_EQ(model.tc(mesh.tile_at(0, 7)), c);
   EXPECT_DOUBLE_EQ(model.tc(mesh.tile_at(7, 0)), c);
   EXPECT_DOUBLE_EQ(model.tc(mesh.tile_at(7, 7)), c);
-}
-
-TEST(TileLatencyModel, ArraysSizedToMesh) {
-  const Mesh mesh = Mesh::square(6);
-  const TileLatencyModel model(mesh, LatencyParams{});
-  EXPECT_EQ(model.tc_array().size(), mesh.num_tiles());
-  EXPECT_EQ(model.tm_array().size(), mesh.num_tiles());
-  for (TileId t = 0; t < mesh.num_tiles(); ++t) {
-    EXPECT_DOUBLE_EQ(model.tc_array()[t], model.tc(t));
-    EXPECT_DOUBLE_EQ(model.tm_array()[t], model.tm(t));
-  }
 }
 
 TEST(PacketLatency, Eq2Formula) {

@@ -4,14 +4,14 @@
 // 12-tile exact instance with an idle application, of two service churn
 // replays (one whose fallbacks run SSS on padded problems, one with no
 // migration budget), of the migration-aware remaps (a fixed penalty and a
-// budgeted penalty search) and of one profile-based SAM solve. Any change
-// to an annealing chain's arithmetic or draw order, to the restart merge,
-// to the cluster annealer's scoring, to the assignment kernel's tie-breaking,
-// to the SSS window sweep at any worker count, to GA or MC fitness, to the
-// exact solver's objective or bound, to the handling of zero-traffic
-// applications, to the eq.-13 cost matrix, the migration penalty or its
-// search moves a pin; a refactor that must keep mappings bit-identical has
-// to leave them all passing.
+// budgeted penalty search) and of one SAM solve through sam_cost_view. Any
+// change to an annealing chain's arithmetic or draw order, to the restart
+// merge, to the cluster annealer's scoring, to the assignment kernel's
+// tie-breaking, to the SSS window sweep at any worker count, to GA or MC
+// fitness, to the exact solver's objective or bound, to the handling of
+// zero-traffic applications, to the eq.-13 cost matrix, the migration
+// penalty or its search moves a pin; a refactor that must keep mappings
+// bit-identical has to leave them all passing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -277,12 +277,19 @@ TEST(MapperParity, ProfileSam) {
   for (std::size_t t = 0; t < tiles.size(); ++t) {
     tiles[t] = static_cast<TileId>(5 * t);
   }
-  const SamResult r = solve_sam(
-      threads, tiles, TileLatencyModel(Mesh::square(8), LatencyParams{}));
+  // The service's route: eq. 13 from the profiles, one cold solve.
+  const TileLatencyModel model(Mesh::square(8), LatencyParams{});
+  std::vector<double> cost;
+  AssignmentWorkspace ws;
+  const Assignment& a = ws.solve(sam_cost_view(threads, tiles, model, cost));
+  double volume = 0.0;
+  for (const ThreadProfile& t : threads) volume += t.total_rate();
   Mapping m;
-  m.thread_to_tile = r.tiles;
+  for (const std::size_t col : a.row_to_col) {
+    m.thread_to_tile.push_back(tiles[col]);
+  }
   EXPECT_EQ(digest(m), "0x6a1ca06fd0991645");
-  EXPECT_EQ(hexfloat(r.apl), "0x1.56769bed637ecp+4");
+  EXPECT_EQ(hexfloat(a.total_cost / volume), "0x1.56769bed637ecp+4");
 }
 
 }  // namespace

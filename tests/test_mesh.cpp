@@ -42,16 +42,16 @@ TEST(Mesh, PaperNumberRangeChecked) {
 
 TEST(Mesh, HopsIsManhattanDistance) {
   const Mesh m = Mesh::square(8);
-  EXPECT_EQ(m.hops(m.tile_at(0, 0), m.tile_at(0, 0)), 0u);
-  EXPECT_EQ(m.hops(m.tile_at(0, 0), m.tile_at(7, 7)), 14u);
-  EXPECT_EQ(m.hops(m.tile_at(3, 4), m.tile_at(5, 1)), 5u);
+  EXPECT_EQ(m.weighted_hops(m.tile_at(0, 0), m.tile_at(0, 0)), 0.0);
+  EXPECT_EQ(m.weighted_hops(m.tile_at(0, 0), m.tile_at(7, 7)), 14.0);
+  EXPECT_EQ(m.weighted_hops(m.tile_at(3, 4), m.tile_at(5, 1)), 5.0);
 }
 
 TEST(Mesh, HopsIsSymmetric) {
   const Mesh m = Mesh::square(5);
   for (TileId a = 0; a < m.num_tiles(); ++a) {
     for (TileId b = 0; b < m.num_tiles(); ++b) {
-      EXPECT_EQ(m.hops(a, b), m.hops(b, a));
+      EXPECT_EQ(m.weighted_hops(a, b), m.weighted_hops(b, a));
     }
   }
 }
@@ -60,8 +60,8 @@ TEST(Mesh, HopsIsSymmetric) {
 // HC_28 = 4 for central tile 28 (paper numbering).
 TEST(Mesh, AvgHopsPaperAnchors) {
   const Mesh m = Mesh::square(8);
-  EXPECT_DOUBLE_EQ(m.avg_hops_to_all(m.from_paper_number(1)), 7.0);
-  EXPECT_DOUBLE_EQ(m.avg_hops_to_all(m.from_paper_number(28)), 4.0);
+  EXPECT_DOUBLE_EQ(m.avg_weighted_hops_to_all(m.from_paper_number(1)), 7.0);
+  EXPECT_DOUBLE_EQ(m.avg_weighted_hops_to_all(m.from_paper_number(28)), 4.0);
 }
 
 TEST(Mesh, AvgHopsMatchesDirectSum) {
@@ -69,17 +69,17 @@ TEST(Mesh, AvgHopsMatchesDirectSum) {
   for (TileId t = 0; t < m.num_tiles(); ++t) {
     double direct = 0.0;
     for (TileId u = 0; u < m.num_tiles(); ++u) {
-      direct += static_cast<double>(m.hops(t, u));
+      direct += m.weighted_hops(t, u);
     }
     direct /= static_cast<double>(m.num_tiles());
-    EXPECT_DOUBLE_EQ(m.avg_hops_to_all(t), direct);
+    EXPECT_DOUBLE_EQ(m.avg_weighted_hops_to_all(t), direct);
   }
 }
 
 TEST(Mesh, AvgHopsCenterSmallerThanCorner) {
   const Mesh m = Mesh::square(8);
-  const double corner = m.avg_hops_to_all(m.tile_at(0, 0));
-  const double center = m.avg_hops_to_all(m.tile_at(3, 3));
+  const double corner = m.avg_weighted_hops_to_all(m.tile_at(0, 0));
+  const double center = m.avg_weighted_hops_to_all(m.tile_at(3, 3));
   EXPECT_LT(center, corner);
 }
 
@@ -100,16 +100,16 @@ TEST(Mesh, NearestMcMatchesQuadrantFormula) {
     const TileCoord c = m.coord_of(t);
     const std::uint32_t i = c.row + 1;
     const std::uint32_t j = c.col + 1;
-    const std::uint32_t expected =
-        std::min(i - 1, 8 - i) + std::min(j - 1, 8 - j);
-    EXPECT_EQ(m.hops_to_nearest_mc(t), expected) << "tile " << t;
+    const double expected = std::min(i - 1, 8 - i) + std::min(j - 1, 8 - j);
+    EXPECT_EQ(m.weighted_hops_to_nearest_mc(t), expected) << "tile " << t;
   }
 }
 
 TEST(Mesh, NearestMcIsConsistentWithDistance) {
   const Mesh m = Mesh::square(8);
   for (TileId t = 0; t < m.num_tiles(); ++t) {
-    EXPECT_EQ(m.hops(t, m.nearest_mc(t)), m.hops_to_nearest_mc(t));
+    EXPECT_EQ(m.weighted_hops(t, m.nearest_mc(t)),
+              m.weighted_hops_to_nearest_mc(t));
     EXPECT_TRUE(m.is_mc(m.nearest_mc(t)));
   }
 }
@@ -117,7 +117,7 @@ TEST(Mesh, NearestMcIsConsistentWithDistance) {
 TEST(Mesh, McTileHasZeroMcDistance) {
   const Mesh m = Mesh::square(8);
   for (TileId mc : m.mc_tiles()) {
-    EXPECT_EQ(m.hops_to_nearest_mc(mc), 0u);
+    EXPECT_EQ(m.weighted_hops_to_nearest_mc(mc), 0.0);
     EXPECT_EQ(m.nearest_mc(mc), mc);
   }
 }
@@ -146,9 +146,12 @@ TEST(Torus, WraparoundShortensHops) {
   const Mesh torus = Mesh::square_torus(8);
   EXPECT_TRUE(torus.is_torus());
   // Opposite corners are 2 hops apart on a torus (1 wrap per dimension).
-  EXPECT_EQ(torus.hops(torus.tile_at(0, 0), torus.tile_at(7, 7)), 2u);
-  EXPECT_EQ(torus.hops(torus.tile_at(0, 0), torus.tile_at(0, 4)), 4u);
-  EXPECT_EQ(torus.hops(torus.tile_at(0, 0), torus.tile_at(0, 5)), 3u);
+  EXPECT_EQ(torus.weighted_hops(torus.tile_at(0, 0), torus.tile_at(7, 7)),
+            2.0);
+  EXPECT_EQ(torus.weighted_hops(torus.tile_at(0, 0), torus.tile_at(0, 4)),
+            4.0);
+  EXPECT_EQ(torus.weighted_hops(torus.tile_at(0, 0), torus.tile_at(0, 5)),
+            3.0);
 }
 
 TEST(Torus, HopsNeverExceedMesh) {
@@ -156,7 +159,7 @@ TEST(Torus, HopsNeverExceedMesh) {
   const Mesh torus = Mesh::square_torus(6);
   for (TileId a = 0; a < 36; ++a) {
     for (TileId b = 0; b < 36; ++b) {
-      EXPECT_LE(torus.hops(a, b), mesh.hops(a, b));
+      EXPECT_LE(torus.weighted_hops(a, b), mesh.weighted_hops(a, b));
     }
   }
 }
@@ -165,9 +168,9 @@ TEST(Torus, UniformAverageHops) {
   // Vertex-transitive: every tile has the same average distance, so the
   // cache-latency imbalance the paper balances does not exist on a torus.
   const Mesh torus = Mesh::square_torus(8);
-  const double reference = torus.avg_hops_to_all(0);
+  const double reference = torus.avg_weighted_hops_to_all(0);
   for (TileId t = 1; t < torus.num_tiles(); ++t) {
-    EXPECT_DOUBLE_EQ(torus.avg_hops_to_all(t), reference);
+    EXPECT_DOUBLE_EQ(torus.avg_weighted_hops_to_all(t), reference);
   }
   // 8x8 torus: per-dimension average min(d, 8-d) over d=0..7 is
   // (0+1+2+3+4+3+2+1)/8 = 2; two dimensions -> 4 hops.
@@ -179,10 +182,10 @@ TEST(Torus, AvgHopsMatchesDirectSum) {
   for (TileId t = 0; t < torus.num_tiles(); ++t) {
     double direct = 0.0;
     for (TileId u = 0; u < torus.num_tiles(); ++u) {
-      direct += static_cast<double>(torus.hops(t, u));
+      direct += torus.weighted_hops(t, u);
     }
     direct /= static_cast<double>(torus.num_tiles());
-    EXPECT_DOUBLE_EQ(torus.avg_hops_to_all(t), direct);
+    EXPECT_DOUBLE_EQ(torus.avg_weighted_hops_to_all(t), direct);
   }
 }
 
@@ -191,7 +194,7 @@ TEST(Torus, MeshIsNotTorus) { EXPECT_FALSE(Mesh::square(4).is_torus()); }
 TEST(Mesh, RectangularMesh) {
   const Mesh m(2, 3, {0});
   EXPECT_EQ(m.num_tiles(), 6u);
-  EXPECT_EQ(m.hops(m.tile_at(0, 0), m.tile_at(1, 2)), 3u);
+  EXPECT_EQ(m.weighted_hops(m.tile_at(0, 0), m.tile_at(1, 2)), 3.0);
 }
 
 TEST(Mesh, InvalidMcRejected) {
@@ -226,7 +229,7 @@ TEST(Mesh, NearestMcTieBreaksToLowestId) {
   // 3x5 rectangular, MCs at (0,4)=4 and (2,0)=10: tile (1,2)=7 is 3 hops
   // from both.
   const Mesh rect(3, 5, {4, 10});
-  EXPECT_EQ(rect.hops(7, 4), rect.hops(7, 10));
+  EXPECT_EQ(rect.weighted_hops(7, 4), rect.weighted_hops(7, 10));
   EXPECT_EQ(rect.nearest_mc(7), 4u);
 }
 
@@ -241,7 +244,8 @@ TEST(Mesh, NearestMcBruteForceOnGenericSet) {
       }
     }
     EXPECT_EQ(m.nearest_mc(t), best) << "tile " << t;
-    EXPECT_EQ(m.hops_to_nearest_mc(t), m.hops(t, best)) << "tile " << t;
+    EXPECT_EQ(m.weighted_hops_to_nearest_mc(t), m.weighted_hops(t, best))
+        << "tile " << t;
   }
 }
 
@@ -259,16 +263,17 @@ TEST(Mesh3D, CoordinateRoundTrip) {
 
 TEST(Mesh3D, HopsIsManhattanAcrossLayers) {
   const Mesh m(3, 4, 4, {0});
-  EXPECT_EQ(m.hops(m.tile_at(0u, 0u, 0u), m.tile_at(2u, 3u, 1u)), 6u);
+  EXPECT_EQ(m.weighted_hops(m.tile_at(0u, 0u, 0u), m.tile_at(2u, 3u, 1u)),
+            6.0);
   for (TileId a = 0; a < m.num_tiles(); ++a) {
     for (TileId b = 0; b < m.num_tiles(); ++b) {
       const TileCoord ca = m.coord_of(a), cb = m.coord_of(b);
-      const std::uint32_t manhattan =
+      const double manhattan =
           (ca.row > cb.row ? ca.row - cb.row : cb.row - ca.row) +
           (ca.col > cb.col ? ca.col - cb.col : cb.col - ca.col) +
           (ca.layer > cb.layer ? ca.layer - cb.layer : cb.layer - ca.layer);
-      EXPECT_EQ(m.hops(a, b), manhattan);
-      EXPECT_EQ(m.hops(a, b), m.hops(b, a));
+      EXPECT_EQ(m.weighted_hops(a, b), manhattan);
+      EXPECT_EQ(m.weighted_hops(a, b), m.weighted_hops(b, a));
     }
   }
 }
@@ -280,7 +285,7 @@ TEST(Mesh3D, Layer0MatchesPlanarIds) {
   for (TileId a = 0; a < flat.num_tiles(); ++a) {
     EXPECT_EQ(stack.coord_of(a).layer, 0u);
     for (TileId b = 0; b < flat.num_tiles(); ++b) {
-      EXPECT_EQ(stack.hops(a, b), flat.hops(a, b));
+      EXPECT_EQ(stack.weighted_hops(a, b), flat.weighted_hops(a, b));
     }
   }
 }
@@ -290,8 +295,9 @@ TEST(Mesh3D, WeightedHopsUsesTsvCost) {
   EXPECT_DOUBLE_EQ(m.tsv_hop_cost(), 0.5);
   const TileId below = m.tile_at(0u, 1u, 2u);
   const TileId above = m.tile_at(1u, 1u, 2u);
-  EXPECT_EQ(m.hops(below, above), 1u);
   EXPECT_DOUBLE_EQ(m.weighted_hops(below, above), 0.5);
+  // At unit TSV cost a vertical hop is one hop.
+  EXPECT_DOUBLE_EQ(Mesh(2, 4, 4, {0}).weighted_hops(below, above), 1.0);
   EXPECT_DOUBLE_EQ(m.weighted_hops(0, m.tile_at(1u, 2u, 3u)), 5.5);
   // On a 2D mesh the weighted distance degenerates to the hop count.
   const Mesh flat = Mesh::square(4);

@@ -189,6 +189,44 @@ TEST(NetsimGolden, PaperScaleSssMappingIsBitIdenticalToSeedEngine) {
   }
 }
 
+// The activity record behind Fig. 11's dynamic power and the sweep log's
+// link_utilization / max_crossbar_per_cycle: the window counters, the
+// counters through the drain, and the window's load digest, captured before
+// the network handed out one activity record instead of six accessors.
+void expect_counters(const ActivityCounters& a,
+                     const std::array<std::uint64_t, 7>& want) {
+  EXPECT_EQ(a.buffer_writes, want[0]);
+  EXPECT_EQ(a.buffer_reads, want[1]);
+  EXPECT_EQ(a.crossbar_traversals, want[2]);
+  EXPECT_EQ(a.link_traversals, want[3]);
+  EXPECT_EQ(a.sw_arbitrations, want[4]);
+  EXPECT_EQ(a.vc_allocations, want[5]);
+  EXPECT_EQ(a.queue_wait_cycles, want[6]);
+}
+
+TEST(NetsimGolden, PaperScaleSssActivityAndLoadArePinned) {
+  const ObmProblem p(TileLatencyModel(Mesh::square(8), LatencyParams{}),
+                     synthesize_workload(parsec_config("C1"), 20140519));
+  SortSelectSwapMapper sss;
+  const Mapping m = sss.map(p);
+  for (const std::size_t workers : {1, 2}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    SimConfig c = config_for("c1-sss-8x8");
+    c.sim_workers = workers;
+    const SimResult r = run_simulation(p, m, c);
+    expect_counters(r.activity,
+                    {347297, 347307, 347307, 288245, 347307, 115749, 26158});
+    expect_counters(r.activity_with_drain,
+                    {348139, 348199, 348199, 288966, 348199, 115937, 26322});
+    EXPECT_EQ(r.load.max_crossbar_per_cycle, 0x1.f0d844d013a93p-2);
+    EXPECT_EQ(r.load.mean_crossbar_per_cycle, 0x1.15d8793dd97f6p-2);
+    EXPECT_EQ(r.load.max_avg_queue_wait, 0x1.3dcc3552245ep-3);
+    EXPECT_EQ(r.load.max_queue_occupancy, 0x1.305532617c1bep-4);
+    EXPECT_EQ(r.load.link_utilization, 0x1.0789cd17b2c2ep-4);
+    EXPECT_EQ(r.load.hottest_router, 27u);
+  }
+}
+
 // Per-application {p50, p95, p99} latency percentiles, captured from the
 // fixed 400-bin histogram the range-free one replaced. Every pinned value
 // lies below 128 cycles, where the new buckets are the old unit bins, so

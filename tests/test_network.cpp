@@ -131,14 +131,14 @@ TEST(Network, ActivityScalesWithDistance) {
     net.inject_packet(
         make_packet(1, mesh.tile_at(0, 0), mesh.tile_at(0, 1), 1));
     run_until_drained(net);
-    near = net.total_activity();
+    near = net.snapshot_activity().total;
   }
   {
     Network net(mesh, default_config());
     net.inject_packet(
         make_packet(1, mesh.tile_at(0, 0), mesh.tile_at(7, 7), 1));
     run_until_drained(net);
-    far = net.total_activity();
+    far = net.snapshot_activity().total;
   }
   EXPECT_EQ(near.link_traversals, 1u);
   EXPECT_EQ(far.link_traversals, 14u);
@@ -181,9 +181,9 @@ TEST(Network, ResetActivityClearsCounters) {
   Network net(mesh, default_config());
   net.inject_packet(make_packet(1, 0, 5, 2));
   run_until_drained(net);
-  EXPECT_GT(net.total_activity().buffer_writes, 0u);
+  EXPECT_GT(net.snapshot_activity().total.buffer_writes, 0u);
   net.reset_activity();
-  const ActivityCounters a = net.total_activity();
+  const ActivityCounters a = net.snapshot_activity().total;
   EXPECT_EQ(a.buffer_writes, 0u);
   EXPECT_EQ(a.link_traversals, 0u);
 }

@@ -108,8 +108,10 @@ TEST(Fig5, SssNearOptimal) {
 // Section II.C worked anchors on the 8x8 mesh.
 TEST(Section2C, HopCountAnchors) {
   const Mesh mesh = Mesh::square(8);
-  EXPECT_DOUBLE_EQ(mesh.avg_hops_to_all(mesh.from_paper_number(1)), 7.0);
-  EXPECT_DOUBLE_EQ(mesh.avg_hops_to_all(mesh.from_paper_number(28)), 4.0);
+  EXPECT_DOUBLE_EQ(mesh.avg_weighted_hops_to_all(mesh.from_paper_number(1)),
+                   7.0);
+  EXPECT_DOUBLE_EQ(mesh.avg_weighted_hops_to_all(mesh.from_paper_number(28)),
+                   4.0);
 }
 
 // Section III.C reduction sanity: with two equal-size applications of

@@ -2,16 +2,37 @@
 // 8 workers: every unit runs exactly once, empty and single-unit batches
 // run inline on the caller, a throwing unit surfaces once on the caller
 // after the rest of the batch ran, for_each_batch covers a ragged tail, and
-// a worker count of 0 resolves to the hardware thread count.
+// a worker count of 0 resolves to the hardware thread count. Worker counts
+// from outside the program are bounded, and a worker team whose thread
+// fails to start throws instead of aborting the process.
 #include "core/parallel.h"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <fstream>
 #include <stdexcept>
+#include <string>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include "util/error.h"
+
+// ASan and TSan reserve far more address space than the cap the worker-team
+// death test sets, so the test cannot run under them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define NOCMAP_RESERVING_SANITIZER 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define NOCMAP_RESERVING_SANITIZER 1
+#endif
+#endif
 
 namespace nocmap {
 namespace {
@@ -129,6 +150,63 @@ TEST(ParallelConfig, ThreadCountTextIsWholeNumberOrAllThreads) {
   EXPECT_EQ(parse_thread_count("3"), 3u);
   EXPECT_EQ(parse_thread_count("-1"), 0u);
   EXPECT_EQ(parse_thread_count("2x"), 0u);
+}
+
+// A count from outside the program above kMaxWorkers never reaches a
+// worker team: NOCMAP_THREADS falls back to all hardware threads, and a
+// tool option is an error that names the option. No thread is started.
+TEST(ParallelConfig, WorkerCountsFromOutsideAreBounded) {
+  EXPECT_EQ(kMaxWorkers, 256u);
+  EXPECT_EQ(parse_thread_count("256"), 256u);
+  EXPECT_EQ(parse_thread_count("257"), 0u);
+  EXPECT_EQ(parse_thread_count("18446744073709551615"), 0u);
+  EXPECT_EQ(parse_worker_count("0", "--threads"), 0u);
+  EXPECT_EQ(parse_worker_count("256", "--threads"), 256u);
+  try {
+    (void)parse_worker_count("257", "--sim-workers");
+    FAIL() << "expected the worker bound to reject 257";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("--sim-workers"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)parse_worker_count("-1", "--workers"), Error);
+}
+
+/// Caps this process's address space a few thread stacks above its current
+/// size, so the first workers of a team start and a later one cannot.
+void cap_address_space_a_few_stacks_up() {
+  std::size_t pages = 0;
+  std::ifstream("/proc/self/statm") >> pages;
+  pthread_attr_t attr;
+  std::size_t stack = 0;
+  pthread_getattr_default_np(&attr);
+  pthread_attr_getstacksize(&attr, &stack);
+  pthread_attr_destroy(&attr);
+  const std::size_t cap =
+      pages * static_cast<std::size_t>(sysconf(_SC_PAGESIZE)) + 4 * stack;
+  const rlimit limit{cap, cap};
+  setrlimit(RLIMIT_AS, &limit);
+}
+
+// When a thread fails to start, unwinding through the joinable threads
+// that did start would call std::terminate. The team must join them and
+// rethrow, so the caller can catch the std::system_error.
+TEST(CycleWorkerTeamDeathTest, FailedThreadStartThrowsInsteadOfAborting) {
+#ifdef NOCMAP_RESERVING_SANITIZER
+  GTEST_SKIP() << "the sanitizer reserves more address space than the cap";
+#endif
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        cap_address_space_a_few_stacks_up();
+        try {
+          CycleWorkerTeam team(64);
+        } catch (const std::system_error&) {
+          std::_Exit(0);
+        }
+        std::_Exit(1);  // every thread started: the cap did not bind
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

@@ -55,20 +55,6 @@ TEST(Rng, UniformU32ZeroBoundThrows) {
   EXPECT_THROW(rng.uniform_u32(0), Error);
 }
 
-TEST(Rng, UniformIntRange) {
-  Rng rng(11);
-  for (int i = 0; i < 500; ++i) {
-    const auto v = rng.uniform_int(-5, 5);
-    EXPECT_GE(v, -5);
-    EXPECT_LE(v, 5);
-  }
-}
-
-TEST(Rng, UniformIntSingleton) {
-  Rng rng(1);
-  EXPECT_EQ(rng.uniform_int(3, 3), 3);
-}
-
 TEST(Rng, UniformRealInUnitInterval) {
   Rng rng(13);
   for (int i = 0; i < 1000; ++i) {
@@ -137,15 +123,6 @@ TEST(Rng, BernoulliFrequency) {
     if (rng.bernoulli(0.3)) ++hits;
   }
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
-}
-
-TEST(Rng, ExponentialMean) {
-  Rng rng(41);
-  double sum = 0.0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) sum += rng.exponential(2.0);
-  EXPECT_NEAR(sum / n, 0.5, 0.01);
-  EXPECT_THROW(rng.exponential(0.0), Error);
 }
 
 TEST(Rng, ShufflePreservesElements) {

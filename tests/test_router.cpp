@@ -5,6 +5,8 @@
 namespace nocmap {
 namespace {
 
+// Every router test drives a one-router engine for tile 5, (1,1) of a 4x4
+// mesh, whose only router index is 0.
 NetworkConfig small_config() {
   NetworkConfig c;
   c.vcs_per_port = 2;
@@ -35,28 +37,28 @@ TEST(PortDir, OppositeIsInvolution) {
 
 TEST(Router, AcceptsUpToBufferDepth) {
   const Mesh mesh = Mesh::square(4);
-  Router r(5, mesh, small_config());
+  RouterEngine r(mesh, small_config(), 1, 5);
   for (std::uint32_t i = 0; i < 3; ++i) {
-    EXPECT_TRUE(r.can_accept(PortDir::kWest, 0));
-    r.receive_flit(PortDir::kWest, 0, make_flit(1, i, 5, 10), 0);
+    EXPECT_TRUE(r.can_accept(0, PortDir::kWest, 0));
+    r.receive_flit(0, PortDir::kWest, 0, make_flit(1, i, 5, 10), 0);
   }
-  EXPECT_FALSE(r.can_accept(PortDir::kWest, 0));
-  EXPECT_EQ(r.buffered_flits(), 3u);
-  EXPECT_THROW(r.receive_flit(PortDir::kWest, 0, make_flit(1, 3, 5, 10), 0),
+  EXPECT_FALSE(r.can_accept(0, PortDir::kWest, 0));
+  EXPECT_EQ(r.buffered_flits(0), 3u);
+  EXPECT_THROW(r.receive_flit(0, PortDir::kWest, 0, make_flit(1, 3, 5, 10), 0),
                Error);
 }
 
 TEST(Router, FlitNotEligibleBeforePipelineDelay) {
   const Mesh mesh = Mesh::square(4);
-  Router r(5, mesh, small_config());  // tile (1,1)
-  r.receive_flit(PortDir::kLocal, 0, make_flit(1, 0, 1, 6), 0);  // to (1,2)
+  RouterEngine r(mesh, small_config(), 1, 5);  // tile (1,1)
+  r.receive_flit(0, PortDir::kLocal, 0, make_flit(1, 0, 1, 6), 0);  // to (1,2)
 
   std::vector<Departure> out;
-  r.tick(0, out);
+  r.tick(0, 0, out);
   EXPECT_TRUE(out.empty());
-  r.tick(2, out);
+  r.tick(0, 2, out);
   EXPECT_TRUE(out.empty());
-  r.tick(3, out);  // enqueued 0 + pipeline 3
+  r.tick(0, 3, out);  // enqueued 0 + pipeline 3
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].out_port, PortDir::kEast);
   EXPECT_EQ(out[0].in_port, PortDir::kLocal);
@@ -64,34 +66,34 @@ TEST(Router, FlitNotEligibleBeforePipelineDelay) {
 
 TEST(Router, XyRoutingGoesXFirst) {
   const Mesh mesh = Mesh::square(4);
-  Router r(5, mesh, small_config());  // tile (1,1)
+  RouterEngine r(mesh, small_config(), 1, 5);  // tile (1,1)
   // Destination (3,3): must go East first (X before Y).
-  r.receive_flit(PortDir::kLocal, 0, make_flit(1, 0, 1, 15), 0);
+  r.receive_flit(0, PortDir::kLocal, 0, make_flit(1, 0, 1, 15), 0);
   std::vector<Departure> out;
-  r.tick(3, out);
+  r.tick(0, 3, out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].out_port, PortDir::kEast);
 }
 
 TEST(Router, RoutesToLocalWhenAtDestination) {
   const Mesh mesh = Mesh::square(4);
-  Router r(5, mesh, small_config());
-  r.receive_flit(PortDir::kWest, 0, make_flit(1, 0, 1, 5), 0);  // dst == id
+  RouterEngine r(mesh, small_config(), 1, 5);
+  r.receive_flit(0, PortDir::kWest, 0, make_flit(1, 0, 1, 5), 0);  // dst == id
   std::vector<Departure> out;
-  r.tick(3, out);
+  r.tick(0, 3, out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].out_port, PortDir::kLocal);
 }
 
 TEST(Router, WormholeKeepsPacketContiguousInVc) {
   const Mesh mesh = Mesh::square(4);
-  Router r(5, mesh, small_config());
+  RouterEngine r(mesh, small_config(), 1, 5);
   // Three flits of one packet.
   for (std::uint32_t i = 0; i < 3; ++i) {
-    r.receive_flit(PortDir::kWest, 0, make_flit(1, i, 3, 6), 0);
+    r.receive_flit(0, PortDir::kWest, 0, make_flit(1, i, 3, 6), 0);
   }
   std::vector<Departure> out;
-  for (Cycle now = 3; now <= 5; ++now) r.tick(now, out);
+  for (Cycle now = 3; now <= 5; ++now) r.tick(0, now, out);
   ASSERT_EQ(out.size(), 3u);
   for (std::uint32_t i = 0; i < 3; ++i) {
     EXPECT_EQ(out[i].flit.index, i);  // in order
@@ -103,18 +105,18 @@ TEST(Router, StallsWhenNoCredits) {
   const Mesh mesh = Mesh::square(4);
   NetworkConfig cfg = small_config();
   cfg.buffer_depth = 1;  // single credit per VC
-  Router r(5, mesh, cfg);
-  r.receive_flit(PortDir::kWest, 0, make_flit(1, 0, 2, 6), 0);
+  RouterEngine r(mesh, cfg, 1, 5);
+  r.receive_flit(0, PortDir::kWest, 0, make_flit(1, 0, 2, 6), 0);
   std::vector<Departure> out;
-  r.tick(3, out);
+  r.tick(0, 3, out);
   ASSERT_EQ(out.size(), 1u);  // head leaves, consuming the only credit
   out.clear();
-  r.receive_flit(PortDir::kWest, 0, make_flit(1, 1, 2, 6), 3);
-  r.tick(7, out);
+  r.receive_flit(0, PortDir::kWest, 0, make_flit(1, 1, 2, 6), 3);
+  r.tick(0, 7, out);
   EXPECT_TRUE(out.empty());  // tail blocked: no credit
-  r.receive_credit(PortDir::kEast, out.empty() ? 0 : 0);
+  r.receive_credit(0, PortDir::kEast, out.empty() ? 0 : 0);
   // Credit was returned to VC 0 of the East output (the one used).
-  r.tick(8, out);
+  r.tick(0, 8, out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_TRUE(out[0].flit.is_tail);
 }
@@ -123,65 +125,65 @@ TEST(Router, TailReleasesOutputVc) {
   const Mesh mesh = Mesh::square(4);
   NetworkConfig cfg = small_config();
   cfg.vcs_per_port = 1;  // single VC: second packet must reuse it
-  Router r(5, mesh, cfg);
-  r.receive_flit(PortDir::kWest, 0, make_flit(1, 0, 1, 6), 0);
+  RouterEngine r(mesh, cfg, 1, 5);
+  r.receive_flit(0, PortDir::kWest, 0, make_flit(1, 0, 1, 6), 0);
   std::vector<Departure> out;
-  r.tick(3, out);
+  r.tick(0, 3, out);
   ASSERT_EQ(out.size(), 1u);
   out.clear();
   // Second packet in the same input VC gets the output VC after the tail.
-  r.receive_flit(PortDir::kWest, 0, make_flit(2, 0, 1, 6), 4);
-  r.tick(7, out);
+  r.receive_flit(0, PortDir::kWest, 0, make_flit(2, 0, 1, 6), 4);
+  r.tick(0, 7, out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].flit.packet, 2u);
 }
 
 TEST(Router, OneGrantPerOutputPortPerCycle) {
   const Mesh mesh = Mesh::square(4);
-  Router r(5, mesh, small_config());
+  RouterEngine r(mesh, small_config(), 1, 5);
   // Two packets from different input ports, both heading East.
-  r.receive_flit(PortDir::kWest, 0, make_flit(1, 0, 1, 6), 0);
-  r.receive_flit(PortDir::kNorth, 0, make_flit(2, 0, 1, 6), 0);
+  r.receive_flit(0, PortDir::kWest, 0, make_flit(1, 0, 1, 6), 0);
+  r.receive_flit(0, PortDir::kNorth, 0, make_flit(2, 0, 1, 6), 0);
   std::vector<Departure> out;
-  r.tick(3, out);
+  r.tick(0, 3, out);
   EXPECT_EQ(out.size(), 1u);
-  r.tick(4, out);
+  r.tick(0, 4, out);
   EXPECT_EQ(out.size(), 2u);  // the other one follows next cycle
 }
 
 TEST(Router, DistinctOutputsServedSameCycle) {
   const Mesh mesh = Mesh::square(4);
-  Router r(5, mesh, small_config());
-  r.receive_flit(PortDir::kWest, 0, make_flit(1, 0, 1, 6), 0);   // East
-  r.receive_flit(PortDir::kNorth, 0, make_flit(2, 0, 1, 9), 0);  // South
+  RouterEngine r(mesh, small_config(), 1, 5);
+  r.receive_flit(0, PortDir::kWest, 0, make_flit(1, 0, 1, 6), 0);   // East
+  r.receive_flit(0, PortDir::kNorth, 0, make_flit(2, 0, 1, 9), 0);  // South
   std::vector<Departure> out;
-  r.tick(3, out);
+  r.tick(0, 3, out);
   EXPECT_EQ(out.size(), 2u);
 }
 
 TEST(Router, ActivityCountersTrackEvents) {
   const Mesh mesh = Mesh::square(4);
-  Router r(5, mesh, small_config());
+  RouterEngine r(mesh, small_config(), 1, 5);
   for (std::uint32_t i = 0; i < 2; ++i) {
-    r.receive_flit(PortDir::kWest, 0, make_flit(1, i, 2, 6), 0);
+    r.receive_flit(0, PortDir::kWest, 0, make_flit(1, i, 2, 6), 0);
   }
   std::vector<Departure> out;
-  for (Cycle now = 3; now <= 4; ++now) r.tick(now, out);
-  const ActivityCounters& a = r.activity();
+  for (Cycle now = 3; now <= 4; ++now) r.tick(0, now, out);
+  const ActivityCounters& a = r.activity(0);
   EXPECT_EQ(a.buffer_writes, 2u);
   EXPECT_EQ(a.buffer_reads, 2u);
   EXPECT_EQ(a.crossbar_traversals, 2u);
   EXPECT_EQ(a.sw_arbitrations, 2u);
   EXPECT_EQ(a.vc_allocations, 1u);  // one per packet
   r.reset_activity();
-  EXPECT_EQ(r.activity().buffer_writes, 0u);
+  EXPECT_EQ(r.activity(0).buffer_writes, 0u);
 }
 
 TEST(Router, CreditOverflowDetected) {
   const Mesh mesh = Mesh::square(4);
-  Router r(5, mesh, small_config());
+  RouterEngine r(mesh, small_config(), 1, 5);
   // Buffers start at full credit; an extra credit is a protocol violation.
-  EXPECT_THROW(r.receive_credit(PortDir::kEast, 0), Error);
+  EXPECT_THROW(r.receive_credit(0, PortDir::kEast, 0), Error);
 }
 
 }  // namespace

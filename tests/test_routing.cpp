@@ -121,8 +121,9 @@ TEST(Routing, XyUsesOnlyXFirstIntermediate) {
                                     mesh.tile_at(1, 1)));
     }
     run_until_drained(net);
-    EXPECT_GT(net.router_activity(mesh.tile_at(0, 1)).buffer_writes, 0u);
-    EXPECT_EQ(net.router_activity(mesh.tile_at(1, 0)).buffer_writes, 0u);
+    const ActivityRecord a = net.snapshot_activity();
+    EXPECT_GT(a.routers[mesh.tile_at(0, 1)].buffer_writes, 0u);
+    EXPECT_EQ(a.routers[mesh.tile_at(1, 0)].buffer_writes, 0u);
   }
   {
     Network net(mesh, config_for(RoutingAlgo::kYX));
@@ -131,8 +132,9 @@ TEST(Routing, XyUsesOnlyXFirstIntermediate) {
                                     mesh.tile_at(1, 1)));
     }
     run_until_drained(net);
-    EXPECT_EQ(net.router_activity(mesh.tile_at(0, 1)).buffer_writes, 0u);
-    EXPECT_GT(net.router_activity(mesh.tile_at(1, 0)).buffer_writes, 0u);
+    const ActivityRecord a = net.snapshot_activity();
+    EXPECT_EQ(a.routers[mesh.tile_at(0, 1)].buffer_writes, 0u);
+    EXPECT_GT(a.routers[mesh.tile_at(1, 0)].buffer_writes, 0u);
   }
 }
 
@@ -144,8 +146,9 @@ TEST(Routing, O1TurnSplitsAcrossBothIntermediates) {
         make_packet(id, mesh.tile_at(0, 0), mesh.tile_at(1, 1)));
   }
   run_until_drained(net);
-  EXPECT_GT(net.router_activity(mesh.tile_at(0, 1)).buffer_writes, 0u);
-  EXPECT_GT(net.router_activity(mesh.tile_at(1, 0)).buffer_writes, 0u);
+  const ActivityRecord a = net.snapshot_activity();
+  EXPECT_GT(a.routers[mesh.tile_at(0, 1)].buffer_writes, 0u);
+  EXPECT_GT(a.routers[mesh.tile_at(1, 0)].buffer_writes, 0u);
 }
 
 TEST(Routing, O1TurnNeedsTwoVcs) {

@@ -27,19 +27,17 @@ TEST(Stddev, PopulationKnownValue) {
 TEST(Stddev, SampleVsPopulation) {
   const std::vector<double> xs{1.0, 2.0, 3.0};
   EXPECT_NEAR(stddev_population(xs), std::sqrt(2.0 / 3.0), 1e-12);
-  EXPECT_NEAR(stddev_sample(xs), 1.0, 1e-12);
 }
 
 TEST(Stddev, ConstantIsZero) {
   const std::vector<double> xs{5.0, 5.0, 5.0};
   EXPECT_DOUBLE_EQ(stddev_population(xs), 0.0);
-  EXPECT_DOUBLE_EQ(stddev_sample(xs), 0.0);
 }
 
 TEST(Stddev, DegenerateSizes) {
   EXPECT_DOUBLE_EQ(stddev_population({}), 0.0);
   const std::vector<double> one{3.0};
-  EXPECT_DOUBLE_EQ(stddev_sample(one), 0.0);
+  EXPECT_DOUBLE_EQ(stddev_population(one), 0.0);
 }
 
 TEST(MinMax, Basic) {
@@ -76,7 +74,6 @@ TEST(RunningStats, MatchesBatchFormulas) {
   EXPECT_EQ(rs.count(), xs.size());
   EXPECT_NEAR(rs.mean(), mean(xs), 1e-9);
   EXPECT_NEAR(rs.stddev_population(), stddev_population(xs), 1e-9);
-  EXPECT_NEAR(rs.stddev_sample(), stddev_sample(xs), 1e-9);
   EXPECT_DOUBLE_EQ(rs.min(), min_value(xs));
   EXPECT_DOUBLE_EQ(rs.max(), max_value(xs));
   EXPECT_NEAR(rs.sum(), mean(xs) * 1000.0, 1e-6);
@@ -87,38 +84,6 @@ TEST(RunningStats, EmptyIsZero) {
   EXPECT_EQ(rs.count(), 0u);
   EXPECT_DOUBLE_EQ(rs.mean(), 0.0);
   EXPECT_DOUBLE_EQ(rs.stddev_population(), 0.0);
-}
-
-TEST(RunningStats, MergeEqualsCombined) {
-  Rng rng(9);
-  RunningStats a, b, combined;
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.normal(3.0, 2.0);
-    a.add(x);
-    combined.add(x);
-  }
-  for (int i = 0; i < 700; ++i) {
-    const double x = rng.normal(-1.0, 0.5);
-    b.add(x);
-    combined.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), combined.count());
-  EXPECT_NEAR(a.mean(), combined.mean(), 1e-9);
-  EXPECT_NEAR(a.variance_population(), combined.variance_population(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), combined.min());
-  EXPECT_DOUBLE_EQ(a.max(), combined.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a, empty;
-  a.add(1.0);
-  a.add(2.0);
-  const double m = a.mean();
-  a.merge(empty);
-  EXPECT_DOUBLE_EQ(a.mean(), m);
-  empty.merge(a);
-  EXPECT_DOUBLE_EQ(empty.mean(), m);
 }
 
 TEST(InverseNormalCdf, KnownQuantiles) {

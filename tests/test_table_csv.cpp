@@ -4,7 +4,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "util/csv.h"
 #include "util/error.h"
 #include "util/table.h"
 
@@ -72,24 +71,9 @@ TEST(CsvEscape, QuotesCommasAndNewlines) {
   EXPECT_EQ(csv_escape("line\nbreak"), "\"line\nbreak\"");
 }
 
-TEST(CsvWriter, WritesRowsToFile) {
-  const std::string path = ::testing::TempDir() + "/nocmap_csv_test.csv";
-  {
-    CsvWriter w(path);
-    w.write_row({"a", "b,c"});
-    w.write_row({"1", "2"});
-  }
-  std::ifstream in(path);
-  std::string line1, line2;
-  std::getline(in, line1);
-  std::getline(in, line2);
-  EXPECT_EQ(line1, "a,\"b,c\"");
-  EXPECT_EQ(line2, "1,2");
-  std::remove(path.c_str());
-}
-
-TEST(CsvWriter, BadPathThrows) {
-  EXPECT_THROW(CsvWriter("/nonexistent-dir-xyz/file.csv"), Error);
+TEST(TextTable, SaveCsvBadPathThrows) {
+  const TextTable t({"a"});
+  EXPECT_THROW(t.save_csv("/nonexistent-dir-xyz/file.csv"), Error);
 }
 
 }  // namespace

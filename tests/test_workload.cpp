@@ -83,18 +83,5 @@ TEST(Workload, PaddingNoOpWhenExact) {
   EXPECT_THROW(wl.padded_to(3), Error);
 }
 
-TEST(Workload, SortByTotalRate) {
-  Application heavy;
-  heavy.name = "heavy";
-  heavy.threads = {{100.0, 1.0}};
-  Application light;
-  light.name = "light";
-  light.threads = {{1.0, 0.1}};
-  const Workload wl({heavy, light});
-  const Workload sorted = wl.sorted_by_total_rate();
-  EXPECT_EQ(sorted.application(0).name, "light");
-  EXPECT_EQ(sorted.application(1).name, "heavy");
-}
-
 }  // namespace
 }  // namespace nocmap

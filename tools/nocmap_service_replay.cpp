@@ -16,6 +16,7 @@
 #include <sstream>
 #include <string>
 
+#include "core/parallel.h"
 #include "latency/model.h"
 #include "obs/json.h"
 #include "service/replay.h"
@@ -35,8 +36,8 @@ void usage(std::ostream& os) {
      << "  --mesh N        square mesh side (default 8)\n"
      << "  --budget M      per-event migration budget (default 8)\n"
      << "  --threshold X   fallback degradation threshold (default 1.25)\n"
-     << "  --workers W     fallback-SSS worker count (default 1; any value\n"
-     << "                  yields the identical decision stream)\n"
+     << "  --workers W     fallback-SSS worker count (default 1, at most 256;\n"
+     << "                  any value yields the identical decision stream)\n"
      << "  --config CN     fixed Table-3 config C1..C8 (default: cycle)\n"
      << "  --max-app N     largest application thread count (default 16)\n"
      << "  --sample K      sample incremental-vs-fresh objective every K\n"
@@ -45,7 +46,8 @@ void usage(std::ostream& os) {
      << "                  through the cycle-accurate netsim (measured\n"
      << "                  ground truth for the analytic decisions)\n"
      << "  --sim-workers W spatial-partition workers for --simulate\n"
-     << "                  (default 1, 0=all cores; results identical)\n"
+     << "                  (default 1, 0=all cores, at most 256; results\n"
+     << "                  identical)\n"
      << "  --json PATH     also write the summary as JSON\n";
 }
 
@@ -83,7 +85,7 @@ int main(int argc, char** argv) {
         service_config.degradation_threshold =
             parse_number<double>(value(), arg);
       } else if (arg == "--workers") {
-        workers = parse_number<std::size_t>(value(), arg);
+        workers = parse_worker_count(value(), arg);
         service_config.sss.parallel = {workers};
       } else if (arg == "--config") {
         trace_config.config = value();
@@ -95,7 +97,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--simulate") {
         simulate = true;
       } else if (arg == "--sim-workers") {
-        sim_workers = parse_number<std::size_t>(value(), arg);
+        sim_workers = parse_worker_count(value(), arg);
       } else if (arg == "--json") {
         json_path = value();
       } else if (arg == "--help" || arg == "-h") {

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "core/parallel.h"
 #include "obs/run_report.h"
 #include "sweep/aggregate.h"
 #include "sweep/runner.h"
@@ -38,10 +39,12 @@ int usage(const char* argv0) {
       << "    --digest             print only the spec digest\n"
       << "  run SPEC               run (or resume) the campaign\n"
       << "    --out DIR            campaign directory (default 'campaign')\n"
-      << "    --threads N          workers (default $NOCMAP_THREADS, 0=all)\n"
+      << "    --threads N          workers (default $NOCMAP_THREADS, 0=all,\n"
+      << "                         at most 256)\n"
       << "    --sim-workers N      spatial-partition workers inside each\n"
-      << "                         simulation (default 1, 0=all cores;\n"
-      << "                         results are bit-identical at any value)\n"
+      << "                         simulation (default 1, 0=all cores, at\n"
+      << "                         most 256; results are bit-identical at\n"
+      << "                         any value)\n"
       << "    --chunk N            scenarios per commit chunk (default 64)\n"
       << "    --max-scenarios N    stop after N new scenarios (0 = all)\n"
       << "    --quiet              no per-chunk progress lines\n"
@@ -114,11 +117,11 @@ int cmd_run(int argc, char** argv) {
     if (arg == "--out") {
       options.out_dir = require_value(argc, argv, i, "--out");
     } else if (arg == "--threads") {
-      options.parallel.num_threads =
-          require_number<std::size_t>(argc, argv, i, "--threads");
+      options.parallel.num_threads = parse_worker_count(
+          require_value(argc, argv, i, "--threads"), "--threads");
     } else if (arg == "--sim-workers") {
-      options.sim_workers =
-          require_number<std::size_t>(argc, argv, i, "--sim-workers");
+      options.sim_workers = parse_worker_count(
+          require_value(argc, argv, i, "--sim-workers"), "--sim-workers");
     } else if (arg == "--chunk") {
       options.chunk_size =
           require_number<std::size_t>(argc, argv, i, "--chunk");
