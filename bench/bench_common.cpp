@@ -64,16 +64,14 @@ ObmProblem standard_problem(const std::string& config_name) {
   return standard_problem(parsec_config(config_name));
 }
 
-std::vector<std::unique_ptr<Mapper>> paper_mappers(ParallelConfig parallel) {
+std::vector<std::unique_ptr<Mapper>> paper_mappers() {
   std::vector<std::unique_ptr<Mapper>> mappers;
   mappers.push_back(std::make_unique<GlobalMapper>());
-  mappers.push_back(std::make_unique<MonteCarloMapper>(kMcTrials,
-                                                       kAlgorithmSeed,
-                                                       parallel));
+  mappers.push_back(
+      std::make_unique<MonteCarloMapper>(kMcTrials, kAlgorithmSeed));
   mappers.push_back(std::make_unique<AnnealingMapper>(
       AnnealingParams{.iterations = kSaIterations, .seed = kAlgorithmSeed}));
-  mappers.push_back(std::make_unique<SortSelectSwapMapper>(
-      SssOptions{.parallel = parallel}));
+  mappers.push_back(std::make_unique<SortSelectSwapMapper>());
   return mappers;
 }
 

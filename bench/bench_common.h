@@ -39,11 +39,8 @@ ObmProblem standard_problem(const ConfigSpec& spec);
 ObmProblem standard_problem(const std::string& config_name);
 
 /// Freshly constructed mappers with the bench seeds, in paper order
-/// {Global, MC, SA, SSS}. `parallel` drives the MC and SSS fan-outs (SA
-/// runs one chain); both are deterministic, so any value produces the same
-/// tables as the serial default — only the wall-clock changes.
-std::vector<std::unique_ptr<Mapper>> paper_mappers(
-    ParallelConfig parallel = ParallelConfig::serial_config());
+/// {Global, MC, SA, SSS}, each on its default single worker.
+std::vector<std::unique_ptr<Mapper>> paper_mappers();
 
 /// Records one serial-vs-parallel wall-clock pair as the bench RunReport
 /// fields `<key>.serial_ms`, `<key>.parallel_ms` and `<key>.speedup`, and

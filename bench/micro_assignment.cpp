@@ -158,8 +158,7 @@ void bench_mappers() {
   using clock = std::chrono::steady_clock;
   const ObmProblem problem = bench::standard_problem("C1");
 
-  std::vector<std::unique_ptr<Mapper>> mappers =
-      bench::paper_mappers(ParallelConfig::serial_config());
+  std::vector<std::unique_ptr<Mapper>> mappers = bench::paper_mappers();
   GeneticParams ga;
   ga.seed = bench::kAlgorithmSeed;
   mappers.push_back(std::make_unique<GeneticMapper>(ga));

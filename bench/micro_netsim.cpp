@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
       configs[i].measure_cycles = 2000;
       configs[i].traffic.injection_scale = 1.0 + static_cast<double>(i);
     }
-    ParallelTrialRunner runner(ParallelConfig::serial_config());
+    ParallelTrialRunner runner(ParallelConfig{});
     record("batch8_mixed", ms_per_run([&] {
              std::vector<SimResult> out(configs.size());
              runner.for_each(configs.size(), [&](std::size_t i) {

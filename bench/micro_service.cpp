@@ -36,7 +36,6 @@ service::MappingService make_engine() {
   service::ServiceConfig config;
   config.migration_budget = 8;
   config.degradation_threshold = 1.25;
-  config.sss.parallel = ParallelConfig::serial_config();
   return service::MappingService(
       TileLatencyModel(Mesh::square(8), LatencyParams{}), config);
 }

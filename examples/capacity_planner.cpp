@@ -14,20 +14,7 @@
 #include "service/replay.h"
 #include "util/table.h"
 
-namespace {
-
 using namespace nocmap;
-
-const char* placement_name(McPlacement p) {
-  switch (p) {
-    case McPlacement::kCorners: return "corners";
-    case McPlacement::kEdgeMiddles: return "edge middles";
-    case McPlacement::kDiamond: return "center diamond";
-  }
-  return "?";
-}
-
-}  // namespace
 
 int main() {
   std::cout << "Capacity planner: one churn trace replayed through "
@@ -59,7 +46,7 @@ int main() {
           service::replay_trace(engine, service::generate_trace(trace));
 
       t.add_row({std::to_string(side) + "x" + std::to_string(side),
-                 placement_name(placement), std::to_string(stats.accepted),
+                 mc_placement_name(placement), std::to_string(stats.accepted),
                  std::to_string(stats.rejected), fmt(engine.objective()),
                  std::to_string(stats.moved_threads),
                  std::to_string(stats.fallbacks)});

@@ -38,26 +38,24 @@ OracleResult fail(std::string detail) { return {false, std::move(detail)}; }
 /// The mapper roster the differential oracles cross-check. Budgets are
 /// deliberately small — fuzzing wants many scenarios over polished
 /// solutions — and all seeds derive from the scenario seed so a spec fully
-/// determines every mapper's output. Serial execution keeps oracle runs
-/// cheap under sanitizers (the engine is thread-count-invariant anyway).
+/// determines every mapper's output. The mappers' default one-worker
+/// execution keeps oracle runs cheap under sanitizers (the engine is
+/// thread-count-invariant anyway).
 std::vector<std::unique_ptr<Mapper>> scenario_mappers(
     const ScenarioSpec& spec) {
   std::vector<std::unique_ptr<Mapper>> mappers;
   mappers.push_back(std::make_unique<GlobalMapper>());
-  mappers.push_back(std::make_unique<MonteCarloMapper>(
-      256, spec.seed ^ 0x4d43ULL, ParallelConfig::serial_config()));
+  mappers.push_back(
+      std::make_unique<MonteCarloMapper>(256, spec.seed ^ 0x4d43ULL));
   AnnealingParams sa;
   sa.iterations = 4000;
   sa.seed = spec.seed ^ 0x5341ULL;
   mappers.push_back(std::make_unique<AnnealingMapper>(sa));
-  SssOptions sss;
-  sss.parallel = ParallelConfig::serial_config();
-  mappers.push_back(std::make_unique<SortSelectSwapMapper>(sss));
+  mappers.push_back(std::make_unique<SortSelectSwapMapper>());
   GeneticParams ga;
   ga.population = 24;
   ga.generations = 40;
   ga.seed = spec.seed ^ 0x4741ULL;
-  ga.parallel = ParallelConfig::serial_config();
   mappers.push_back(std::make_unique<GeneticMapper>(ga));
   return mappers;
 }
@@ -529,7 +527,6 @@ OracleResult run_service_replay(const ScenarioSpec& spec) {
   config.migration_budget = kBudgets[(spec.seed >> 8) % 5];
   config.degradation_threshold =
       1.05 + 0.05 * static_cast<double>((spec.seed >> 16) % 5);
-  config.sss.parallel = ParallelConfig::serial_config();
   service::MappingService engine(chip, config);
 
   // Worker-count differential: a sibling whose fallback SSS runs on two
@@ -539,9 +536,7 @@ OracleResult run_service_replay(const ScenarioSpec& spec) {
   sibling_config.sss.parallel = {2};
   service::MappingService sibling(chip, sibling_config);
 
-  SssOptions fresh_options;
-  fresh_options.parallel = ParallelConfig::serial_config();
-  SortSelectSwapMapper fresh_sss(fresh_options);
+  SortSelectSwapMapper fresh_sss;
 
   const double theta = config.degradation_threshold;
   for (std::size_t i = 0; i < events.size(); ++i) {

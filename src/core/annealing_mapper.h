@@ -41,8 +41,9 @@ struct AnnealingParams {
   /// the forked stream Rng(seed).fork(r), so the result depends only on
   /// (seed, R) — never on how chains are scheduled onto workers.
   std::size_t restarts = 1;
-  /// How chains are executed; each chain is inherently sequential, so
-  /// parallelism comes from running restarts concurrently.
+  /// Workers for the chains (default: one, inline); each chain is
+  /// inherently sequential, so parallelism comes from running restarts
+  /// concurrently.
   ParallelConfig parallel = {};
 };
 

@@ -17,12 +17,6 @@ double optimal_gapl(const ObmProblem& problem, const ThreadCostCache& cache,
   return ws.solve(view).total_cost / volume;
 }
 
-double optimal_gapl(const ObmProblem& problem) {
-  const ThreadCostCache cache(problem.workload(), problem.model());
-  AssignmentWorkspace ws;
-  return optimal_gapl(problem, cache, ws);
-}
-
 double relaxed_min_apl(const ObmProblem& problem, std::size_t app,
                        const ThreadCostCache& cache, AssignmentWorkspace& ws) {
   const Workload& wl = problem.workload();

@@ -27,7 +27,6 @@
 namespace nocmap {
 
 /// Optimal (unconstrained-by-balance) g-APL: the Global baseline's value.
-double optimal_gapl(const ObmProblem& problem);
 double optimal_gapl(const ObmProblem& problem, const ThreadCostCache& cache,
                     AssignmentWorkspace& ws);
 

@@ -22,10 +22,10 @@ struct GeneticParams {
   std::size_t population = 64;  ///< must exceed the two elites
   std::size_t generations = 200;
   std::uint64_t seed = 1;
-  /// Fitness-evaluation execution policy. Breeding (selection, PMX,
-  /// mutation) stays on one RNG stream and is serial; the per-individual
-  /// fitness evaluations are pure and fan out, so results are identical at
-  /// any thread count.
+  /// Fitness-evaluation workers (default: one, inline). Breeding
+  /// (selection, PMX, mutation) stays on one RNG stream and is serial; the
+  /// per-individual fitness evaluations are pure and fan out, so results
+  /// are identical at any thread count.
   ParallelConfig parallel = {};
 };
 

@@ -2,8 +2,8 @@
 // number of uniform random mappings (the paper uses 10⁴) and keep the one
 // with the smallest max-APL. Trials are sharded with a fixed geometry and
 // per-shard forked RNG streams, so the result is deterministic for a fixed
-// (seed, trials) pair at any thread count; the ParallelConfig only decides
-// how many workers execute the shards.
+// (seed, trials) pair at any thread count; the ParallelConfig (default: one
+// worker, inline) only decides how many workers execute the shards.
 #pragma once
 
 #include <cstdint>

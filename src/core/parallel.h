@@ -19,6 +19,11 @@
 // bench layer; ParallelTrialRunner is the execution engine the mappers, the
 // benches' scenario fan-outs and the sweep runner share. It runs on the same
 // CycleWorkerTeam (util/cycle_barrier.h) that steps the partitioned netsim.
+//
+// Threads start only on request: a default ParallelConfig is one worker, so
+// every default-constructed mapper and service runs inline. A program reads
+// the cores it may use in one place (ParallelConfig::from_env, or the sweep
+// tool's --threads) and passes that count to the fan-out it wants widened.
 #pragma once
 
 #include <cstddef>
@@ -35,14 +40,12 @@ namespace nocmap {
 /// its canonical serial protocol at any count, so the mapping is
 /// bit-identical to the 1-thread run.
 struct ParallelConfig {
-  /// Worker count: 0 means std::thread::hardware_concurrency(), 1 runs
-  /// everything inline on the calling thread (the serial path).
-  std::size_t num_threads = 0;
+  /// Worker count: 1 (the default) runs everything inline on the calling
+  /// thread, 0 means std::thread::hardware_concurrency().
+  std::size_t num_threads = 1;
 
   /// The concrete worker count (resolves 0 to the hardware concurrency).
   std::size_t resolved_threads() const;
-  /// True when everything runs inline on the calling thread.
-  bool serial() const { return resolved_threads() == 1; }
 
   static ParallelConfig serial_config() { return {1}; }
   /// The worker count named by the NOCMAP_THREADS environment variable

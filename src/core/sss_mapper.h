@@ -35,7 +35,7 @@ struct SssOptions {
   std::size_t window_size = 4;
   /// Largest window step; 0 means the paper's N/4.
   std::size_t max_step = 0;
-  /// Worker count. Any count (default: hardware threads) produces a mapping
+  /// Worker count (default: one, inline). Any count produces a mapping
   /// bit-identical to the serial sweep: stage 2/4 SAM solves fan out per
   /// application, and the stage-3 sweep speculatively scores window rounds
   /// through the one shared const evaluator, committing in canonical serial

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <thread>
 #include <utility>
 
+#include "core/parallel.h"
 #include "util/rng.h"
 
 namespace nocmap {
@@ -17,12 +17,6 @@ const Mesh& require_simulable(const Mesh& mesh) {
                  "the cycle-level simulator models meshes only (the torus "
                  "is an analytic extension; see ext_torus)");
   return mesh;
-}
-
-std::size_t resolve_sim_workers(std::size_t sim_workers) {
-  if (sim_workers != 0) return sim_workers;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
 }
 
 }  // namespace
@@ -57,7 +51,8 @@ Network::Network(const Mesh& mesh, const NetworkConfig& config,
   // many workers can help.
   const std::uint32_t rows = mesh.rows() * mesh.layers();
   const auto num_domains = static_cast<std::uint32_t>(
-      std::min<std::size_t>(resolve_sim_workers(sim_workers), rows));
+      std::min<std::size_t>(ParallelConfig{sim_workers}.resolved_threads(),
+                            rows));
   // Horizon: all internal delays are <= max(planar/TSV link latency, 1) + 1.
   const std::size_t ring_size = static_cast<std::size_t>(
       std::max({config.link_latency, config.tsv_link_latency, 1u}) + 2);

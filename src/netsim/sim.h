@@ -65,7 +65,7 @@ struct SimResult {
   double dev_apl = 0.0;
   double g_apl = 0.0;
 
-  /// Per-application full latency statistics.
+  /// Per-application packet count and mean latency.
   std::vector<RunningStats> per_app;
   /// All packets combined.
   RunningStats overall;

@@ -61,8 +61,6 @@ class RunReport {
   /// timers / gauges sections (replacing any previous snapshot).
   void attach_metrics();
 
-  std::string to_json() const { return root_.dump(2) + "\n"; }
-
   /// Serializes to `path`; false when the file cannot be created.
   bool save(const std::string& path) const;
 

@@ -61,8 +61,9 @@ struct ServiceConfig {
   /// Fallback trigger: re-solve from scratch when objective exceeds
   /// threshold × lower bound. Must be > 1.
   double degradation_threshold = 1.25;
-  /// Options of the fallback's from-scratch SSS solve (its ParallelConfig
-  /// is the replay "worker count"; any value gives identical decisions).
+  /// Options of the fallback's from-scratch SSS solve. Its default
+  /// ParallelConfig runs the fallback inline; any worker count gives
+  /// identical decisions.
   SssOptions sss;
 };
 

@@ -65,8 +65,7 @@ ReplayStats replay_trace(MappingService& service,
         ++since_sample >= options.objective_sample_period) {
       since_sample = 0;
       const ObmProblem fresh_problem = service.snapshot_problem();
-      SortSelectSwapMapper sss(
-          SssOptions{.parallel = ParallelConfig::serial_config()});
+      SortSelectSwapMapper sss;
       const double fresh =
           evaluate(fresh_problem, sss.map(fresh_problem)).max_apl;
       if (fresh > 0.0) {
@@ -90,13 +89,6 @@ ReplayStats replay_trace(MappingService& service,
     for (const TileId k : r.tiles) stats.digest = mix(stats.digest, k);
   }
   return stats;
-}
-
-SimResult simulate_snapshot(const MappingService& service,
-                            const SimConfig& config) {
-  const ObmProblem problem = service.snapshot_problem();
-  const Mapping mapping = service.snapshot_mapping();
-  return run_simulation(problem, mapping, config);
 }
 
 }  // namespace nocmap::service

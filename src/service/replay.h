@@ -14,7 +14,6 @@
 #include <span>
 #include <vector>
 
-#include "netsim/sim.h"
 #include "service/events.h"
 #include "service/mapping_service.h"
 #include "util/stats.h"
@@ -55,16 +54,5 @@ struct ReplayStats {
 ReplayStats replay_trace(MappingService& service,
                          std::span<const Event> events,
                          const ReplayOptions& options = {});
-
-/// Cycle-accurate validation of the service's *current* placement: runs the
-/// snapshot problem + mapping through run_simulation. The analytic model
-/// drives every online decision; this is the measured ground truth for the
-/// state those decisions left the chip in. Set config.sim_workers > 1 to
-/// spend cores inside the one simulation (DESIGN.md §16) — a service
-/// snapshot is a single large scenario, exactly the shape batch-level
-/// parallelism cannot help with. Results are bit-identical at any worker
-/// count.
-SimResult simulate_snapshot(const MappingService& service,
-                            const SimConfig& config);
 
 }  // namespace nocmap::service

@@ -8,12 +8,7 @@
 #include <optional>
 #include <sstream>
 
-#include "core/annealing_mapper.h"
-#include "core/global_mapper.h"
 #include "core/metrics.h"
-#include "core/monte_carlo_mapper.h"
-#include "core/random_mapper.h"
-#include "core/sss_mapper.h"
 #include "netsim/sim.h"
 #include "obs/metrics.h"
 #include "power/dsent_lite.h"
@@ -22,36 +17,6 @@
 namespace nocmap::sweep {
 
 namespace {
-
-/// Fresh mapper for one scenario. Mappers run their canonical *serial*
-/// protocol: sweep parallelism shards scenarios across workers, so each
-/// scenario's result is the single-thread result by construction and the
-/// campaign log cannot depend on the worker count.
-std::unique_ptr<Mapper> make_mapper(const std::string& name,
-                                    const SweepMapperOptions& options) {
-  const ParallelConfig serial = ParallelConfig::serial_config();
-  if (name == "Global") return std::make_unique<GlobalMapper>();
-  if (name == "MC") {
-    return std::make_unique<MonteCarloMapper>(options.mc_trials,
-                                              options.algorithm_seed, serial);
-  }
-  if (name == "SA") {
-    AnnealingParams params;
-    params.iterations = options.sa_iterations;
-    params.seed = options.algorithm_seed;
-    return std::make_unique<AnnealingMapper>(params);
-  }
-  if (name == "SSS") {
-    SssOptions sss;
-    sss.parallel = serial;
-    return std::make_unique<SortSelectSwapMapper>(sss);
-  }
-  if (name == "Random") {
-    return std::make_unique<RandomMapper>(options.algorithm_seed);
-  }
-  NOCMAP_REQUIRE(false, "unknown mapper '" + name + "'");
-  return nullptr;
-}
 
 SimConfig sim_config_for(const CampaignSpec& spec,
                          const check::ScenarioSpec& scenario) {
@@ -234,7 +199,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     const obs::ScopedTimer chunk_timer(t_chunk);
 
     // One pure unit per scenario, sharded across workers: build the
-    // problem, map it (the mapper itself runs serial — see make_mapper),
+    // problem, map it (the mapper runs inline on the unit's worker),
     // evaluate, simulate when the netsim stage applies, and render the
     // record into the unit's own slot. Simulator-unsupported topologies
     // (torus wraparound) stay analytic-only — classified here instead of
@@ -257,11 +222,8 @@ CampaignResult run_campaign(const CampaignSpec& spec,
                                 .count();
       std::optional<SimResult> sim;
       if (spec.netsim.enabled && check::simulator_supported(scenario.spec)) {
-        SimConfig sim_config = sim_config_for(spec, scenario.spec);
-        // Within-simulation partitioning: an execution knob, invisible in
-        // the records (bit-identical at every width).
-        sim_config.sim_workers = options.sim_workers;
-        sim = run_simulation(problem, mapping, sim_config);
+        sim = run_simulation(problem, mapping,
+                             sim_config_for(spec, scenario.spec));
       }
       lines[i] = scenario_record(scenario, problem, report,
                                  sim ? &*sim : nullptr, map_us)

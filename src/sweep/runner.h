@@ -30,15 +30,9 @@ inline constexpr const char* kSweepLogSchema = "nocmap.sweep_log/1";
 struct CampaignOptions {
   /// Directory for campaign.jsonl (created on demand).
   std::string out_dir = "campaign";
-  /// Worker policy for the per-scenario fan-out.
+  /// Workers for the per-scenario fan-out (default: one, inline). Each
+  /// scenario maps and simulates on the one worker that runs it.
   ParallelConfig parallel;
-  /// Spatial-partition workers *inside* each simulated scenario
-  /// (SimConfig::sim_workers, DESIGN.md §16). Pure execution knob: results
-  /// are bit-identical at every value, so it is not part of the spec
-  /// digest and may differ between a run and its resume. Use it when the
-  /// campaign has few, large scenarios — across-scenario sharding
-  /// (`parallel`) is the better lever when scenarios outnumber cores.
-  std::size_t sim_workers = 1;
   /// Scenarios per chunk: the commit granularity. A chunk fully completes
   /// (and its records are flushed line-by-line) before the next starts.
   std::size_t chunk_size = 64;

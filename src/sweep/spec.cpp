@@ -5,6 +5,11 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/annealing_mapper.h"
+#include "core/global_mapper.h"
+#include "core/monte_carlo_mapper.h"
+#include "core/random_mapper.h"
+#include "core/sss_mapper.h"
 #include "util/error.h"
 #include "workload/synthesis.h"
 
@@ -175,11 +180,23 @@ void parse_netsim(const obs::JsonValue& node, SweepNetsimOptions& options) {
 
 }  // namespace
 
-void validate_mapper_name(const std::string& name) {
-  NOCMAP_REQUIRE(name == "Global" || name == "MC" || name == "SA" ||
-                     name == "SSS" || name == "Random",
-                 "unknown mapper '" + name +
-                     "' (expected Global, MC, SA, SSS or Random)");
+std::unique_ptr<Mapper> make_mapper(const std::string& name,
+                                    const SweepMapperOptions& options) {
+  if (name == "Global") return std::make_unique<GlobalMapper>();
+  if (name == "MC") {
+    return std::make_unique<MonteCarloMapper>(options.mc_trials,
+                                              options.algorithm_seed);
+  }
+  if (name == "SA") {
+    return std::make_unique<AnnealingMapper>(AnnealingParams{
+        .iterations = options.sa_iterations, .seed = options.algorithm_seed});
+  }
+  if (name == "SSS") return std::make_unique<SortSelectSwapMapper>();
+  if (name == "Random") {
+    return std::make_unique<RandomMapper>(options.algorithm_seed);
+  }
+  throw Error("unknown mapper '" + name +
+              "' (expected Global, MC, SA, SSS or Random)");
 }
 
 CampaignSpec parse_spec(const obs::JsonValue& doc) {
@@ -200,7 +217,7 @@ CampaignSpec parse_spec(const obs::JsonValue& doc) {
     } else if (key == "mappers") {
       spec.mappers.clear();
       for (const obs::JsonValue& item : require_array(value, key).items()) {
-        validate_mapper_name(item.as_string());
+        (void)make_mapper(item.as_string(), spec.mapper_options);
         NOCMAP_REQUIRE(std::find(spec.mappers.begin(), spec.mappers.end(),
                                  item.as_string()) == spec.mappers.end(),
                        "duplicate mapper '" + item.as_string() + "'");
@@ -378,22 +395,35 @@ Expansion expand_spec(const CampaignSpec& spec) {
               for (const double injection : spec.injection_scale) {
                 for (const bool bursty : spec.bursty) {
                   for (std::uint32_t s = 0; s < spec.seed.count; ++s) {
+                    const std::uint32_t tiles =
+                        mesh_side * mesh_side * mesh_layers;
+                    const bool random_mc = placement == McPlacement::kRandom;
+                    check::ScenarioSpec scenario_spec;
+                    scenario_spec.seed = spec.seed.base + s;
+                    scenario_spec.mesh_side = mesh_side;
+                    scenario_spec.mesh_layers = mesh_layers;
+                    scenario_spec.tsv_hop_cost = tsv;
+                    scenario_spec.mc_placement = placement;
+                    scenario_spec.mc_count = random_mc ? spec.mc_count : 0;
+                    scenario_spec.torus = torus;
+                    scenario_spec.traffic_mode = mode;
+                    scenario_spec.config = config;
+                    scenario_spec.num_applications = apps;
+                    scenario_spec.threads_per_app =
+                        tpa_raw == 0 ? tiles / apps : tpa_raw;
+                    scenario_spec.injection_scale = injection;
+                    scenario_spec.bursty = bursty;
+                    // The fuzzer's validity rule decides skips: torus
+                    // wraparound is 2D-only and pins corner MCs, a random
+                    // MC set must fit the chip, and so must the threads.
+                    bool valid = true;
+                    try {
+                      check::validate_scenario(scenario_spec);
+                    } catch (const Error&) {
+                      valid = false;
+                    }
                     for (const std::string& mapper : spec.mappers) {
                       const std::uint64_t my_index = index++;
-                      const std::uint32_t tiles =
-                          mesh_side * mesh_side * mesh_layers;
-                      const std::uint32_t tpa =
-                          tpa_raw == 0 ? tiles / apps : tpa_raw;
-                      const bool random_mc =
-                          placement == McPlacement::kRandom;
-                      // Torus wraparound is 2D-only and pins corner MCs;
-                      // a random MC set must fit the chip.
-                      const bool valid =
-                          apps <= tiles && tpa >= 1 &&
-                          static_cast<std::uint64_t>(apps) * tpa <= tiles &&
-                          (!torus || placement == McPlacement::kCorners) &&
-                          (!torus || mesh_layers == 1) &&
-                          (!random_mc || spec.mc_count <= tiles);
                       if (!valid) {
                         NOCMAP_REQUIRE(
                             spec.skip_invalid,
@@ -406,21 +436,7 @@ Expansion expand_spec(const CampaignSpec& spec) {
                       SweepScenario scenario;
                       scenario.id = out.scenarios.size();
                       scenario.index = my_index;
-                      scenario.spec.seed = spec.seed.base + s;
-                      scenario.spec.mesh_side = mesh_side;
-                      scenario.spec.mesh_layers = mesh_layers;
-                      scenario.spec.tsv_hop_cost = tsv;
-                      scenario.spec.mc_placement = placement;
-                      scenario.spec.mc_count =
-                          random_mc ? spec.mc_count : 0;
-                      scenario.spec.torus = torus;
-                      scenario.spec.traffic_mode = mode;
-                      scenario.spec.config = config;
-                      scenario.spec.num_applications = apps;
-                      scenario.spec.threads_per_app = tpa;
-                      scenario.spec.injection_scale = injection;
-                      scenario.spec.bursty = bursty;
-                      check::validate_scenario(scenario.spec);
+                      scenario.spec = scenario_spec;
                       scenario.mapper = mapper;
                       out.scenarios.push_back(std::move(scenario));
                     }

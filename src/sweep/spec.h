@@ -17,10 +17,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "check/scenario.h"
+#include "core/mapper.h"
 #include "obs/json.h"
 
 namespace nocmap::sweep {
@@ -137,8 +139,12 @@ std::string spec_digest(const CampaignSpec& spec);
 /// grid contains an invalid combination.
 Expansion expand_spec(const CampaignSpec& spec);
 
-/// Human-readable mapper-name check ("Global", "MC", "SA", "SSS",
-/// "Random"); throws on unknown names. Shared with the runner's factory.
-void validate_mapper_name(const std::string& name);
+/// The sweep's mapper roster: a fresh mapper named "Global", "MC", "SA",
+/// "SSS" or "Random", built from the spec's budgets and seed with the
+/// mapper's default (one-worker) execution; throws on any other name. The
+/// spec parser checks mapper names with it and the runner builds each
+/// scenario's mapper with it.
+std::unique_ptr<Mapper> make_mapper(const std::string& name,
+                                    const SweepMapperOptions& options);
 
 }  // namespace nocmap::sweep

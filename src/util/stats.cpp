@@ -48,20 +48,9 @@ double min_to_max_ratio(std::span<const double> xs) {
 }
 
 void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
   ++n_;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::stddev_population() const {
-  return std::sqrt(variance_population());
 }
 
 double inverse_normal_cdf(double p) {

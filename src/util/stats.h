@@ -27,27 +27,19 @@ double max_value(std::span<const double> xs);
 /// empty span, 0 when max == 0.
 double min_to_max_ratio(std::span<const double> xs);
 
-/// Streaming mean/variance accumulator (Welford). Used for per-packet
-/// latency statistics in the network simulator where storing every sample
-/// would be wasteful.
+/// Streaming count and mean (Welford's running-mean update). Used for
+/// per-packet latency means in the network simulator where storing every
+/// sample would be wasteful.
 class RunningStats {
  public:
   void add(double x);
 
   std::size_t count() const { return n_; }
   double mean() const { return n_ ? mean_ : 0.0; }
-  double variance_population() const { return n_ ? m2_ / static_cast<double>(n_) : 0.0; }
-  double stddev_population() const;
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  double sum() const { return n_ ? mean_ * static_cast<double>(n_) : 0.0; }
 
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 /// Inverse of the standard normal CDF (Acklam's rational approximation,

@@ -23,8 +23,11 @@ ObmProblem c1_problem() {
 
 TEST(Bounds, OptimalGaplMatchesGlobalMapper) {
   const ObmProblem p = c1_problem();
+  const ThreadCostCache cache(p.workload(), p.model());
+  AssignmentWorkspace ws;
   GlobalMapper global;
-  EXPECT_NEAR(optimal_gapl(p), evaluate(p, global.map(p)).g_apl, 1e-9);
+  EXPECT_NEAR(optimal_gapl(p, cache, ws), evaluate(p, global.map(p)).g_apl,
+              1e-9);
 }
 
 TEST(Bounds, RelaxedMinAplIsAchievedOnFig5Instance) {
@@ -68,7 +71,9 @@ TEST(Bounds, LowerBoundBelowEveryAchievableMaxApl) {
 
 TEST(Bounds, LowerBoundAtLeastOptimalGapl) {
   const ObmProblem p = c1_problem();
-  EXPECT_GE(max_apl_lower_bound(p), optimal_gapl(p) - 1e-9);
+  const ThreadCostCache cache(p.workload(), p.model());
+  AssignmentWorkspace ws;
+  EXPECT_GE(max_apl_lower_bound(p), optimal_gapl(p, cache, ws) - 1e-9);
 }
 
 TEST(Bounds, SssIsNearTheLowerBoundOnAllConfigs) {

@@ -325,7 +325,7 @@ TEST(Fuzzer, WriteReportPublishesStats) {
   const FuzzReport report = run_fuzz(options);
   obs::RunReport run_report("test_check");
   write_report(options, report, run_report);
-  const std::string json = run_report.to_json();
+  const std::string json = run_report.root().dump(2);
   EXPECT_NE(json.find("\"fuzz\""), std::string::npos);
   EXPECT_NE(json.find("\"scenarios\": 3"), std::string::npos);
 }

@@ -344,7 +344,7 @@ TEST(RunReport, CarriesSchemaBinaryAndFields) {
   report.set("threads", JsonValue(std::uint64_t{4}));
   report.note_artifact("bench_results/foo.csv");
 
-  const std::string s = report.to_json();
+  const std::string s = report.root().dump(2);
   EXPECT_NE(s.find("\"schema\": \"nocmap.run_report/1\""), std::string::npos)
       << s;
   EXPECT_NE(s.find("\"binary\": \"test_binary\""), std::string::npos);

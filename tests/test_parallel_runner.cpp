@@ -2,9 +2,10 @@
 // 8 workers: every unit runs exactly once, empty and single-unit batches
 // run inline on the caller, a throwing unit surfaces once on the caller
 // after the rest of the batch ran, for_each_batch covers a ragged tail, and
-// a worker count of 0 resolves to the hardware thread count. Worker counts
-// from outside the program are bounded, and a worker team whose thread
-// fails to start throws instead of aborting the process.
+// a worker count of 0 resolves to the hardware thread count. Every default
+// worker policy is one worker, so default-constructed mappers start no
+// thread. Worker counts from outside the program are bounded, and a worker
+// team whose thread fails to start throws instead of aborting the process.
 #include "core/parallel.h"
 
 #include <gtest/gtest.h>
@@ -12,9 +13,13 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <system_error>
@@ -22,7 +27,14 @@
 #include <utility>
 #include <vector>
 
+#include "core/annealing_mapper.h"
+#include "core/genetic_mapper.h"
+#include "core/monte_carlo_mapper.h"
+#include "core/sss_mapper.h"
+#include "service/mapping_service.h"
+#include "sweep/runner.h"
 #include "util/error.h"
+#include "workload/synthesis.h"
 
 // ASan and TSan reserve far more address space than the cap the worker-team
 // death test sets, so the test cannot run under them.
@@ -141,6 +153,68 @@ TEST(ParallelConfig, ZeroResolvesToTheHardwareThreadCount) {
   EXPECT_EQ(ParallelTrialRunner(all).num_threads(), all.resolved_threads());
 }
 
+// Threads start only on request: every default worker policy is one
+// worker and builds a runner with no team.
+TEST(ParallelConfig, EveryDefaultIsOneWorker) {
+  const std::pair<const char*, ParallelConfig> defaults[] = {
+      {"ParallelConfig", ParallelConfig{}},
+      {"SssOptions", SssOptions{}.parallel},
+      {"AnnealingParams", AnnealingParams{}.parallel},
+      {"GeneticParams", GeneticParams{}.parallel},
+      {"ServiceConfig", service::ServiceConfig{}.sss.parallel},
+      {"CampaignOptions", sweep::CampaignOptions{}.parallel},
+  };
+  for (const auto& [name, config] : defaults) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(config.resolved_threads(), 1u);
+    EXPECT_FALSE(ParallelTrialRunner(config).parallel());
+  }
+}
+
+std::size_t live_threads() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(
+      std::distance(begin(tasks), end(tasks)));
+}
+
+/// Threads that appeared while `work` ran: a watcher thread counts
+/// /proc/self/task once before the work starts (the baseline, taken after
+/// any runtime thread that starting the watcher brings along) and keeps
+/// sampling until the work is done.
+std::size_t threads_started_during(const std::function<void()>& work) {
+  std::atomic<std::size_t> baseline{0};
+  std::atomic<bool> done{false};
+  std::size_t peak = 0;
+  std::thread watcher([&] {
+    peak = live_threads();
+    baseline.store(peak);
+    while (!done.load()) peak = std::max(peak, live_threads());
+  });
+  while (baseline.load() == 0) std::this_thread::yield();
+  work();
+  done.store(true);
+  watcher.join();
+  return peak - baseline.load();
+}
+
+// MonteCarloMapper keeps its default ParallelConfig argument private, so
+// its map() is watched instead, next to the other default mappers: none
+// may start a worker team.
+TEST(ParallelConfig, DefaultMappersStartNoThread) {
+  const ObmProblem problem(
+      TileLatencyModel(Mesh::square(8), LatencyParams{}),
+      synthesize_workload(parsec_config("C1"), 3));
+  MonteCarloMapper mc;
+  SortSelectSwapMapper sss;
+  AnnealingMapper sa(AnnealingParams{.iterations = 20000});
+  GeneticMapper ga(GeneticParams{.generations = 20});
+  for (Mapper* mapper : std::initializer_list<Mapper*>{&mc, &sss, &sa, &ga}) {
+    SCOPED_TRACE(mapper->name());
+    EXPECT_EQ(threads_started_during([&] { (void)mapper->map(problem); }),
+              0u);
+  }
+}
+
 // NOCMAP_THREADS is a whole worker count or nothing: a negative value must
 // not wrap to 2^64-1 workers, and "2x" must not parse as 2.
 TEST(ParallelConfig, ThreadCountTextIsWholeNumberOrAllThreads) {
@@ -163,13 +237,13 @@ TEST(ParallelConfig, WorkerCountsFromOutsideAreBounded) {
   EXPECT_EQ(parse_worker_count("0", "--threads"), 0u);
   EXPECT_EQ(parse_worker_count("256", "--threads"), 256u);
   try {
-    (void)parse_worker_count("257", "--sim-workers");
+    (void)parse_worker_count("257", "--threads");
     FAIL() << "expected the worker bound to reject 257";
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("--sim-workers"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("--threads"), std::string::npos)
         << e.what();
   }
-  EXPECT_THROW((void)parse_worker_count("-1", "--workers"), Error);
+  EXPECT_THROW((void)parse_worker_count("-1", "--threads"), Error);
 }
 
 /// Caps this process's address space a few thread stacks above its current

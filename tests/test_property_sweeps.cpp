@@ -29,10 +29,13 @@ std::string case_name(const ::testing::TestParamInfo<SweepCase>& info) {
   std::string s = std::to_string(c.side) + "x" + std::to_string(c.side) +
                   "_" + std::to_string(c.apps) + "apps";
   s += c.torus ? "_torus" : "_mesh";
+  // Short suffixes ("_edges", not mc_placement_name()'s "edge_middles")
+  // keep the existing gtest case names stable.
   switch (c.placement) {
     case McPlacement::kCorners: s += "_corners"; break;
     case McPlacement::kEdgeMiddles: s += "_edges"; break;
     case McPlacement::kDiamond: s += "_diamond"; break;
+    case McPlacement::kRandom: s += "_random"; break;
   }
   return s;
 }
@@ -76,7 +79,9 @@ TEST_P(TopologySweep, GlobalIsGaplOptimal) {
   SortSelectSwapMapper sss;
   const double g = evaluate(p, global.map(p)).g_apl;
   EXPECT_LE(g, evaluate(p, sss.map(p)).g_apl + 1e-9);
-  EXPECT_NEAR(g, optimal_gapl(p), 1e-9);
+  const ThreadCostCache cache(p.workload(), p.model());
+  AssignmentWorkspace ws;
+  EXPECT_NEAR(g, optimal_gapl(p, cache, ws), 1e-9);
 }
 
 TEST_P(TopologySweep, SssRespectsLowerBound) {

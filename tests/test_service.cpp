@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/metrics.h"
+#include "netsim/sim.h"
 
 namespace nocmap::service {
 namespace {
@@ -195,23 +196,25 @@ TEST(Service, ObjectiveMatchesBatchEvaluator) {
 }
 
 TEST(Service, SimulateSnapshotMatchesDirectSimAndIsWorkerInvariant) {
-  // The cycle-accurate validation of the final placement must equal a
-  // direct run_simulation on the snapshot — and be bit-identical whether
-  // the one simulation is stepped serially or spatially partitioned.
+  // The cycle-accurate validation of the final placement (run_simulation
+  // on the service's snapshot, as nocmap_service_replay --simulate runs
+  // it) must be bit-identical whether the one simulation is stepped
+  // serially or spatially partitioned.
   MappingService service(test_chip(), ServiceConfig{});
   const std::vector<Event> events = test_trace(200);
   replay_trace(service, events);
+  const ObmProblem problem = service.snapshot_problem();
+  const Mapping mapping = service.snapshot_mapping();
 
   SimConfig config;
   config.warmup_cycles = 200;
   config.measure_cycles = 1500;
-  const SimResult direct = run_simulation(
-      service.snapshot_problem(), service.snapshot_mapping(), config);
+  const SimResult direct = run_simulation(problem, mapping, config);
 
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
     SCOPED_TRACE(workers);
     config.sim_workers = workers;
-    const SimResult sim = simulate_snapshot(service, config);
+    const SimResult sim = run_simulation(problem, mapping, config);
     EXPECT_EQ(sim.g_apl, direct.g_apl);
     EXPECT_EQ(sim.max_apl, direct.max_apl);
     EXPECT_EQ(sim.packets_measured, direct.packets_measured);

@@ -24,7 +24,7 @@ TEST(Stddev, PopulationKnownValue) {
   EXPECT_DOUBLE_EQ(stddev_population(xs), 2.0);
 }
 
-TEST(Stddev, SampleVsPopulation) {
+TEST(Stddev, PopulationDividesByN) {
   const std::vector<double> xs{1.0, 2.0, 3.0};
   EXPECT_NEAR(stddev_population(xs), std::sqrt(2.0 / 3.0), 1e-12);
 }
@@ -73,17 +73,12 @@ TEST(RunningStats, MatchesBatchFormulas) {
   }
   EXPECT_EQ(rs.count(), xs.size());
   EXPECT_NEAR(rs.mean(), mean(xs), 1e-9);
-  EXPECT_NEAR(rs.stddev_population(), stddev_population(xs), 1e-9);
-  EXPECT_DOUBLE_EQ(rs.min(), min_value(xs));
-  EXPECT_DOUBLE_EQ(rs.max(), max_value(xs));
-  EXPECT_NEAR(rs.sum(), mean(xs) * 1000.0, 1e-6);
 }
 
 TEST(RunningStats, EmptyIsZero) {
   const RunningStats rs;
   EXPECT_EQ(rs.count(), 0u);
   EXPECT_DOUBLE_EQ(rs.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(rs.stddev_population(), 0.0);
 }
 
 TEST(InverseNormalCdf, KnownQuantiles) {

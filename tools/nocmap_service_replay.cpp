@@ -1,14 +1,14 @@
 // Event-trace replay driver for the online mapping service (DESIGN.md §13).
 //
 //   nocmap_service_replay --events 100000 --seed 1 --mesh 8 --budget 8
-//   nocmap_service_replay --events 5000 --workers 8 --json out.json
+//   nocmap_service_replay --events 5000 --simulate --json out.json
 //
 // Synthesizes a deterministic event trace, replays it through one
-// MappingService, and prints throughput (decisions/sec), decision-latency
+// MappingService on the calling thread (the fallback's SSS solve runs
+// inline), and prints throughput (decisions/sec), decision-latency
 // percentiles, admission and fallback statistics, and the decision digest
-// (byte-identical across worker counts; diff digests across runs/machines
-// to prove replay determinism). --json writes the same summary as a small
-// machine-readable file.
+// (diff digests across runs/machines to prove replay determinism). --json
+// writes the same summary as a small machine-readable file.
 //
 // Exit codes: 0 success, 2 bad usage.
 #include <fstream>
@@ -16,8 +16,8 @@
 #include <sstream>
 #include <string>
 
-#include "core/parallel.h"
 #include "latency/model.h"
+#include "netsim/sim.h"
 #include "obs/json.h"
 #include "service/replay.h"
 #include "topology/mesh.h"
@@ -36,8 +36,6 @@ void usage(std::ostream& os) {
      << "  --mesh N        square mesh side (default 8)\n"
      << "  --budget M      per-event migration budget (default 8)\n"
      << "  --threshold X   fallback degradation threshold (default 1.25)\n"
-     << "  --workers W     fallback-SSS worker count (default 1, at most 256;\n"
-     << "                  any value yields the identical decision stream)\n"
      << "  --config CN     fixed Table-3 config C1..C8 (default: cycle)\n"
      << "  --max-app N     largest application thread count (default 16)\n"
      << "  --sample K      sample incremental-vs-fresh objective every K\n"
@@ -45,9 +43,6 @@ void usage(std::ostream& os) {
      << "  --simulate      after the replay, run the final placement\n"
      << "                  through the cycle-accurate netsim (measured\n"
      << "                  ground truth for the analytic decisions)\n"
-     << "  --sim-workers W spatial-partition workers for --simulate\n"
-     << "                  (default 1, 0=all cores, at most 256; results\n"
-     << "                  identical)\n"
      << "  --json PATH     also write the summary as JSON\n";
 }
 
@@ -59,10 +54,8 @@ int main(int argc, char** argv) {
   service::ServiceConfig service_config;
   service_config.migration_budget = 8;
   std::uint32_t mesh_side = 8;
-  std::size_t workers = 1;
   std::size_t sample_period = 0;
   bool simulate = false;
-  std::size_t sim_workers = 1;
   std::string json_path;
 
   try {
@@ -84,9 +77,6 @@ int main(int argc, char** argv) {
       } else if (arg == "--threshold") {
         service_config.degradation_threshold =
             parse_number<double>(value(), arg);
-      } else if (arg == "--workers") {
-        workers = parse_worker_count(value(), arg);
-        service_config.sss.parallel = {workers};
       } else if (arg == "--config") {
         trace_config.config = value();
       } else if (arg == "--max-app") {
@@ -96,8 +86,6 @@ int main(int argc, char** argv) {
         sample_period = parse_number<std::size_t>(value(), arg);
       } else if (arg == "--simulate") {
         simulate = true;
-      } else if (arg == "--sim-workers") {
-        sim_workers = parse_worker_count(value(), arg);
       } else if (arg == "--json") {
         json_path = value();
       } else if (arg == "--help" || arg == "-h") {
@@ -132,8 +120,7 @@ int main(int argc, char** argv) {
     std::cout << "nocmap_service_replay — " << stats.events
               << " events on a " << mesh_side << "x" << mesh_side
               << " chip (seed " << trace_config.seed << ", budget "
-              << service_config.migration_budget << ", " << workers
-              << " worker(s))\n\n";
+              << service_config.migration_budget << ")\n\n";
     TextTable t({"metric", "value"});
     t.add_row({"decisions/sec", fmt(decisions_per_sec)});
     t.add_row({"mean decision [us]", fmt(mean_us)});
@@ -157,16 +144,14 @@ int main(int argc, char** argv) {
     SimResult sim;
     if (simulate) {
       // Measured ground truth for the final chip state the analytic
-      // decisions produced — one large scenario, so the partition workers
-      // are the only parallelism that helps.
+      // decisions produced.
       SimConfig sim_config;
       sim_config.warmup_cycles = 500;
       sim_config.measure_cycles = 5000;
-      sim_config.sim_workers = sim_workers;
-      sim = service::simulate_snapshot(engine, sim_config);
+      sim = run_simulation(engine.snapshot_problem(),
+                           engine.snapshot_mapping(), sim_config);
       simulated = sim.packets_measured > 0;
-      std::cout << "\nfinal-snapshot netsim (" << sim_workers
-                << " sim worker(s)):\n";
+      std::cout << "\nfinal-snapshot netsim:\n";
       TextTable st({"metric", "value"});
       st.add_row({"measured G-APL [cycles]", fmt(sim.g_apl)});
       st.add_row({"measured max APL [cycles]", fmt(sim.max_apl)});
@@ -197,7 +182,6 @@ int main(int argc, char** argv) {
         doc["sim_g_apl"] = sim.g_apl;
         doc["sim_max_apl"] = sim.max_apl;
         doc["sim_packets_measured"] = sim.packets_measured;
-        doc["sim_workers"] = std::uint64_t{sim_workers};
       }
       doc["digest"] = digest.str();
       std::ofstream os(json_path);

@@ -41,10 +41,6 @@ int usage(const char* argv0) {
       << "    --out DIR            campaign directory (default 'campaign')\n"
       << "    --threads N          workers (default $NOCMAP_THREADS, 0=all,\n"
       << "                         at most 256)\n"
-      << "    --sim-workers N      spatial-partition workers inside each\n"
-      << "                         simulation (default 1, 0=all cores, at\n"
-      << "                         most 256; results are bit-identical at\n"
-      << "                         any value)\n"
       << "    --chunk N            scenarios per commit chunk (default 64)\n"
       << "    --max-scenarios N    stop after N new scenarios (0 = all)\n"
       << "    --quiet              no per-chunk progress lines\n"
@@ -119,9 +115,6 @@ int cmd_run(int argc, char** argv) {
     } else if (arg == "--threads") {
       options.parallel.num_threads = parse_worker_count(
           require_value(argc, argv, i, "--threads"), "--threads");
-    } else if (arg == "--sim-workers") {
-      options.sim_workers = parse_worker_count(
-          require_value(argc, argv, i, "--sim-workers"), "--sim-workers");
     } else if (arg == "--chunk") {
       options.chunk_size =
           require_number<std::size_t>(argc, argv, i, "--chunk");
