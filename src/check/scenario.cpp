@@ -43,7 +43,7 @@ ScenarioSpec generate_scenario(std::uint64_t seed) {
                         : p < 0.8 ? McPlacement::kEdgeMiddles
                                   : McPlacement::kDiamond;
   }
-  spec.config = "C" + std::to_string(1 + rng.uniform_u32(8));
+  spec.config = std::string{'C', static_cast<char>('1' + rng.uniform_u32(8))};
 
   const std::uint32_t tiles = spec.mesh_side * spec.mesh_side;
   spec.num_applications =

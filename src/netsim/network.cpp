@@ -33,7 +33,10 @@ Network::Domain::Domain(const Mesh& mesh, const NetworkConfig& config,
 
 Network::Network(const Mesh& mesh, const NetworkConfig& config,
                  std::size_t sim_workers)
-    : mesh_(&require_simulable(mesh)), config_(config), cols_(mesh.cols()) {
+    : mesh_(&require_simulable(mesh)),
+      config_(config),
+      cols_(mesh.cols()),
+      layer_tiles_(static_cast<TileId>(mesh.tiles_per_layer())) {
   NOCMAP_REQUIRE(
       config.routing != RoutingAlgo::kO1Turn || config.vcs_per_port >= 2,
       "O1TURN needs at least two VCs to partition between sub-routes");
@@ -78,27 +81,27 @@ Network::Bucket& Network::bucket_at(Domain& d, Cycle cycle) {
   return d.ring[cycle % d.ring.size()];
 }
 
-TileId Network::neighbor(TileId tile, PortDir dir) const {
-  const TileCoord c = mesh_->coord_of(tile);
+TileId Network::neighbor(const Domain& d, TileId tile, PortDir dir) const {
+  const TileCoord& c = d.engine.coord(tile);
   switch (dir) {
     case PortDir::kNorth:
       NOCMAP_REQUIRE(c.row > 0, "no north neighbor");
-      return mesh_->tile_at(c.layer, c.row - 1, c.col);
+      return tile - cols_;
     case PortDir::kSouth:
       NOCMAP_REQUIRE(c.row + 1 < mesh_->rows(), "no south neighbor");
-      return mesh_->tile_at(c.layer, c.row + 1, c.col);
+      return tile + cols_;
     case PortDir::kEast:
       NOCMAP_REQUIRE(c.col + 1 < mesh_->cols(), "no east neighbor");
-      return mesh_->tile_at(c.layer, c.row, c.col + 1);
+      return tile + 1;
     case PortDir::kWest:
       NOCMAP_REQUIRE(c.col > 0, "no west neighbor");
-      return mesh_->tile_at(c.layer, c.row, c.col - 1);
+      return tile - 1;
     case PortDir::kUp:
       NOCMAP_REQUIRE(c.layer + 1 < mesh_->layers(), "no up neighbor");
-      return mesh_->tile_at(c.layer + 1, c.row, c.col);
+      return tile + layer_tiles_;
     case PortDir::kDown:
       NOCMAP_REQUIRE(c.layer > 0, "no down neighbor");
-      return mesh_->tile_at(c.layer - 1, c.row, c.col);
+      return tile - layer_tiles_;
     case PortDir::kLocal:
       break;
   }
@@ -130,7 +133,6 @@ void Network::inject_packet(const PacketInfo& info) {
   for (std::uint32_t f = 0; f < info.flits; ++f) {
     Flit flit;
     flit.packet = info.id;
-    flit.index = f;
     flit.is_head = (f == 0);
     flit.is_tail = (f + 1 == info.flits);
     flit.yx = yx;
@@ -213,7 +215,12 @@ void Network::tick_routers(Domain& d) {
   // touch only occupied VCs, the switch allocator has no candidates and
   // the distance-weighted arbiter draws no random number), so skipping it
   // is exact, and the scan order keeps bucket push order — flits, credits,
-  // sinks — identical to ticking every router in tile order.
+  // sinks — identical to ticking every router in tile order. Every event a
+  // departure makes is due one link latency (or one cycle) from now, so
+  // the three buckets are looked up once per cycle, not once per hop.
+  Bucket& next = bucket_at(d, now_ + 1);
+  Bucket& planar = bucket_at(d, now_ + config_.link_latency);
+  Bucket& vertical = bucket_at(d, now_ + config_.tsv_link_latency);
   for (std::size_t w = 0; w < d.engine.num_active_words(); ++w) {
     std::uint64_t bits = d.engine.active_word(w);
     while (bits) {
@@ -226,34 +233,33 @@ void Network::tick_routers(Domain& d) {
       for (const Departure& dep : d.scratch) {
         // Credit for the freed input buffer slot, one cycle upstream.
         if (dep.in_port == PortDir::kLocal) {
-          bucket_at(d, now_ + 1).ni_credits.push_back(
-              {t, PortDir::kLocal, dep.in_vc});
+          next.ni_credits.push_back({t, PortDir::kLocal, dep.in_vc});
         } else {
-          const TileId up = neighbor(t, dep.in_port);
+          const TileId up = neighbor(d, t, dep.in_port);
           const PendingCredit credit{up, opposite(dep.in_port), dep.in_vc};
           if (up >= d.first && up < d.end) {
-            bucket_at(d, now_ + 1).credits.push_back(credit);
+            next.credits.push_back(credit);
           } else {
             d.out_credits.push_back({now_ + 1, credit});
           }
         }
         // The flit itself.
         if (dep.out_port == PortDir::kLocal) {
-          bucket_at(d, now_ + 1).sinks.push_back({t, dep.out_vc, dep.flit});
+          next.sinks.push_back({t, dep.out_vc, dep.flit});
         } else {
-          const TileId down = neighbor(t, dep.out_port);
+          const TileId down = neighbor(d, t, dep.out_port);
           Flit forwarded = dep.flit;
           ++forwarded.hops;  // distance credit for the arbiter
-          const bool vertical = dep.out_port == PortDir::kUp ||
-                                dep.out_port == PortDir::kDown;
-          const Cycle due =
-              now_ + (vertical ? config_.tsv_link_latency
-                               : config_.link_latency);
+          const bool vertical_hop = dep.out_port == PortDir::kUp ||
+                                    dep.out_port == PortDir::kDown;
           const PendingFlit pf{down, opposite(dep.out_port), dep.out_vc,
                                forwarded};
           if (down >= d.first && down < d.end) {
-            bucket_at(d, due).flits.push_back(pf);
+            (vertical_hop ? vertical : planar).flits.push_back(pf);
           } else {
+            const Cycle due =
+                now_ + (vertical_hop ? config_.tsv_link_latency
+                                     : config_.link_latency);
             d.out_flits.push_back({due, pf});
           }
           ++d.link_traversals;

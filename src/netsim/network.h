@@ -213,7 +213,8 @@ class Network {
     return row_domain_[tile / cols_];
   }
   Bucket& bucket_at(Domain& d, Cycle cycle);
-  TileId neighbor(TileId tile, PortDir dir) const;
+  /// The tile one link from `tile` (a tile of `d`) through port `dir`.
+  TileId neighbor(const Domain& d, TileId tile, PortDir dir) const;
 
   /// The parallel phase of one cycle for one domain: deliver due events,
   /// inject from NIs, tick routers. Touches only `d`'s state (plus the
@@ -230,6 +231,7 @@ class Network {
   const Mesh* mesh_;
   NetworkConfig config_;
   std::uint32_t cols_ = 1;
+  TileId layer_tiles_ = 1;  ///< rows * cols: the stride of a TSV hop
   Cycle now_ = 0;
 
   std::vector<Domain> domains_;

@@ -22,13 +22,17 @@
 // t + router_pipeline.
 //
 // Storage is structure-of-arrays across *all* routers of a mesh
-// (RouterEngine): one flat ring-buffer flit pool plus parallel state arrays
-// indexed by (router, port, vc), so the per-cycle loop touches contiguous
-// memory and never allocates. Occupancy bitmasks (one bit per input VC
-// slot, ≤ 64 slots per router) drive both the RC/VA pass and the separable
-// switch allocator, and an active-router bitmask lets the network skip
-// idle routers entirely — an idle router's tick changes no state, so the
-// skip is exact, not approximate. DESIGN.md §12 documents the engine.
+// (RouterEngine), sized for the cache: each router lays out ports × vcs
+// input-VC slots (5 ports on a planar mesh, 7 on a stack), each slot's
+// control state is one 8-byte record, and the flit pool holds 24-byte flits
+// in fixed ring buffers, so the per-cycle loop touches contiguous memory and
+// never allocates. Occupancy bitmasks (one bit per input VC slot, ≤ 64
+// slots per router) drive both the RC/VA pass and the separable switch
+// allocator, and an active-router bitmask lets the network skip idle
+// routers entirely — an idle router's tick changes no state, so the skip is
+// exact, not approximate. A table of every tile's coordinate replaces the
+// divisions of Mesh::coord_of on the per-hop path. DESIGN.md §12 documents
+// the engine.
 #pragma once
 
 #include <array>
@@ -40,11 +44,9 @@
 namespace nocmap {
 
 /// Mesh router ports. kLocal connects to the tile's network interface;
-/// kUp/kDown are the TSV ports of a stacked mesh. They come *after* kLocal
-/// so the (port, vc) slot numbering of a planar router — and with it every
-/// round-robin arbitration decision — is unchanged from the 5-port layout:
-/// on a 2D mesh slots of ports 5–6 are never occupied, and the allocator
-/// skips empty slots, so the extra ports are exactly inert.
+/// kUp/kDown are the TSV ports of a stacked mesh. They come *after* kLocal,
+/// so a planar router lays out only ports 0–4 and a stacked one all seven
+/// with the same (port, vc) numbering of the first five.
 enum class PortDir : std::uint8_t {
   kNorth = 0,
   kEast = 1,
@@ -55,6 +57,8 @@ enum class PortDir : std::uint8_t {
   kDown = 6,
 };
 inline constexpr std::size_t kNumPorts = 7;
+/// Ports of a planar router: every direction but kUp/kDown.
+inline constexpr std::size_t kPlanarPorts = 5;
 
 inline std::size_t port_index(PortDir d) { return static_cast<std::size_t>(d); }
 
@@ -82,11 +86,12 @@ class RouterEngine {
 
   std::size_t num_routers() const { return num_routers_; }
 
-  /// True if the input VC has buffer space for one more flit.
-  bool can_accept(std::size_t router, PortDir port, std::uint32_t vc) const;
+  /// Coordinate of any tile of the mesh (not only this engine's routers).
+  const TileCoord& coord(TileId tile) const { return coord_[tile]; }
 
   /// Deposits a flit into an input VC buffer at cycle `now` and marks the
-  /// router active. Precondition: can_accept(router, port, vc).
+  /// router active. Throws if the buffer is full (credit protocol
+  /// violated).
   void receive_flit(std::size_t router, PortDir port, std::uint32_t vc,
                     const Flit& flit, Cycle now);
 
@@ -103,11 +108,6 @@ class RouterEngine {
   }
   void reset_activity();
 
-  /// Total flits currently buffered (drain/conservation checks).
-  std::size_t buffered_flits(std::size_t router) const {
-    return buffered_[router];
-  }
-
   // --- Active-router worklist. A router is activated by every flit
   // deposit; the caller retires it after a tick that leaves its buffers
   // empty. Words are iterated low-to-high, so scanning set bits visits
@@ -117,52 +117,64 @@ class RouterEngine {
   std::size_t num_active_words() const { return active_words_.size(); }
   std::uint64_t active_word(std::size_t w) const { return active_words_[w]; }
   void retire_if_idle(std::size_t router) {
-    if (buffered_[router] == 0) {
+    if (nonempty_mask_[router] == 0) {
       active_words_[router >> 6] &= ~(1ull << (router & 63));
     }
   }
 
  private:
+  /// One input-VC slot's control state, packed so a planar router's 15
+  /// slots (3 VCs) span 120 contiguous bytes. The first six fields belong
+  /// to the input VC: its ring-buffer cursors into the flit pool and the
+  /// route / output VC its packet holds. The last two belong to the output
+  /// VC with the same (port, vc) index: its wormhole claim and the credits
+  /// left in the downstream buffer. Depths ≤ 255 keep every field a byte.
+  struct VcState {
+    std::uint8_t head = 0;
+    std::uint8_t size = 0;
+    std::uint8_t route_valid = 0;
+    std::uint8_t out_port = 0;
+    std::uint8_t out_vc_valid = 0;
+    std::uint8_t out_vc = 0;
+    std::uint8_t out_allocated = 0;
+    std::uint8_t out_credits = 0;
+  };
+  static_assert(sizeof(VcState) == 8);
+
   /// Dimension-order route for a destination from `router` (X-first, or
   /// Y-first when the flit carries the YX sub-route).
   PortDir route(std::size_t router, TileId dst, bool yx) const;
 
-  /// Index into the per-input-VC arrays.
+  /// Index of (router, port, vc) into vc_ (and, times depth_, pool_).
   std::size_t vc_index(std::size_t router, std::size_t port,
                        std::uint32_t vc) const {
-    return (router * kNumPorts + port) * vcs_ + vc;
+    return router * vc_slots_ + port * vcs_ + vc;
   }
 
-  const Mesh* mesh_;
   NetworkConfig config_;
+  TileId first_tile_ = 0;
   std::size_t num_routers_ = 0;
   std::uint32_t vcs_ = 0;
   std::uint32_t depth_ = 0;
-  std::size_t vc_slots_ = 0;  ///< kNumPorts * vcs_: VC slots per router
+  std::size_t ports_ = 0;     ///< kPlanarPorts, or kNumPorts on a stack
+  std::size_t vc_slots_ = 0;  ///< ports_ * vcs_: VC slots per router
 
-  // Per input VC (flattened [router][port][vc]): ring-buffer cursors into
-  // the flit pool plus the held route / output-VC claim.
-  std::vector<Flit> pool_;  ///< [router][port][vc][depth_] ring storage
-  std::vector<std::uint32_t> fifo_head_;
-  std::vector<std::uint32_t> fifo_size_;
-  std::vector<std::uint8_t> route_valid_;
-  std::vector<std::uint8_t> out_port_;
-  std::vector<std::uint8_t> out_vc_valid_;
-  std::vector<std::uint8_t> out_vc_;
-
-  // Per output VC (same flattening): wormhole allocation + credits.
-  std::vector<std::uint8_t> out_allocated_;
-  std::vector<std::uint32_t> out_credits_;
+  std::vector<Flit> pool_;    ///< [router][port][vc][depth_] ring storage
+  std::vector<VcState> vc_;   ///< [router][port][vc]
 
   // Per (router, output port): round-robin pointer over input VC slots.
-  std::vector<std::uint32_t> rr_pointer_;
+  std::vector<std::uint8_t> rr_pointer_;
 
   // Per router.
   std::vector<std::uint64_t> nonempty_mask_;  ///< bit per occupied VC slot
-  std::vector<std::uint32_t> buffered_;
   std::vector<ActivityCounters> activity_;
-  std::vector<Rng> arbiter_rng_;      ///< distance-weighted draws
-  std::vector<TileCoord> coord_;      ///< cached mesh coordinates
+  std::vector<Rng> arbiter_rng_;  ///< distance-weighted draws
+
+  std::vector<TileCoord> coord_;  ///< every tile of the mesh, by TileId
+  // Slot -> (input port, VC) of a router, and each port's slot mask (the
+  // input port a grant makes busy).
+  std::array<std::uint8_t, 64> slot_port_{};
+  std::array<std::uint8_t, 64> slot_vc_{};
   std::array<std::uint64_t, kNumPorts> port_slot_mask_{};
 
   std::vector<std::uint64_t> active_words_;

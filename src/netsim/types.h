@@ -5,7 +5,9 @@
 // 3-stage credit-based wormhole routers with virtual channels and XY
 // (dimension-order) routing; 128-bit links make request packets 1 flit and
 // 64-byte data replies 5 flits (kShortPacketFlits / kLongPacketFlits,
-// latency/model.h).
+// latency/model.h). A flit carries only what the routers read (packet id,
+// destination, sub-route, head/tail flags, hop count, buffer-entry cycle);
+// the packet's description stays in the sink's packet table (network.h).
 #pragma once
 
 #include <cstdint>
@@ -78,17 +80,22 @@ inline const char* routing_name(RoutingAlgo r) {
 }
 
 /// One flow-control unit. Wormhole switching moves these individually.
+/// Packed into 24 bytes: the router engine's flit pool, every in-flight
+/// link event and every source queue hold flits by value, so their size is
+/// the simulator's working set.
 struct Flit {
   PacketId packet = 0;
-  std::uint32_t index = 0;  ///< 0-based position within the packet
-  bool is_head = false;
-  bool is_tail = false;
-  bool yx = false;  ///< true = Y-first sub-route (YX / O1TURN second class)
-  TileId dst = 0;
   Cycle enqueued = 0;  ///< cycle it entered the current input buffer
-  /// Links traversed so far; fuels distance-weighted arbitration.
-  std::uint32_t hops = 0;
+  TileId dst = 0;
+  /// Links traversed so far; fuels distance-weighted arbitration. Dimension-
+  /// order routing bounds it by the mesh diameter, which RouterEngine checks
+  /// fits.
+  std::uint16_t hops = 0;
+  bool is_head : 1 = false;
+  bool is_tail : 1 = false;
+  bool yx : 1 = false;  ///< true = Y-first sub-route (YX / O1TURN second class)
 };
+static_assert(sizeof(Flit) == 24);
 
 /// Switch-allocation policy. kRoundRobin is the canonical fair arbiter;
 /// kDistanceWeighted is a simplified probabilistic distance-based

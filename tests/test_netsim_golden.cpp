@@ -4,9 +4,9 @@
 // structure-of-arrays rewrite; see DESIGN.md §12). The scenarios span
 // routing algorithms, arbitration policies, burstiness, coherence
 // forwarding, micro-architecture corners (1 VC / depth 1 / 2-cycle links),
-// congestion, a zero-warmup run, and a paper-scale 8×8 SSS mapping, so any
-// change to tick ordering, arbitration RNG draws, or accumulation order
-// shows up as a hexfloat mismatch.
+// congestion, a zero-warmup run, a paper-scale 8×8 SSS mapping, a stacked
+// mesh and a 16×16 chip, so any change to tick ordering, arbitration RNG
+// draws, or accumulation order shows up as a hexfloat mismatch.
 //
 // If an *intentional* behaviour change lands, re-capture the table with the
 // probe documented in DESIGN.md §12 and justify the diff in the PR.
@@ -224,6 +224,70 @@ TEST(NetsimGolden, PaperScaleSssActivityAndLoadArePinned) {
     EXPECT_EQ(r.load.max_queue_occupancy, 0x1.305532617c1bep-4);
     EXPECT_EQ(r.load.link_utilization, 0x1.0789cd17b2c2ep-4);
     EXPECT_EQ(r.load.hottest_router, 27u);
+  }
+}
+
+// Two scenarios captured before the router engine's cache-compact layout
+// (5-port planar slot stride, one packed record per VC, 24-byte flits, the
+// coordinate table): a 2x4x4 stack under distance-weighted arbitration,
+// whose routers lay out all seven ports and whose arbiter draws weigh each
+// flit's hop count, and a 16x16 chip, whose 256 routers make the
+// active-router scan cross bitmask words (the 8x8 chip fills exactly one).
+struct ScaleCase {
+  GoldenCase golden;
+  std::array<std::uint64_t, 7> activity;
+};
+
+SimResult run_scale_case(const char* tag, std::size_t workers) {
+  const std::string t = tag;
+  const Mesh mesh = t == "stacked-2x4x4-dw"
+                        ? Mesh::stacked_with_placement(2, 4,
+                                                       McPlacement::kCorners)
+                        : Mesh::square(16);
+  SynthesisOptions opt;
+  opt.num_applications = 4;
+  opt.threads_per_app = mesh.num_tiles() / 4;
+  const ObmProblem p(
+      TileLatencyModel(mesh, LatencyParams{}),
+      synthesize_workload(parsec_config(t == "16x16" ? "C1" : "C2"),
+                          20140519, opt));
+  SimConfig c;
+  c.sim_workers = workers;
+  if (t == "16x16") {
+    c.warmup_cycles = 500;
+    c.measure_cycles = 4000;
+  } else {
+    c.warmup_cycles = 1000;
+    c.measure_cycles = 10000;
+    c.network.arbitration = Arbitration::kDistanceWeighted;
+    c.traffic.injection_scale = 4.0;
+  }
+  return run_simulation(p, p.identity_mapping(), c);
+}
+
+TEST(NetsimGolden, StackedAndMultiWordChipsAreBitIdentical) {
+  const std::vector<ScaleCase> table = {
+      {{"stacked-2x4x4-dw",
+        {0x1.10d825d36b661p+4, 0x1.094b31d922a45p+4, 0x1.1b5259fb439dcp+4,
+         0x1.19da51896b9d3p+4},
+        0x1.1b5259fb439dcp+4, 0x1.d249366e4544p-2, 0x1.1715bee62b213p+4,
+        5639, 168, 17970, 17970},
+       {64096, 64096, 64096, 47675, 64096, 21348, 3413}},
+      {{"16x16",
+        {0x1.a78d3188906eap+5, 0x1.6a0cb4a0057e8p+5, 0x1.6b836fdb56dcp+5,
+         0x1.98f42b66d5834p+5},
+        0x1.a78d3188906eap+5, 0x1.b3becb9d1e043p+1, 0x1.83aeac21828cbp+5,
+        16318, 106, 54528, 54528},
+       {548768, 548728, 548728, 500159, 548728, 182964, 59310}},
+  };
+  for (const ScaleCase& sc : table) {
+    for (const std::size_t workers : kGoldenWorkerCounts) {
+      SCOPED_TRACE(std::string(sc.golden.tag) + " workers=" +
+                   std::to_string(workers));
+      const SimResult r = run_scale_case(sc.golden.tag, workers);
+      expect_matches(r, sc.golden);
+      expect_counters(r.activity, sc.activity);
+    }
   }
 }
 

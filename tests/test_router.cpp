@@ -19,7 +19,6 @@ Flit make_flit(PacketId id, std::uint32_t index, std::uint32_t total,
                TileId dst) {
   Flit f;
   f.packet = id;
-  f.index = index;
   f.is_head = (index == 0);
   f.is_tail = (index + 1 == total);
   f.dst = dst;
@@ -39,11 +38,9 @@ TEST(Router, AcceptsUpToBufferDepth) {
   const Mesh mesh = Mesh::square(4);
   RouterEngine r(mesh, small_config(), 1, 5);
   for (std::uint32_t i = 0; i < 3; ++i) {
-    EXPECT_TRUE(r.can_accept(0, PortDir::kWest, 0));
-    r.receive_flit(0, PortDir::kWest, 0, make_flit(1, i, 5, 10), 0);
+    EXPECT_NO_THROW(
+        r.receive_flit(0, PortDir::kWest, 0, make_flit(1, i, 5, 10), 0));
   }
-  EXPECT_FALSE(r.can_accept(0, PortDir::kWest, 0));
-  EXPECT_EQ(r.buffered_flits(0), 3u);
   EXPECT_THROW(r.receive_flit(0, PortDir::kWest, 0, make_flit(1, 3, 5, 10), 0),
                Error);
 }
@@ -96,7 +93,8 @@ TEST(Router, WormholeKeepsPacketContiguousInVc) {
   for (Cycle now = 3; now <= 5; ++now) r.tick(0, now, out);
   ASSERT_EQ(out.size(), 3u);
   for (std::uint32_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(out[i].flit.index, i);  // in order
+    EXPECT_EQ(out[i].flit.is_head, i == 0);  // in order: head, body, tail
+    EXPECT_EQ(out[i].flit.is_tail, i == 2);
     EXPECT_EQ(out[i].out_vc, out[0].out_vc);  // same VC throughout
   }
 }
@@ -177,6 +175,24 @@ TEST(Router, ActivityCountersTrackEvents) {
   EXPECT_EQ(a.vc_allocations, 1u);  // one per packet
   r.reset_activity();
   EXPECT_EQ(r.activity(0).buffer_writes, 0u);
+}
+
+TEST(Router, BufferDepthFitsTheVcRecord) {
+  // A VC's ring-buffer cursors and credit count are one byte each.
+  const Mesh mesh = Mesh::square(4);
+  NetworkConfig cfg = small_config();
+  cfg.buffer_depth = 255;
+  EXPECT_NO_THROW(RouterEngine(mesh, cfg, 1, 5));
+  cfg.buffer_depth = 256;
+  EXPECT_THROW(RouterEngine(mesh, cfg, 1, 5), Error);
+}
+
+TEST(Router, MeshDiameterFitsTheHopCount) {
+  // A flit counts its hops in 16 bits; dimension-order routing bounds them
+  // by the mesh diameter (65535 on a 1x65536 mesh).
+  EXPECT_NO_THROW(RouterEngine(Mesh(1, 65536, {0}), small_config(), 1, 0));
+  EXPECT_THROW(RouterEngine(Mesh(1, 65537, {0}), small_config(), 1, 0),
+               Error);
 }
 
 TEST(Router, CreditOverflowDetected) {

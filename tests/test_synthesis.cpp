@@ -14,8 +14,8 @@ TEST(Table3Configs, AllEightPresent) {
   ASSERT_EQ(configs.size(), 8u);
   std::set<std::string> names;
   for (const auto& c : configs) names.insert(c.name);
-  for (int i = 1; i <= 8; ++i) {
-    EXPECT_TRUE(names.contains("C" + std::to_string(i)));
+  for (char digit = '1'; digit <= '8'; ++digit) {
+    EXPECT_TRUE(names.contains(std::string{'C', digit}));
   }
 }
 

@@ -458,11 +458,9 @@ TEST(SimMemoryModes, StackedMeshSimulatesAllModes) {
        {MemoryTrafficMode::kProximity, MemoryTrafficMode::kInterleaved,
         MemoryTrafficMode::kMulticast}) {
     SCOPED_TRACE(memory_traffic_mode_name(mode));
-    std::vector<Application> apps(2);
-    apps[0].name = "a";
-    apps[0].threads.assign(16, ThreadProfile{3.0, 0.6});
-    apps[1].name = "b";
-    apps[1].threads.assign(16, ThreadProfile{6.0, 1.2});
+    std::vector<Application> apps = {
+        {"a", std::vector<ThreadProfile>(16, ThreadProfile{3.0, 0.6})},
+        {"b", std::vector<ThreadProfile>(16, ThreadProfile{6.0, 1.2})}};
     const ObmProblem p(TileLatencyModel(mesh, LatencyParams{}, mode),
                        Workload(std::move(apps)));
     const SimResult r =
