@@ -14,8 +14,7 @@ int main() {
                       "paper Figure 5 + Section III.A");
 
   const Mesh mesh = Mesh::square(4);
-  const LatencyParams params{.td_r = 3.0, .td_w = 1.0, .td_q = 0.0,
-                             .td_s = 1.0};
+  const LatencyParams params{.td_q = 0.0, .td_s = 1.0};
   std::vector<Application> apps(4);
   for (std::size_t a = 0; a < 4; ++a) {
     apps[a].name = "app" + std::to_string(a + 1);

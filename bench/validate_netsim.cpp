@@ -2,7 +2,8 @@
 // latency model of Section II.C.
 //
 // 1. Unloaded point-to-point latency must grow linearly in hop count with
-//    slope td_r + td_w (the simulator's per-hop cost) plus serialization.
+//    slope kRouterCycles + kLinkCycles (td_r + td_w, the per-hop cost both
+//    layers read) plus serialization.
 // 2. Per-application measured APLs under a real workload must track the
 //    analytic APLs up to a constant pipeline/ejection offset.
 #include <iostream>
@@ -23,8 +24,7 @@ int main() {
                "packet):\n";
   TextTable hop_table({"hops", "measured [cycles]", "analytic eq.2 "
                        "(td_q=0, td_s=1)", "offset"});
-  const LatencyParams unloaded{.td_r = 3.0, .td_w = 1.0, .td_q = 0.0,
-                               .td_s = 1.0};
+  const LatencyParams unloaded{.td_q = 0.0, .td_s = 1.0};
   for (std::uint32_t hops = 1; hops <= 7; ++hops) {
     Network net(mesh, net_cfg);
     PacketInfo p;

@@ -152,7 +152,9 @@ Mapping MonteCarloMapper::map(const ObmProblem& problem) {
   // deterministic: shard s always runs the same trials with stream fork(s).
   constexpr std::size_t kShardSize = 256;
   static_assert(kShardSize % kBlock == 0);
-  const std::size_t shards = (trials_ + kShardSize - 1) / kShardSize;
+  // Rounds up without forming trials_ + kShardSize - 1, which wraps near 2^64.
+  const std::size_t shards =
+      trials_ / kShardSize + (trials_ % kShardSize != 0 ? 1 : 0);
   std::vector<ShardBest> best_per_shard(shards);
 
   ParallelTrialRunner runner(parallel_);
@@ -165,7 +167,7 @@ Mapping MonteCarloMapper::map(const ObmProblem& problem) {
         rng.fork(0xe), rng.fork(0xf), rng.fork(0x10), rng.fork(0x11)};
     ShardBest& best = best_per_shard[s];
     const std::size_t lo = s * kShardSize;
-    const std::size_t hi = std::min(lo + kShardSize, trials_);
+    const std::size_t hi = lo + std::min(kShardSize, trials_ - lo);
     c_trials.add(hi - lo);
     c_shards.add();
     std::vector<TileId> rows(kBlock * n);

@@ -1,8 +1,21 @@
 #include "latency/model.h"
 
 #include <algorithm>
+#include <cmath>
+
+#include "util/error.h"
 
 namespace nocmap {
+
+namespace {
+
+/// td_q and td_s come from outside the program (nocmap_cli's --td_q/--td_s).
+void require_delay(double cycles, const char* name) {
+  NOCMAP_REQUIRE(std::isfinite(cycles) && cycles >= 0.0,
+                 std::string(name) + " must be finite and >= 0 cycles");
+}
+
+}  // namespace
 
 const char* memory_traffic_mode_name(MemoryTrafficMode mode) {
   switch (mode) {
@@ -26,6 +39,8 @@ TileLatencyModel::TileLatencyModel(const Mesh& mesh,
                                    const LatencyParams& params,
                                    MemoryTrafficMode mode)
     : mesh_(mesh), params_(params), mode_(mode) {
+  require_delay(params_.td_q, "td_q");
+  require_delay(params_.td_s, "td_s");
   const std::size_t n = mesh_.num_tiles();
   hc_.resize(n);
   hm_.resize(n);

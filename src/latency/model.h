@@ -6,7 +6,8 @@
 // wire delays, td_q is the average per-hop queuing delay (0–1 cycles at the
 // loads studied), and td_s is the serialization latency (packet length /
 // channel bandwidth). Serialization is skipped when source == destination
-// (no network traversal).
+// (no network traversal). td_r and td_w are Table 2's router and link
+// (kRouterCycles, kLinkCycles below), which the simulator reads too.
 //
 // Two per-tile latency arrays summarize the chip:
 //   TC(k): expected latency of a cache packet originating at tile k. Cache
@@ -51,16 +52,10 @@ const char* memory_traffic_mode_name(MemoryTrafficMode mode);
 bool memory_traffic_mode_from_name(const std::string& name,
                                    MemoryTrafficMode& out);
 
-/// Timing parameters of eq. 2, in cycles.
-struct LatencyParams {
-  double td_r = 3.0;  ///< per-hop router pipeline delay (3-stage router)
-  double td_w = 1.0;  ///< per-hop link/wire delay
-  double td_q = 0.3;  ///< average per-hop queuing delay (calibrated, §II.C)
-  double td_s = 1.8;  ///< average serialization delay over the packet mix
-
-  /// Combined per-hop delay td_r + td_w + td_q.
-  double per_hop() const { return td_r + td_w + td_q; }
-};
+/// Table 2's per-hop delays in cycles: td_r (a 3-stage router) and td_w (one
+/// link, planar or TSV). Eq. 2 and the simulator both read these.
+inline constexpr std::uint32_t kRouterCycles = 3;
+inline constexpr std::uint32_t kLinkCycles = 1;
 
 /// The packet format (paper Section V.A): with 128-bit links a 16-bit short
 /// packet (requests, coherence forwards) is 1 flit and a 64-byte-payload
@@ -69,10 +64,20 @@ struct LatencyParams {
 inline constexpr std::uint32_t kShortPacketFlits = 1;
 inline constexpr std::uint32_t kLongPacketFlits = 5;
 
+/// The settable timing parameters of eq. 2, in cycles.
+struct LatencyParams {
+  double td_q = 0.3;  ///< average per-hop queuing delay (calibrated, §II.C)
+  double td_s = 1.8;  ///< average serialization delay over the packet mix
+
+  /// Combined per-hop delay td_r + td_w + td_q.
+  double per_hop() const { return double{kRouterCycles} + kLinkCycles + td_q; }
+};
+
 /// Per-tile latency arrays for one chip: the {TC(k)} and {TM(k)} of the
 /// problem statement (Section III.B). Immutable after construction.
 class TileLatencyModel {
  public:
+  /// Throws unless params.td_q and params.td_s are finite and >= 0.
   TileLatencyModel(const Mesh& mesh, const LatencyParams& params,
                    MemoryTrafficMode mode = MemoryTrafficMode::kProximity);
 

@@ -9,6 +9,10 @@
 
 namespace nocmap {
 
+// Flits cross any link in one cycle, as credits and sink hand-offs do, so
+// every event the fabric makes lands in its domain's next-cycle bucket.
+static_assert(kLinkCycles == 1, "a later event would need a ring of buckets");
+
 namespace {
 
 /// Constructor gate: the engines are members, so validate before they build.
@@ -22,12 +26,10 @@ const Mesh& require_simulable(const Mesh& mesh) {
 }  // namespace
 
 Network::Domain::Domain(const Mesh& mesh, const NetworkConfig& config,
-                        TileId first_tile, TileId end_tile,
-                        std::size_t ring_size)
+                        TileId first_tile, TileId end_tile)
     : first(first_tile),
       end(end_tile),
       engine(mesh, config, end_tile - first_tile, first_tile) {
-  ring.resize(ring_size);
   ni_active_words.assign((end_tile - first_tile + 63) / 64, 0);
 }
 
@@ -43,7 +45,7 @@ Network::Network(const Mesh& mesh, const NetworkConfig& config,
   const std::size_t n = mesh.num_tiles();
   nis_.resize(n);
   for (auto& ni : nis_) {
-    ni.credits.assign(config.vcs_per_port, config.buffer_depth);
+    ni.credits.assign(config.vcs_per_port, kBufferDepth);
   }
 
   // Row-band partition: min(workers, global rows) contiguous bands, the
@@ -56,9 +58,6 @@ Network::Network(const Mesh& mesh, const NetworkConfig& config,
   const auto num_domains = static_cast<std::uint32_t>(
       std::min<std::size_t>(ParallelConfig{sim_workers}.resolved_threads(),
                             rows));
-  // Horizon: all internal delays are <= max(planar/TSV link latency, 1) + 1.
-  const std::size_t ring_size = static_cast<std::size_t>(
-      std::max({config.link_latency, config.tsv_link_latency, 1u}) + 2);
   domains_.reserve(num_domains);
   row_domain_.reserve(rows);
   const std::uint32_t base = rows / num_domains;
@@ -66,19 +65,13 @@ Network::Network(const Mesh& mesh, const NetworkConfig& config,
   std::uint32_t row = 0;
   for (std::uint32_t d = 0; d < num_domains; ++d) {
     const std::uint32_t band = base + (d < extra ? 1 : 0);
-    domains_.emplace_back(mesh, config, row * cols_, (row + band) * cols_,
-                          ring_size);
+    domains_.emplace_back(mesh, config, row * cols_, (row + band) * cols_);
     for (std::uint32_t r = 0; r < band; ++r) row_domain_.push_back(d);
     row += band;
   }
   if (domains_.size() > 1) {
     team_ = std::make_unique<CycleWorkerTeam>(domains_.size());
   }
-}
-
-Network::Bucket& Network::bucket_at(Domain& d, Cycle cycle) {
-  NOCMAP_ASSERT(cycle >= now_ && cycle - now_ < d.ring.size());
-  return d.ring[cycle % d.ring.size()];
 }
 
 TileId Network::neighbor(const Domain& d, TileId tile, PortDir dir) const {
@@ -145,7 +138,8 @@ void Network::inject_packet(const PacketInfo& info) {
 }
 
 void Network::deliver_due_events(Domain& d) {
-  Bucket& bucket = d.ring[now_ % d.ring.size()];
+  // No handler below makes an event, so this cycle's ticks refill the bucket.
+  Bucket& bucket = d.next;
   for (const auto& pf : bucket.flits) {
     d.engine.receive_flit(pf.router - d.first, pf.port, pf.vc, pf.flit, now_);
   }
@@ -154,7 +148,7 @@ void Network::deliver_due_events(Domain& d) {
   }
   for (const auto& nc : bucket.ni_credits) {
     Ni& ni = nis_[nc.router];
-    NOCMAP_ASSERT(ni.credits[nc.vc] < config_.buffer_depth);
+    NOCMAP_ASSERT(ni.credits[nc.vc] < kBufferDepth);
     ++ni.credits[nc.vc];
   }
   for (const auto& sink : bucket.sinks) {
@@ -215,12 +209,7 @@ void Network::tick_routers(Domain& d) {
   // touch only occupied VCs, the switch allocator has no candidates and
   // the distance-weighted arbiter draws no random number), so skipping it
   // is exact, and the scan order keeps bucket push order — flits, credits,
-  // sinks — identical to ticking every router in tile order. Every event a
-  // departure makes is due one link latency (or one cycle) from now, so
-  // the three buckets are looked up once per cycle, not once per hop.
-  Bucket& next = bucket_at(d, now_ + 1);
-  Bucket& planar = bucket_at(d, now_ + config_.link_latency);
-  Bucket& vertical = bucket_at(d, now_ + config_.tsv_link_latency);
+  // sinks — identical to ticking every router in tile order.
   for (std::size_t w = 0; w < d.engine.num_active_words(); ++w) {
     std::uint64_t bits = d.engine.active_word(w);
     while (bits) {
@@ -233,35 +222,23 @@ void Network::tick_routers(Domain& d) {
       for (const Departure& dep : d.scratch) {
         // Credit for the freed input buffer slot, one cycle upstream.
         if (dep.in_port == PortDir::kLocal) {
-          next.ni_credits.push_back({t, PortDir::kLocal, dep.in_vc});
+          d.next.ni_credits.push_back({t, PortDir::kLocal, dep.in_vc});
         } else {
           const TileId up = neighbor(d, t, dep.in_port);
-          const PendingCredit credit{up, opposite(dep.in_port), dep.in_vc};
-          if (up >= d.first && up < d.end) {
-            next.credits.push_back(credit);
-          } else {
-            d.out_credits.push_back({now_ + 1, credit});
-          }
+          const bool local_up = up >= d.first && up < d.end;
+          (local_up ? d.next.credits : d.out_credits)
+              .push_back({up, opposite(dep.in_port), dep.in_vc});
         }
         // The flit itself.
         if (dep.out_port == PortDir::kLocal) {
-          next.sinks.push_back({t, dep.out_vc, dep.flit});
+          d.next.sinks.push_back({t, dep.out_vc, dep.flit});
         } else {
           const TileId down = neighbor(d, t, dep.out_port);
           Flit forwarded = dep.flit;
           ++forwarded.hops;  // distance credit for the arbiter
-          const bool vertical_hop = dep.out_port == PortDir::kUp ||
-                                    dep.out_port == PortDir::kDown;
-          const PendingFlit pf{down, opposite(dep.out_port), dep.out_vc,
-                               forwarded};
-          if (down >= d.first && down < d.end) {
-            (vertical_hop ? vertical : planar).flits.push_back(pf);
-          } else {
-            const Cycle due =
-                now_ + (vertical_hop ? config_.tsv_link_latency
-                                     : config_.link_latency);
-            d.out_flits.push_back({due, pf});
-          }
+          const bool local_down = down >= d.first && down < d.end;
+          (local_down ? d.next.flits : d.out_flits)
+              .push_back({down, opposite(dep.out_port), dep.out_vc, forwarded});
           ++d.link_traversals;
         }
       }
@@ -301,15 +278,13 @@ void Network::commit_cycle() {
   // ascending-tile ejection order; staged boundary events commute with the
   // target bucket's existing entries (header determinism argument).
   for (Domain& d : domains_) {
-    for (const StagedFlit& sf : d.out_flits) {
-      bucket_at(domains_[domain_of(sf.flit.router)], sf.due)
-          .flits.push_back(sf.flit);
+    for (const PendingFlit& pf : d.out_flits) {
+      domains_[domain_of(pf.router)].next.flits.push_back(pf);
     }
     boundary_flits_ += d.out_flits.size();
     d.out_flits.clear();
-    for (const StagedCredit& sc : d.out_credits) {
-      bucket_at(domains_[domain_of(sc.credit.router)], sc.due)
-          .credits.push_back(sc.credit);
+    for (const PendingCredit& pc : d.out_credits) {
+      domains_[domain_of(pc.router)].next.credits.push_back(pc);
     }
     d.out_credits.clear();
     if (!d.fresh_ejections.empty()) {

@@ -7,20 +7,20 @@
 // and vertical hops are just another cross-domain (or intra-domain) link.
 // Each domain owns a RouterEngine covering its tiles
 // (structure-of-arrays router state; see router.h), the network interfaces
-// (NIs) of those tiles, its own future-event ring, and its own counters —
-// so within a cycle every domain's work (event delivery, NI injection,
-// router ticks) touches only domain-local state and can run on its own
-// worker. Events that cross a domain boundary (flits and credits to the
-// adjacent row band) are staged in per-domain outboxes during the parallel
-// phase and committed into the target domains' rings at a per-cycle
-// barrier — the same snapshot/commit discipline the mapper engine uses
-// (core/parallel.h). With one domain (the default) the code path is the
-// serial engine, unchanged.
+// (NIs) of those tiles, its own next-cycle event bucket (every event the
+// fabric makes is due one cycle later), and its own counters — so within a
+// cycle every domain's work (event delivery, NI injection, router ticks)
+// touches only domain-local state and can run on its own worker. Events
+// that cross a domain boundary (flits and credits to the adjacent row band)
+// are staged in per-domain outboxes during the parallel phase and committed
+// into the target domains' buckets at a per-cycle barrier — the same
+// snapshot/commit discipline the mapper engine uses (core/parallel.h). With
+// one domain (the default) the code path is the serial engine, unchanged.
 //
 // Determinism: the partitioned step is bit-identical to the serial engine
 // at any domain count. Within a cycle a router's tick reads and writes only
-// its own domain's state; staged boundary events land at cycle now+1 or
-// later, so no domain ever observes another domain's current-cycle writes.
+// its own domain's state; staged boundary events land at cycle now+1, so no
+// domain ever observes another domain's current-cycle writes.
 // Event delivery order within a bucket differs from the serial engine only
 // across domains, and every cross-domain event commutes: flit and credit
 // deliveries target distinct (router, port, VC) state, and a directed link
@@ -166,18 +166,6 @@ class Network {
     std::vector<PendingSink> sinks;
   };
 
-  /// Staged cross-boundary event: a Bucket entry plus its absolute due
-  /// cycle, parked in the producing domain's outbox until the commit
-  /// barrier routes it into the owning domain's ring.
-  struct StagedFlit {
-    Cycle due;
-    PendingFlit flit;
-  };
-  struct StagedCredit {
-    Cycle due;
-    PendingCredit credit;
-  };
-
   /// One row band: every per-cycle mutable structure a worker touches
   /// during the parallel phase lives here, so domains share nothing but
   /// the (const) mesh and config until the commit barrier.
@@ -185,9 +173,8 @@ class Network {
     TileId first = 0;
     TileId end = 0;  ///< one past the last tile
     RouterEngine engine;
-    /// Ring of future-event buckets for *this domain's* routers; horizon
-    /// covers the largest network-internal delay.
-    std::vector<Bucket> ring;
+    /// Events due next cycle at *this domain's* routers, NIs and sinks.
+    Bucket next;
     /// Nonempty source queues of this domain's NIs, bit = tile - first.
     std::vector<std::uint64_t> ni_active_words;
     /// Packets expected to eject in this domain (keyed by id, filled at
@@ -197,8 +184,8 @@ class Network {
     /// global list (domain order == tile order) at the commit barrier.
     std::vector<Ejection> fresh_ejections;
     /// Cross-boundary events staged during the parallel phase.
-    std::vector<StagedFlit> out_flits;
-    std::vector<StagedCredit> out_credits;
+    std::vector<PendingFlit> out_flits;
+    std::vector<PendingCredit> out_credits;
     std::vector<Departure> scratch;
     std::uint64_t flits_injected = 0;
     std::uint64_t flits_ejected = 0;
@@ -206,13 +193,12 @@ class Network {
     std::uint64_t packets_completed = 0;
 
     Domain(const Mesh& mesh, const NetworkConfig& config, TileId first_tile,
-           TileId end_tile, std::size_t ring_size);
+           TileId end_tile);
   };
 
   std::size_t domain_of(TileId tile) const {
     return row_domain_[tile / cols_];
   }
-  Bucket& bucket_at(Domain& d, Cycle cycle);
   /// The tile one link from `tile` (a tile of `d`) through port `dir`.
   TileId neighbor(const Domain& d, TileId tile, PortDir dir) const;
 
@@ -225,7 +211,7 @@ class Network {
   void tick_routers(Domain& d);
   void process_sink(Domain& d, const PendingSink& sink);
   /// The serial phase: routes staged boundary events into the owning
-  /// domains' rings and concatenates fresh ejections in domain order.
+  /// domains' buckets and concatenates fresh ejections in domain order.
   void commit_cycle();
 
   const Mesh* mesh_;

@@ -27,25 +27,21 @@ RouterEngine::RouterEngine(const Mesh& mesh, const NetworkConfig& config,
       first_tile_(first_tile),
       num_routers_(num_routers),
       vcs_(config.vcs_per_port),
-      depth_(config.buffer_depth),
       ports_(mesh.is_3d() ? kNumPorts : kPlanarPorts),
       vc_slots_(ports_ * config.vcs_per_port) {
   NOCMAP_REQUIRE(config_.vcs_per_port >= 1, "need at least one VC");
   NOCMAP_REQUIRE(kNumPorts * config_.vcs_per_port <= 64,
                  "arbitration candidate buffer supports <= 64 VC slots");
-  NOCMAP_REQUIRE(config_.buffer_depth >= 1, "need at least one buffer slot");
-  NOCMAP_REQUIRE(config_.buffer_depth <= 255,
-                 "VC records keep buffer cursors and credits in one byte");
   NOCMAP_REQUIRE(mesh.rows() + mesh.cols() + mesh.layers() - 3 <=
                      std::numeric_limits<decltype(Flit::hops)>::max(),
                  "the mesh diameter must fit a flit's hop count");
   NOCMAP_REQUIRE(num_routers >= 1, "engine needs at least one router");
 
   const std::size_t total_vcs = num_routers * vc_slots_;
-  pool_.resize(total_vcs * depth_);
+  pool_.resize(total_vcs * kBufferDepth);
   // Downstream input buffers start empty: full credit everywhere.
   VcState fresh;
-  fresh.out_credits = static_cast<std::uint8_t>(depth_);
+  fresh.out_credits = static_cast<std::uint8_t>(kBufferDepth);
   vc_.assign(total_vcs, fresh);
   rr_pointer_.assign(num_routers * ports_, 0);
   nonempty_mask_.assign(num_routers, 0);
@@ -79,11 +75,11 @@ void RouterEngine::receive_flit(std::size_t router, PortDir port,
   const std::size_t slot = port_index(port) * vcs_ + vc;
   const std::size_t idx = router * vc_slots_ + slot;
   VcState& state = vc_[idx];
-  NOCMAP_REQUIRE(state.size < depth_,
+  NOCMAP_REQUIRE(state.size < kBufferDepth,
                  "input VC buffer overflow (credit protocol violated)");
   std::size_t tail = state.head + state.size;
-  if (tail >= depth_) tail -= depth_;
-  Flit& stored = pool_[idx * depth_ + tail];
+  if (tail >= kBufferDepth) tail -= kBufferDepth;
+  Flit& stored = pool_[idx * kBufferDepth + tail];
   stored = flit;
   stored.enqueued = now;
   ++state.size;
@@ -96,7 +92,7 @@ void RouterEngine::receive_credit(std::size_t router, PortDir port,
                                   std::uint32_t vc) {
   NOCMAP_ASSERT(port_index(port) < ports_);
   VcState& state = vc_[vc_index(router, port_index(port), vc)];
-  NOCMAP_REQUIRE(state.out_credits < depth_,
+  NOCMAP_REQUIRE(state.out_credits < kBufferDepth,
                  "credit overflow (credit protocol violated)");
   ++state.out_credits;
 }
@@ -131,7 +127,7 @@ void RouterEngine::tick(std::size_t router, Cycle now,
   const std::uint32_t vcs = vcs_;
   const std::size_t base = router * vc_slots_;
   VcState* const vc = &vc_[base];
-  const Flit* const pool = &pool_[base * depth_];
+  const Flit* const pool = &pool_[base * kBufferDepth];
   ActivityCounters& act = activity_[router];
 
   // --- Route computation + VC allocation for head flits at buffer heads,
@@ -146,7 +142,7 @@ void RouterEngine::tick(std::size_t router, Cycle now,
     const auto slot = static_cast<std::size_t>(std::countr_zero(pending));
     pending &= pending - 1;
     VcState& in = vc[slot];
-    const Flit& head = pool[slot * depth_ + in.head];
+    const Flit& head = pool[slot * kBufferDepth + in.head];
     if (head.is_head) {  // body/tail: route already held
       if (!in.route_valid) {
         in.out_port =
@@ -172,7 +168,7 @@ void RouterEngine::tick(std::size_t router, Cycle now,
       }
     }
     if (in.route_valid && in.out_vc_valid &&
-        head.enqueued + config_.router_pipeline <= now &&
+        head.enqueued + kRouterCycles <= now &&
         vc[in.out_port * vcs + in.out_vc].out_credits > 0) {
       requests[in.out_port] |= 1ull << slot;
     }
@@ -206,7 +202,7 @@ void RouterEngine::tick(std::size_t router, Cycle now,
         scan &= scan - 1;
         const double w =
             1.0 + static_cast<double>(
-                      pool[slot * depth_ + vc[slot].head].hops);
+                      pool[slot * kBufferDepth + vc[slot].head].hops);
         candidates[count] = slot;
         weights[count] = w;
         total_weight += w;
@@ -226,7 +222,7 @@ void RouterEngine::tick(std::size_t router, Cycle now,
     VcState& in = vc[winner];
     const std::size_t ip = slot_port_[winner];
     VcState& ovc = vc[in.out_port * vcs + in.out_vc];
-    const Flit& flit = pool[winner * depth_ + in.head];
+    const Flit& flit = pool[winner * kBufferDepth + in.head];
 
     // Grant: switch traversal.
     --ovc.out_credits;
@@ -234,7 +230,7 @@ void RouterEngine::tick(std::size_t router, Cycle now,
     ++act.sw_arbitrations;
     ++act.buffer_reads;
     ++act.crossbar_traversals;
-    act.queue_wait_cycles += now - (flit.enqueued + config_.router_pipeline);
+    act.queue_wait_cycles += now - (flit.enqueued + kRouterCycles);
 
     Departure dep;
     dep.out_port = static_cast<PortDir>(in.out_port);
@@ -245,7 +241,7 @@ void RouterEngine::tick(std::size_t router, Cycle now,
 
     // Pop the ring-buffer front.
     std::uint32_t head_next = in.head + 1u;
-    if (head_next == depth_) head_next = 0;
+    if (head_next == kBufferDepth) head_next = 0;
     in.head = static_cast<std::uint8_t>(head_next);
     if (--in.size == 0) nonempty_mask_[router] &= ~(1ull << winner);
 

@@ -19,7 +19,7 @@
 //
 // The 3-stage pipeline is modelled as a minimum residence time: a flit that
 // entered an input buffer at cycle t is eligible for switch allocation from
-// t + router_pipeline.
+// t + kRouterCycles (eq. 2's td_r, latency/model.h).
 //
 // Storage is structure-of-arrays across *all* routers of a mesh
 // (RouterEngine), sized for the cache: each router lays out ports × vcs
@@ -128,7 +128,7 @@ class RouterEngine {
   /// to the input VC: its ring-buffer cursors into the flit pool and the
   /// route / output VC its packet holds. The last two belong to the output
   /// VC with the same (port, vc) index: its wormhole claim and the credits
-  /// left in the downstream buffer. Depths ≤ 255 keep every field a byte.
+  /// left in the downstream buffer.
   struct VcState {
     std::uint8_t head = 0;
     std::uint8_t size = 0;
@@ -140,12 +140,14 @@ class RouterEngine {
     std::uint8_t out_credits = 0;
   };
   static_assert(sizeof(VcState) == 8);
+  static_assert(kBufferDepth >= 1 && kBufferDepth <= 255,
+                "VC records keep buffer cursors and credits in one byte");
 
   /// Dimension-order route for a destination from `router` (X-first, or
   /// Y-first when the flit carries the YX sub-route).
   PortDir route(std::size_t router, TileId dst, bool yx) const;
 
-  /// Index of (router, port, vc) into vc_ (and, times depth_, pool_).
+  /// Index of (router, port, vc) into vc_ (and, times kBufferDepth, pool_).
   std::size_t vc_index(std::size_t router, std::size_t port,
                        std::uint32_t vc) const {
     return router * vc_slots_ + port * vcs_ + vc;
@@ -155,11 +157,10 @@ class RouterEngine {
   TileId first_tile_ = 0;
   std::size_t num_routers_ = 0;
   std::uint32_t vcs_ = 0;
-  std::uint32_t depth_ = 0;
   std::size_t ports_ = 0;     ///< kPlanarPorts, or kNumPorts on a stack
   std::size_t vc_slots_ = 0;  ///< ports_ * vcs_: VC slots per router
 
-  std::vector<Flit> pool_;    ///< [router][port][vc][depth_] ring storage
+  std::vector<Flit> pool_;    ///< [router][port][vc][kBufferDepth] ring
   std::vector<VcState> vc_;   ///< [router][port][vc]
 
   // Per (router, output port): round-robin pointer over input VC slots.

@@ -4,15 +4,17 @@
 // The simulator models the paper's Table-2 network: a mesh of canonical
 // 3-stage credit-based wormhole routers with virtual channels and XY
 // (dimension-order) routing; 128-bit links make request packets 1 flit and
-// 64-byte data replies 5 flits (kShortPacketFlits / kLongPacketFlits,
-// latency/model.h). A flit carries only what the routers read (packet id,
-// destination, sub-route, head/tail flags, hop count, buffer-entry cycle);
-// the packet's description stays in the sink's packet table (network.h).
+// 64-byte data replies 5 flits. The router and link delays and the packet
+// sizes are the constants of latency/model.h, which eq. 2 reads too. A flit
+// carries only what the routers read (packet id, destination, sub-route,
+// head/tail flags, hop count, buffer-entry cycle); the packet's description
+// stays in the sink's packet table (network.h).
 #pragma once
 
 #include <cstdint>
 #include <limits>
 
+#include "latency/model.h"
 #include "topology/mesh.h"
 
 namespace nocmap {
@@ -21,6 +23,9 @@ using Cycle = std::uint64_t;
 using PacketId = std::uint64_t;
 
 inline constexpr Cycle kNeverCycle = std::numeric_limits<Cycle>::max();
+
+/// Flits per VC input buffer (paper Table 2).
+inline constexpr std::uint32_t kBufferDepth = 5;
 
 /// The packet kinds of the paper's traffic model (Section II.B): requests,
 /// data replies, and the coherence checking/forwarding packets an L2 bank
@@ -140,11 +145,7 @@ struct ActivityCounters {
 
 /// Router/network micro-architecture parameters (paper Table 2 defaults).
 struct NetworkConfig {
-  std::uint32_t vcs_per_port = 3;      ///< virtual channels per input port
-  std::uint32_t buffer_depth = 5;      ///< flits per VC buffer
-  std::uint32_t router_pipeline = 3;   ///< cycles a flit spends in a router
-  std::uint32_t link_latency = 1;      ///< cycles per planar inter-router link
-  std::uint32_t tsv_link_latency = 1;  ///< cycles per vertical (TSV) link
+  std::uint32_t vcs_per_port = 3;  ///< virtual channels per input port
   RoutingAlgo routing = RoutingAlgo::kXY;  ///< the paper uses XY
   Arbitration arbitration = Arbitration::kRoundRobin;
 

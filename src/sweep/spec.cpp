@@ -21,6 +21,20 @@ namespace {
 /// runaway spec (seed count 10^9, say) must fail fast instead of OOMing.
 constexpr std::uint64_t kMaxCombinations = 10'000'000;
 
+/// Cap on the per-scenario counts (MC trials, SA iterations, netsim cycle
+/// windows): far above any committed value (at most 200 000), and low enough
+/// that no sum or rounding of them wraps 64 bits.
+constexpr std::uint64_t kMaxCount = 1'000'000'000;
+
+std::uint64_t read_count(const obs::JsonValue& v, const std::string& what,
+                         std::uint64_t lo) {
+  const std::uint64_t value = v.as_uint();
+  NOCMAP_REQUIRE(value >= lo && value <= kMaxCount,
+                 "'" + what + "' must be in [" + std::to_string(lo) + ", " +
+                     std::to_string(kMaxCount) + "]");
+  return value;
+}
+
 const obs::JsonValue& require_array(const obs::JsonValue& v,
                                     const std::string& what) {
   NOCMAP_REQUIRE(v.is_array(), "spec axis '" + what + "' must be an array");
@@ -148,11 +162,9 @@ void parse_mapper_options(const obs::JsonValue& node,
     if (key == "algorithm_seed") {
       options.algorithm_seed = value.as_uint();
     } else if (key == "mc_trials") {
-      options.mc_trials = value.as_uint();
-      NOCMAP_REQUIRE(options.mc_trials >= 1, "mc_trials must be >= 1");
+      options.mc_trials = read_count(value, key, 1);
     } else if (key == "sa_iterations") {
-      options.sa_iterations = value.as_uint();
-      NOCMAP_REQUIRE(options.sa_iterations >= 1, "sa_iterations must be >= 1");
+      options.sa_iterations = read_count(value, key, 1);
     } else {
       NOCMAP_REQUIRE(false, "unknown mapper_options key '" + key + "'");
     }
@@ -165,13 +177,11 @@ void parse_netsim(const obs::JsonValue& node, SweepNetsimOptions& options) {
     if (key == "enabled") {
       options.enabled = value.as_bool();
     } else if (key == "warmup_cycles") {
-      options.warmup_cycles = value.as_uint();
+      options.warmup_cycles = read_count(value, key, 0);
     } else if (key == "measure_cycles") {
-      options.measure_cycles = value.as_uint();
-      NOCMAP_REQUIRE(options.measure_cycles >= 1,
-                     "measure_cycles must be >= 1");
+      options.measure_cycles = read_count(value, key, 1);
     } else if (key == "max_drain_cycles") {
-      options.max_drain_cycles = value.as_uint();
+      options.max_drain_cycles = read_count(value, key, 0);
     } else {
       NOCMAP_REQUIRE(false, "unknown netsim key '" + key + "'");
     }

@@ -16,7 +16,7 @@ namespace nocmap {
 namespace {
 
 LatencyParams fig5_params() {
-  return {.td_r = 3.0, .td_w = 1.0, .td_q = 0.0, .td_s = 1.0};
+  return {.td_q = 0.0, .td_s = 1.0};
 }
 
 /// Random small instance: 2x2..4x3 tiles, 2 applications.

@@ -2,17 +2,44 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 namespace nocmap {
 namespace {
 
 LatencyParams fig5_params() {
   // The parameters of the paper's Figure-5 worked example.
-  return {.td_r = 3.0, .td_w = 1.0, .td_q = 0.0, .td_s = 1.0};
+  return {.td_q = 0.0, .td_s = 1.0};
 }
 
 TEST(LatencyParams, PerHop) {
-  const LatencyParams p{.td_r = 3.0, .td_w = 1.0, .td_q = 0.5, .td_s = 2.0};
+  const LatencyParams p{.td_q = 0.5, .td_s = 2.0};
   EXPECT_DOUBLE_EQ(p.per_hop(), 4.5);
+}
+
+// td_q and td_s come from outside (nocmap_cli's --td_q/--td_s): a negative
+// or non-finite delay is refused, naming the parameter; 0 stays legal (the
+// Fig.-5 anchors use td_q = 0).
+TEST(TileLatencyModel, RejectsNegativeOrNonFiniteDelays) {
+  const Mesh mesh = Mesh::square(4);
+  auto error_of = [&](const LatencyParams& p) -> std::string {
+    try {
+      (void)TileLatencyModel(mesh, p);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(bad);
+    EXPECT_NE(error_of({.td_q = bad, .td_s = 1.0}).find("td_q"),
+              std::string::npos);
+    EXPECT_NE(error_of({.td_q = 0.0, .td_s = bad}).find("td_s"),
+              std::string::npos);
+  }
+  EXPECT_EQ(error_of({.td_q = 0.0, .td_s = 0.0}), "");
 }
 
 TEST(TileLatencyModel, TcFormulaOn4x4) {
@@ -87,7 +114,7 @@ TEST(PacketLatency, Eq2Formula) {
 // destinations (the definition from which the closed form is derived).
 TEST(TileLatencyModel, TcEqualsAverageOfPacketLatencies) {
   const Mesh mesh = Mesh::square(5);
-  const LatencyParams p{.td_r = 2.0, .td_w = 1.5, .td_q = 0.25, .td_s = 3.0};
+  const LatencyParams p{.td_q = 0.25, .td_s = 3.0};
   const TileLatencyModel model(mesh, p);
   for (TileId k = 0; k < mesh.num_tiles(); ++k) {
     double avg = 0.0;

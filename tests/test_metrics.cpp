@@ -9,7 +9,7 @@ namespace nocmap {
 namespace {
 
 LatencyParams simple_params() {
-  return {.td_r = 3.0, .td_w = 1.0, .td_q = 0.0, .td_s = 1.0};
+  return {.td_q = 0.0, .td_s = 1.0};
 }
 
 ObmProblem make_problem_4x4() {

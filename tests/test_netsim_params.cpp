@@ -1,7 +1,7 @@
-// Network micro-architecture parameter sweeps: the simulator must stay
-// correct (conservation, drain, latency ordering) across VC counts, buffer
-// depths, link latencies and pipeline depths — not just the paper's
-// Table-2 point.
+// Network parameter sweeps: the simulator must stay correct (conservation,
+// drain, zero-load timing) across VC counts and traffic shapes, not just the
+// paper's Table-2 point. Router and link timing and the buffer depth are
+// Table-2 constants.
 #include <gtest/gtest.h>
 
 #include "netsim/sim.h"
@@ -10,53 +10,58 @@
 namespace nocmap {
 namespace {
 
+// One sweep case: `vcs` virtual channels per port, the router's one knob,
+// and the traffic it carries. A packet travels `d` hops (at most, in the
+// all-to-all), short packets are `l` flits, and each source sends `p`
+// packets per destination.
 struct ParamCase {
   std::uint32_t vcs;
-  std::uint32_t depth;
-  std::uint32_t link_latency;
-  std::uint32_t pipeline;
+  std::uint32_t hops;
+  std::uint32_t flits;
+  std::uint32_t packets;
 };
 
 std::string case_name(const ::testing::TestParamInfo<ParamCase>& info) {
   const ParamCase& c = info.param;
-  return "vc" + std::to_string(c.vcs) + "_d" + std::to_string(c.depth) +
-         "_l" + std::to_string(c.link_latency) + "_p" +
-         std::to_string(c.pipeline);
+  return "vc" + std::to_string(c.vcs) + "_d" + std::to_string(c.hops) +
+         "_l" + std::to_string(c.flits) + "_p" + std::to_string(c.packets);
 }
 
 class NetParamSweep : public ::testing::TestWithParam<ParamCase> {
  protected:
   NetworkConfig config() const {
-    const ParamCase& c = GetParam();
     NetworkConfig cfg;
-    cfg.vcs_per_port = c.vcs;
-    cfg.buffer_depth = c.depth;
-    cfg.link_latency = c.link_latency;
-    cfg.router_pipeline = c.pipeline;
+    cfg.vcs_per_port = GetParam().vcs;
     return cfg;
   }
 };
 
+// Every tile sends `p` packets to each tile at most `d` hops away, in turn
+// `l` flits and a 5-flit reply long.
 TEST_P(NetParamSweep, AllToAllConserves) {
+  const ParamCase& c = GetParam();
   const Mesh mesh = Mesh::square(4);
   Network net(mesh, config());
   PacketId id = 1;
   std::uint64_t flits = 0;
   for (TileId src = 0; src < 16; ++src) {
     for (TileId dst = 0; dst < 16; ++dst) {
-      if (src == dst) continue;
-      const std::uint32_t f = (src * 3 + dst) % 2 ? 1 : 5;
-      PacketInfo p;
-      p.id = id++;
-      p.src = src;
-      p.dst = dst;
-      p.flits = f;
-      net.inject_packet(p);
-      flits += f;
+      if (src == dst || mesh.weighted_hops(src, dst) > c.hops) continue;
+      for (std::uint32_t k = 0; k < c.packets; ++k) {
+        const std::uint32_t f =
+            (src * 3 + dst + k) % 2 ? c.flits : kLongPacketFlits;
+        PacketInfo p;
+        p.id = id++;
+        p.src = src;
+        p.dst = dst;
+        p.flits = f;
+        net.inject_packet(p);
+        flits += f;
+      }
     }
   }
   std::size_t ejected = 0;
-  for (Cycle c = 0; c < 100000 && net.packets_in_flight() > 0; ++c) {
+  for (Cycle cyc = 0; cyc < 100000 && net.packets_in_flight() > 0; ++cyc) {
     net.step();
     ejected += net.take_ejections().size();
   }
@@ -65,26 +70,35 @@ TEST_P(NetParamSweep, AllToAllConserves) {
   EXPECT_EQ(net.flits_ejected(), flits);
 }
 
+// A lone `l`-flit packet over `d` hops crosses d + 1 routers and d links,
+// then streams out in `l` cycles. The `p` probes start in different rows
+// and go one at a time, each into the network the last one left behind.
 TEST_P(NetParamSweep, UnloadedLatencyMatchesParameters) {
-  const Mesh mesh = Mesh::square(4);
   const ParamCase& c = GetParam();
-  Network a(mesh, config());
-  PacketInfo p;
-  p.id = 1;
-  p.src = mesh.tile_at(0, 0);
-  p.dst = mesh.tile_at(0, 2);
-  p.flits = 1;
-  a.inject_packet(p);
-  Cycle latency = 0;
-  for (Cycle cyc = 0; cyc < 1000 && a.packets_in_flight() > 0; ++cyc) {
-    a.step();
-    for (const auto& e : a.take_ejections()) latency = e.latency();
+  const Mesh mesh = Mesh::square(8);
+  Network net(mesh, config());
+  const Cycle expected = Cycle{c.hops + 1} * kRouterCycles +
+                         Cycle{c.hops} * kLinkCycles + c.flits;
+  for (std::uint32_t k = 0; k < c.packets; ++k) {
+    PacketInfo p;
+    p.id = k + 1;
+    p.src = mesh.tile_at(k, 0);
+    p.dst = mesh.tile_at(k + c.hops / 2, (c.hops + 1) / 2);
+    p.flits = c.flits;
+    p.created = net.now();
+    ASSERT_EQ(mesh.weighted_hops(p.src, p.dst), c.hops);
+    net.inject_packet(p);
+    Cycle latency = 0;
+    for (Cycle cyc = 0; cyc < 1000 && net.packets_in_flight() > 0; ++cyc) {
+      net.step();
+      for (const auto& e : net.take_ejections()) latency = e.latency();
+    }
+    EXPECT_EQ(latency, expected) << "probe " << k;
   }
-  // 2 hops: (hops+1) routers x pipeline + hops x link + 1 cycle ejection.
-  const Cycle expected = 3 * c.pipeline + 2 * c.link_latency + 1;
-  EXPECT_EQ(latency, expected);
 }
 
+// The traffic engine picks destinations and packet sizes itself, so only
+// `p` shapes this run: it scales every thread's injection rate.
 TEST_P(NetParamSweep, SimulationRunsAndDrains) {
   const Mesh mesh = Mesh::square(4);
   Application a;
@@ -95,6 +109,7 @@ TEST_P(NetParamSweep, SimulationRunsAndDrains) {
   SimConfig cfg;
   cfg.warmup_cycles = 500;
   cfg.measure_cycles = 8000;
+  cfg.traffic.injection_scale = GetParam().packets;
   cfg.network = config();
   const SimResult r = run_simulation(problem, problem.identity_mapping(),
                                      cfg);
@@ -134,7 +149,7 @@ TEST(NetParams, DirectedLinkCountHandlesDegenerateTorusWidths) {
   EXPECT_EQ(Mesh(1, 2, {0}, Wraparound::kTorus).num_directed_links(), 2u);
 }
 
-// Deeper buffers / more VCs must not hurt latency under contention.
+// More VC buffers per port must not hurt latency under contention.
 TEST(NetParams, MoreBuffersHelpUnderLoad) {
   const Mesh mesh = Mesh::square(4);
   Application a;
@@ -142,16 +157,15 @@ TEST(NetParams, MoreBuffersHelpUnderLoad) {
   a.threads.assign(16, ThreadProfile{40.0, 4.0});
   const ObmProblem problem(TileLatencyModel(mesh, LatencyParams{}),
                            Workload({a}));
-  auto g_apl_with = [&](std::uint32_t vcs, std::uint32_t depth) {
+  auto g_apl_with = [&](std::uint32_t vcs) {
     SimConfig cfg;
     cfg.warmup_cycles = 1000;
     cfg.measure_cycles = 15000;
     cfg.network.vcs_per_port = vcs;
-    cfg.network.buffer_depth = depth;
     return run_simulation(problem, problem.identity_mapping(), cfg).g_apl;
   };
-  const double tight = g_apl_with(1, 1);
-  const double roomy = g_apl_with(4, 8);
+  const double tight = g_apl_with(1);
+  const double roomy = g_apl_with(4);
   EXPECT_LT(roomy, tight);
 }
 

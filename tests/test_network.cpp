@@ -80,6 +80,38 @@ TEST(Network, SerializationAddsTailLatency) {
   EXPECT_EQ(lat_long - lat_short, 4u);  // 4 extra flits behind the head
 }
 
+// Zero-load equivalence with eq. 2 (the unicast, TSV-weight-1 part of the
+// model/simulator oracle): a lone packet between any two tiles of a 256-tile
+// chip, planar or stacked, measures exactly packet_latency() at td_q = 0 and
+// td_s = its flit count, plus one router pipeline. The packet crosses H + 1
+// routers where eq. 2 charges H hops.
+TEST(Network, ZeroLoadLatencyIsEq2PlusOneRouterAtEveryTilePair) {
+  for (const Mesh& mesh :
+       {Mesh::square(16),
+        Mesh::stacked_with_placement(4, 8, McPlacement::kCorners)}) {
+    SCOPED_TRACE(mesh.num_tiles());
+    ASSERT_EQ(mesh.num_tiles(), 256u);
+    Network net(mesh, default_config());
+    PacketId id = 1;
+    for (TileId src = 0; src < mesh.num_tiles(); ++src) {
+      for (TileId dst = 0; dst < mesh.num_tiles(); ++dst) {
+        if (src == dst) continue;
+        for (const std::uint32_t flits :
+             {kShortPacketFlits, kLongPacketFlits}) {
+          net.inject_packet(make_packet(id++, src, dst, flits, net.now()));
+          const auto e = run_until_drained(net);
+          ASSERT_EQ(e.size(), 1u);
+          const LatencyParams zero_load{.td_q = 0.0,
+                                        .td_s = static_cast<double>(flits)};
+          ASSERT_EQ(static_cast<double>(e[0].latency()),
+                    packet_latency(mesh, zero_load, src, dst) + kRouterCycles)
+              << src << " -> " << dst << ", " << flits << " flits";
+        }
+      }
+    }
+  }
+}
+
 TEST(Network, FlitConservation) {
   const Mesh mesh = Mesh::square(4);
   Network net(mesh, default_config());

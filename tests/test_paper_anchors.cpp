@@ -15,7 +15,7 @@ namespace {
 // thread cache rates 0.1/0.2/0.3/0.4 per application, zero memory traffic,
 // td_r = 3, td_w = 1, td_s = 1 (td_q = 0).
 LatencyParams fig5_params() {
-  return {.td_r = 3.0, .td_w = 1.0, .td_q = 0.0, .td_s = 1.0};
+  return {.td_q = 0.0, .td_s = 1.0};
 }
 
 ObmProblem fig5_problem() {

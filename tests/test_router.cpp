@@ -6,12 +6,11 @@ namespace nocmap {
 namespace {
 
 // Every router test drives a one-router engine for tile 5, (1,1) of a 4x4
-// mesh, whose only router index is 0.
+// mesh, whose only router index is 0. Flits become eligible kRouterCycles
+// (3) after they enter a buffer, so most tests tick at cycle 3.
 NetworkConfig small_config() {
   NetworkConfig c;
   c.vcs_per_port = 2;
-  c.buffer_depth = 3;
-  c.router_pipeline = 3;
   return c;
 }
 
@@ -37,11 +36,13 @@ TEST(PortDir, OppositeIsInvolution) {
 TEST(Router, AcceptsUpToBufferDepth) {
   const Mesh mesh = Mesh::square(4);
   RouterEngine r(mesh, small_config(), 1, 5);
-  for (std::uint32_t i = 0; i < 3; ++i) {
+  const std::uint32_t flits = kBufferDepth + 1;
+  for (std::uint32_t i = 0; i < kBufferDepth; ++i) {
     EXPECT_NO_THROW(
-        r.receive_flit(0, PortDir::kWest, 0, make_flit(1, i, 5, 10), 0));
+        r.receive_flit(0, PortDir::kWest, 0, make_flit(1, i, flits, 10), 0));
   }
-  EXPECT_THROW(r.receive_flit(0, PortDir::kWest, 0, make_flit(1, 3, 5, 10), 0),
+  EXPECT_THROW(r.receive_flit(0, PortDir::kWest, 0,
+                              make_flit(1, kBufferDepth, flits, 10), 0),
                Error);
 }
 
@@ -55,7 +56,7 @@ TEST(Router, FlitNotEligibleBeforePipelineDelay) {
   EXPECT_TRUE(out.empty());
   r.tick(0, 2, out);
   EXPECT_TRUE(out.empty());
-  r.tick(0, 3, out);  // enqueued 0 + pipeline 3
+  r.tick(0, kRouterCycles, out);  // enqueued 0 + the 3-cycle pipeline
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].out_port, PortDir::kEast);
   EXPECT_EQ(out[0].in_port, PortDir::kLocal);
@@ -101,20 +102,26 @@ TEST(Router, WormholeKeepsPacketContiguousInVc) {
 
 TEST(Router, StallsWhenNoCredits) {
   const Mesh mesh = Mesh::square(4);
-  NetworkConfig cfg = small_config();
-  cfg.buffer_depth = 1;  // single credit per VC
-  RouterEngine r(mesh, cfg, 1, 5);
-  r.receive_flit(0, PortDir::kWest, 0, make_flit(1, 0, 2, 6), 0);
+  RouterEngine r(mesh, small_config(), 1, 5);
+  // A packet one flit longer than a buffer: its first kBufferDepth flits
+  // leave one per cycle and use up every credit of the East output VC.
+  const std::uint32_t flits = kBufferDepth + 1;
+  for (std::uint32_t i = 0; i < kBufferDepth; ++i) {
+    r.receive_flit(0, PortDir::kWest, 0, make_flit(1, i, flits, 6), 0);
+  }
   std::vector<Departure> out;
-  r.tick(0, 3, out);
-  ASSERT_EQ(out.size(), 1u);  // head leaves, consuming the only credit
+  Cycle now = kRouterCycles;
+  for (; now < kRouterCycles + kBufferDepth; ++now) r.tick(0, now, out);
+  ASSERT_EQ(out.size(), kBufferDepth);
   out.clear();
-  r.receive_flit(0, PortDir::kWest, 0, make_flit(1, 1, 2, 6), 3);
-  r.tick(0, 7, out);
+  r.receive_flit(0, PortDir::kWest, 0, make_flit(1, kBufferDepth, flits, 6),
+                 now);
+  now += kRouterCycles;
+  r.tick(0, now, out);
   EXPECT_TRUE(out.empty());  // tail blocked: no credit
-  r.receive_credit(0, PortDir::kEast, out.empty() ? 0 : 0);
-  // Credit was returned to VC 0 of the East output (the one used).
-  r.tick(0, 8, out);
+  // Return a credit to VC 0 of the East output (the one used).
+  r.receive_credit(0, PortDir::kEast, 0);
+  r.tick(0, now + 1, out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_TRUE(out[0].flit.is_tail);
 }
@@ -175,16 +182,6 @@ TEST(Router, ActivityCountersTrackEvents) {
   EXPECT_EQ(a.vc_allocations, 1u);  // one per packet
   r.reset_activity();
   EXPECT_EQ(r.activity(0).buffer_writes, 0u);
-}
-
-TEST(Router, BufferDepthFitsTheVcRecord) {
-  // A VC's ring-buffer cursors and credit count are one byte each.
-  const Mesh mesh = Mesh::square(4);
-  NetworkConfig cfg = small_config();
-  cfg.buffer_depth = 255;
-  EXPECT_NO_THROW(RouterEngine(mesh, cfg, 1, 5));
-  cfg.buffer_depth = 256;
-  EXPECT_THROW(RouterEngine(mesh, cfg, 1, 5), Error);
 }
 
 TEST(Router, MeshDiameterFitsTheHopCount) {

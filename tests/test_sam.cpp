@@ -10,7 +10,7 @@ namespace nocmap {
 namespace {
 
 LatencyParams fig5_params() {
-  return {.td_r = 3.0, .td_w = 1.0, .td_q = 0.0, .td_s = 1.0};
+  return {.td_q = 0.0, .td_s = 1.0};
 }
 
 /// Solves one application the way SSS does: through a ThreadCostCache over

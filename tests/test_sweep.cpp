@@ -121,6 +121,17 @@ TEST(SweepSpec, RejectsUnknownAndInvalidInput) {
           "mappers":["Bogus"]})",
       R"({"schema":"nocmap.sweep_spec/1","name":"x",
           "mappers":["SSS","SSS"]})",
+      // Counts above 10^9 (near 2^64 they crashed MC and hung the netsim).
+      R"({"schema":"nocmap.sweep_spec/1","name":"x",
+          "mapper_options":{"mc_trials":18446744073709551615}})",
+      R"({"schema":"nocmap.sweep_spec/1","name":"x",
+          "mapper_options":{"sa_iterations":1000000001}})",
+      R"({"schema":"nocmap.sweep_spec/1","name":"x",
+          "netsim":{"warmup_cycles":18446744073709551615}})",
+      R"({"schema":"nocmap.sweep_spec/1","name":"x",
+          "netsim":{"measure_cycles":1000000001}})",
+      R"({"schema":"nocmap.sweep_spec/1","name":"x",
+          "netsim":{"max_drain_cycles":1000000001}})",
   };
   for (const char* text : bad_specs) {
     EXPECT_THROW((void)parse_spec(std::string(text)), Error) << text;
