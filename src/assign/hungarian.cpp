@@ -19,6 +19,9 @@ const obs::Counter c_warm_solves("assign.warm_solves");
 const obs::Counter c_warm_hits("assign.warm_hits");
 const obs::Counter c_rows_inserted("assign.rows_inserted");
 const obs::Counter c_path_steps("assign.path_steps");
+const obs::Counter c_rect_solves("assign.rect_solves");
+const obs::Counter c_rect_cols("assign.rect_cols");
+const obs::Counter c_rect_cols_kept("assign.rect_cols_kept");
 
 }  // namespace
 
@@ -128,6 +131,63 @@ std::uint64_t AssignmentWorkspace::run_kernel(const double* data,
   return path_steps;
 }
 
+// Column pruning for rows < cols (DESIGN.md §8). The nr columns with the
+// least totals give each row a threshold, its largest cost among them; a
+// column that costs more than the threshold in every row leaves each row nr
+// strictly cheaper columns, so no optimal partial matching of any prefix of
+// the rows uses it and the full kernel never reaches it. Dropping those
+// columns while keeping the rest in ascending order leaves every floating-
+// point operation and tie-break of the solve as it was.
+template <typename ColMap>
+std::size_t AssignmentWorkspace::keep_usable_columns(const double* data,
+                                                     std::size_t stride,
+                                                     ColMap col,
+                                                     std::size_t nr,
+                                                     std::size_t nc) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  col_total_.assign(nc, 0.0);
+  double* total = col_total_.data();
+  for (std::size_t r = 0; r < nr; ++r) {
+    const double* row = data + r * stride;
+    for (std::size_t c = 0; c < nc; ++c) total[c] += row[col(c)];
+  }
+  // A NaN total sorts as +inf, so the selection order stays strict.
+  for (std::size_t c = 0; c < nc; ++c) {
+    if (std::isnan(total[c])) total[c] = kInf;
+  }
+  cols_.resize(nc);
+  std::iota(cols_.begin(), cols_.end(), 0u);
+  const auto last = cols_.begin() + static_cast<std::ptrdiff_t>(nr - 1);
+  std::nth_element(cols_.begin(), last, cols_.end(),
+                   [total](std::uint32_t a, std::uint32_t b) {
+                     return total[a] < total[b];
+                   });
+  // A non-finite cost among the selected columns leaves some row without a
+  // finite threshold: keep everything.
+  if (!(total[*last] < kInf)) return nc;
+  // Each row marks the columns within its threshold. A NaN cost never
+  // compares above the threshold, so it keeps its column.
+  keep_.assign(nc, 0);
+  char* keep = keep_.data();
+  for (std::size_t r = 0; r < nr; ++r) {
+    const double* row = data + r * stride;
+    double limit = -kInf;
+    for (std::size_t k = 0; k < nr; ++k) {
+      limit = std::max(limit, row[col(cols_[k])]);
+    }
+    for (std::size_t c = 0; c < nc; ++c) keep[c] |= !(row[col(c)] > limit);
+  }
+  kept_index_.resize(nc);
+  std::size_t kept = 0;
+  for (std::size_t c = 0; c < nc; ++c) {
+    if (!keep[c]) continue;
+    cols_[kept] = static_cast<std::uint32_t>(c);
+    kept_index_[kept] = static_cast<std::uint32_t>(col(c));
+    ++kept;
+  }
+  return kept;
+}
+
 void AssignmentWorkspace::solve_impl(const CostView& view, bool warm) {
   const std::size_t nr = view.rows();
   const std::size_t nc = view.cols();
@@ -169,8 +229,35 @@ void AssignmentWorkspace::solve_impl(const CostView& view, bool warm) {
   // Dropped first, so a solve that throws leaves no half-updated
   // potentials for the next solve_warm.
   warm_cols_ = 0;
+  std::size_t kept = nc;
+  if (nr < nc) {
+    kept = view.col_index() != nullptr
+               ? keep_usable_columns(view.data(), view.stride(),
+                                     GatherCol{view.col_index()}, nr, nc)
+               : keep_usable_columns(view.data(), view.stride(),
+                                     IdentityCol{}, nr, nc);
+    c_rect_solves.add();
+    c_rect_cols.add(nc);
+    c_rect_cols_kept.add(kept);
+  }
   std::uint64_t path_steps = 0;
-  if (view.col_index() != nullptr) {
+  if (kept < nc) {
+    path_steps = run_kernel(view.data(), view.stride(),
+                            GatherCol{kept_index_.data()}, nr, kept);
+    // Back to the view's column numbering; a dropped column ends where the
+    // full kernel leaves it, unmatched at potential 0. Descending, so every
+    // kept entry moves up before its new slot is overwritten.
+    for (std::size_t j = nc, k = kept; j >= 1; --j) {
+      if (k > 0 && cols_[k - 1] + 1 == j) {
+        v_[j] = v_[k];
+        p_[j] = p_[k];
+        --k;
+      } else {
+        v_[j] = 0.0;
+        p_[j] = 0;
+      }
+    }
+  } else if (view.col_index() != nullptr) {
     path_steps = run_kernel(view.data(), view.stride(),
                             GatherCol{view.col_index()}, nr, nc);
   } else {

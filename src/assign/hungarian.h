@@ -115,7 +115,13 @@ struct Assignment {
 /// steady-state solves perform no heap allocation. Rectangular instances
 /// with rows < cols are supported (the unmatched columns are simply left
 /// free), which is how the relaxed per-application bounds avoid padding
-/// with dummy rows.
+/// with dummy rows. A rectangular solve first drops every column that costs
+/// more, in every row, than that row's largest cost over the rows-many
+/// columns of least total: each row then has rows-many strictly cheaper
+/// columns, so no optimal matching uses a dropped column and the kernel
+/// would never reach one. It runs on the kept columns in their order, with
+/// the same floating-point operations and tie-breaks, and leaves the
+/// potentials and matching as the full solve would (DESIGN.md §8).
 ///
 /// Warm starts: `solve_warm` keeps the column potentials v from the
 /// previous solve whenever the instance is square and the column count
@@ -144,6 +150,12 @@ class AssignmentWorkspace {
 
  private:
   void solve_impl(const CostView& view, bool warm);
+  /// Rectangular solves: fills cols_ with the ascending positions of the
+  /// columns some optimal matching may use and kept_index_ with their data
+  /// columns, and returns how many there are (nc when none can go).
+  template <typename ColMap>
+  std::size_t keep_usable_columns(const double* data, std::size_t stride,
+                                  ColMap col, std::size_t nr, std::size_t nc);
   /// Returns the number of shortest-path scan steps (inner Dijkstra
   /// iterations across all row insertions) — the quantity warm starts
   /// shrink, exported through the observability counters.
@@ -158,6 +170,12 @@ class AssignmentWorkspace {
   std::vector<std::size_t> way_;  // alternating-path predecessor
   std::vector<std::size_t> free_;     // columns not yet reached, ascending
   std::vector<std::size_t> reached_;  // columns reached by this row's search
+  // Rectangular column pruning: per-column cost sums, per-column keep
+  // marks, the kept positions and their data columns (gathered).
+  std::vector<double> col_total_;
+  std::vector<char> keep_;
+  std::vector<std::uint32_t> cols_;
+  std::vector<std::uint32_t> kept_index_;
   Assignment result_;
   std::size_t warm_cols_ = 0;  // column count the stored v_ is valid for
 };

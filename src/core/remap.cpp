@@ -7,10 +7,15 @@
 
 #include "assign/hungarian.h"
 #include "core/sam.h"
+#include "obs/metrics.h"
 
 namespace nocmap {
 
 namespace {
+
+// The budgeted penalty search (docs/metrics-schema.md).
+const obs::Counter c_penalty_searches("remap.penalty_searches");
+const obs::Counter c_penalty_probes("remap.penalty_probes");
 
 /// Stage 2 of the migration-aware remap: within each application, assign
 /// threads onto the fresh tile sets with the migration penalty λ folded into
@@ -88,25 +93,48 @@ std::size_t count_forced_moves(const ObmProblem& problem,
 
 }  // namespace
 
-double smallest_fitting_penalty(const std::function<bool(double)>& fits) {
-  // Exponential search for a fitting penalty, then bisection down to the
-  // smallest one, so the caller pays no more quality than it must.
+double smallest_fitting_penalty(
+    const PenaltyLine& at_zero,
+    const std::function<PenaltyProbe(double)>& probe) {
+  c_penalty_searches.add();
+  const auto run = [&](double lambda) {
+    c_penalty_probes.add();
+    return probe(lambda);
+  };
+  // `below` is optimal at lo and does not fit; `above` is optimal at hi and
+  // fits.
+  PenaltyLine below = at_zero;
   double lo = 0.0;
   double hi = 1.0;
-  while (!fits(hi)) {
+  PenaltyProbe above = run(hi);
+  while (!above.fits) {
+    below = above.line;
     lo = hi;
     hi *= 16.0;
     if (hi > 1e30) return std::numeric_limits<double>::infinity();
+    above = run(hi);
   }
-  for (int iter = 0; iter < 24; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    if (fits(mid)) {
-      hi = mid;
+  while (below.weight > above.line.weight) {
+    const double cross = (above.line.cost - below.cost) /
+                         (below.weight - above.line.weight);
+    // A crossing at an end of [lo, hi] leaves the two lines tied there:
+    // that end is the breakpoint, and a probe there could only return
+    // another tied solution.
+    if (!(lo < cross && cross < hi)) return cross <= lo ? lo : hi;
+    const PenaltyProbe mid = run(cross);
+    if (!(mid.line.weight < below.weight &&
+          mid.line.weight > above.line.weight)) {
+      return cross;
+    }
+    if (mid.fits) {
+      above = mid;
+      hi = cross;
     } else {
-      lo = mid;
+      below = mid.line;
+      lo = cross;
     }
   }
-  return hi;
+  return hi;  // parallel lines: `above` is optimal over all of [lo, hi]
 }
 
 std::size_t count_migrations(std::span<const ThreadProfile> threads,
@@ -159,17 +187,23 @@ BudgetedRemapResult remap_budgeted(const ObmProblem& problem,
     out.remap = finish_remap(problem, old_mapping, old_mapping);
     return out;
   }
+  const auto line = [&](const Mapping& mapping) {
+    return penalty_line(problem.workload().threads(), mapping.thread_to_tile,
+                        problem.model(), old_mapping.thread_to_tile);
+  };
   Mapping best = assign_within_tile_sets(problem, fresh, old_mapping, 0.0);
   if (moves(best) > max_moved_threads) {
     // The forced moves fit, so the search succeeds (λ → ∞ moves only
     // those) unless the penalty overflows its search range.
-    const double penalty = smallest_fitting_penalty([&](double lambda) {
-      Mapping sticky =
-          assign_within_tile_sets(problem, fresh, old_mapping, lambda);
-      if (moves(sticky) > max_moved_threads) return false;
-      best = std::move(sticky);
-      return true;
-    });
+    const double penalty =
+        smallest_fitting_penalty(line(best), [&](double lambda) {
+          Mapping sticky =
+              assign_within_tile_sets(problem, fresh, old_mapping, lambda);
+          const PenaltyProbe probe{line(sticky),
+                                   moves(sticky) <= max_moved_threads};
+          if (probe.fits) best = std::move(sticky);
+          return probe;
+        });
     if (std::isinf(penalty)) {
       best = old_mapping;
       out.reverted_to_old = true;

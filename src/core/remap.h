@@ -26,6 +26,7 @@
 #include <span>
 
 #include "core/metrics.h"
+#include "core/sam.h"
 #include "core/sss_mapper.h"
 
 namespace nocmap {
@@ -54,8 +55,9 @@ struct BudgetedRemapResult {
   /// Mapping/moved/report of the budget-respecting remap. The invariant is
   /// `remap.moved_threads <= max_moved_threads`, always.
   RemapResult remap;
-  /// The migration penalty λ (cycles) whose solution met the budget; 0 when
-  /// the unconstrained remap was already within budget.
+  /// The migration penalty λ (cycles) whose solution met the budget: the
+  /// exact envelope breakpoint of the search; 0 when the unconstrained remap
+  /// was already within budget, or when a fitting solution ties with it.
   double penalty_cycles = 0.0;
   /// True when even maximal stickiness could not meet the budget (the fresh
   /// tile sets force more moves than allowed) and the old mapping was kept
@@ -72,9 +74,9 @@ struct BudgetedRemapResult {
 ///      the budget, the old mapping is returned unchanged (an identity
 ///      remap, `reverted_to_old` set) without solving an assignment.
 ///   2. Solve the unconstrained remap (λ = 0); done if within budget.
-///   3. Otherwise search (smallest_fitting_penalty) the migration penalty λ
-///      down to the smallest value whose sticky solution fits the budget,
-///      so quality degrades no more than the budget demands.
+///   3. Otherwise search (smallest_fitting_penalty) for the smallest
+///      migration penalty λ whose sticky solution fits the budget, so
+///      quality degrades no more than the budget demands.
 ///
 /// A budget of 0 therefore always produces an identity remap; a budget of
 /// SIZE_MAX (or >= the real-thread count) reproduces remap_balanced(λ=0)
@@ -85,13 +87,34 @@ BudgetedRemapResult remap_budgeted(const ObmProblem& problem,
                                    std::size_t max_moved_threads,
                                    const SssOptions& sss_options = {});
 
-/// Smallest migration penalty λ (cycles) for which `fits(λ)` holds: probes
-/// λ = 1, 16, 256, … until one fits, then bisects 24 times between the last
-/// probe that did not fit and the first that did. Returns the last fitting
-/// probe, so a `fits` that keeps the solution of each fitting call ends up
-/// holding the returned λ's solution. Returns +∞ when no probe up to 1e30
-/// fits. Callers check λ = 0 themselves before searching.
-double smallest_fitting_penalty(const std::function<bool(double)>& fits);
+/// One probe of the penalty search: the line (core/sam.h's penalty_line)
+/// of the sticky solution optimal at the probed λ, and whether that
+/// solution meets the migration budget.
+struct PenaltyProbe {
+  PenaltyLine line;
+  bool fits = false;
+};
+
+/// Smallest migration penalty λ (cycles) whose sticky solution fits the
+/// budget. The optimum over λ is the concave, piecewise-linear lower
+/// envelope of the solutions' lines, so the search walks its breakpoints:
+///
+///   1. Probe λ = 1, 16, 256, … until a solution fits; +∞ past 1e30.
+///   2. Between the last line that did not fit (`at_zero`, the caller's
+///      λ = 0 solution, before any probe) and the first that did, probe
+///      where the two lines cross. A solution whose weight lies strictly
+///      between theirs is a new envelope line and replaces the one on its
+///      side; otherwise the two are adjacent and the crossing is the exact
+///      breakpoint. A crossing at an end of the two lines' λ range is
+///      returned without a probe.
+///
+/// Each step of 2. narrows the weight range, so the walk ends after at
+/// most as many probes as there are distinct weights. A `probe` that keeps
+/// each fitting solution ends up holding one that is optimal at the
+/// returned λ.
+double smallest_fitting_penalty(
+    const PenaltyLine& at_zero,
+    const std::function<PenaltyProbe(double)>& probe);
 
 /// Migrations between two placements of `threads`: positive-rate threads
 /// whose tile changed, plus positive-rate threads with no old tile

@@ -25,13 +25,25 @@ struct SamResult {
   double apl = 0.0;
 };
 
+/// Eq. 13: the latency cost c·TC(k) + m·TM(k) of one thread on tile k.
+inline double sam_cost(const ThreadProfile& prof, const TileLatencyModel& model,
+                       TileId k) {
+  return prof.cache_rate * model.tc(k) + prof.memory_rate * model.tm(k);
+}
+
+/// The migration-penalty rule: thread t pays the penalty on tile k when it
+/// has an old tile (t < old_tiles.size()) and k is not that tile.
+inline bool off_old_tile(std::span<const TileId> old_tiles, std::size_t t,
+                         TileId k) {
+  return t < old_tiles.size() && old_tiles[t] != k;
+}
+
 /// Eq. 13 from thread profiles, for every caller that has no cache
 /// (core/remap.h and the online service): fills
 /// `cost` row-major with cost[t·|tiles| + k] = c_t·TC(tiles[k]) +
 /// m_t·TM(tiles[k]), plus the migration penalty λ·(c_t + m_t) wherever
-/// thread t has an old tile (t < old_tiles.size()) other than tiles[k], and
-/// returns a dense view of it. Inline because the online service builds one
-/// on every decision.
+/// thread t is off its old tile (off_old_tile), and returns a dense view of
+/// it. Inline because the online service builds one on every decision.
 inline CostView sam_cost_view(std::span<const ThreadProfile> threads,
                               std::span<const TileId> tiles,
                               const TileLatencyModel& model,
@@ -43,17 +55,40 @@ inline CostView sam_cost_view(std::span<const ThreadProfile> threads,
   cost.resize(rows * cols);
   for (std::size_t t = 0; t < rows; ++t) {
     const ThreadProfile& prof = threads[t];
-    const bool has_old = t < old_tiles.size();
     for (std::size_t k = 0; k < cols; ++k) {
-      double c = prof.cache_rate * model.tc(tiles[k]) +
-                 prof.memory_rate * model.tm(tiles[k]);
-      if (has_old && old_tiles[t] != tiles[k]) {
+      double c = sam_cost(prof, model, tiles[k]);
+      if (off_old_tile(old_tiles, t, tiles[k])) {
         c += penalty_cycles * prof.total_rate();
       }
       cost[t * cols + k] = c;
     }
   }
   return CostView(cost.data(), rows, cols, cols);
+}
+
+/// A placement's price under sam_cost_view's matrix as a line in the
+/// penalty λ: cost + λ·weight, where `cost` is its eq.-13 latency cost and
+/// `weight` its migration weight, the summed rates of the threads off their
+/// old tile. The optimum over placements is the lower envelope of these
+/// lines, which core/remap.h's penalty search walks.
+struct PenaltyLine {
+  double cost = 0.0;
+  double weight = 0.0;
+};
+
+/// The PenaltyLine of `placed` (placed[t] is thread t's tile).
+inline PenaltyLine penalty_line(std::span<const ThreadProfile> threads,
+                                std::span<const TileId> placed,
+                                const TileLatencyModel& model,
+                                std::span<const TileId> old_tiles) {
+  PenaltyLine line;
+  for (std::size_t t = 0; t < threads.size(); ++t) {
+    line.cost += sam_cost(threads[t], model, placed[t]);
+    if (off_old_tile(old_tiles, t, placed[t])) {
+      line.weight += threads[t].total_rate();
+    }
+  }
+  return line;
 }
 
 /// Optimally assigns the contiguous global thread range

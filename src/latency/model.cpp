@@ -9,10 +9,16 @@ namespace nocmap {
 
 namespace {
 
+/// Largest accepted td_q / td_s. Eq. 2 sums a delay per hop and eq. 13
+/// weighs the sums by rates, so a delay near the double range overflows to
+/// +inf far from this check; 10^9 cycles is also the sweep spec's count
+/// bound.
+constexpr double kMaxDelayCycles = 1e9;
+
 /// td_q and td_s come from outside the program (nocmap_cli's --td_q/--td_s).
 void require_delay(double cycles, const char* name) {
-  NOCMAP_REQUIRE(std::isfinite(cycles) && cycles >= 0.0,
-                 std::string(name) + " must be finite and >= 0 cycles");
+  NOCMAP_REQUIRE(cycles >= 0.0 && cycles <= kMaxDelayCycles,
+                 std::string(name) + " must be in [0, 1e9] cycles");
 }
 
 }  // namespace

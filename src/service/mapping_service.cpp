@@ -107,7 +107,7 @@ void MappingService::refresh_apl(Resident& r) const {
   for (std::size_t t = 0; t < r.app.num_threads(); ++t) {
     const ThreadProfile& prof = r.app.threads[t];
     const TileId k = r.tiles[t];
-    r.weighted += prof.cache_rate * chip_.tc(k) + prof.memory_rate * chip_.tm(k);
+    r.weighted += sam_cost(prof, chip_, k);
     r.volume += prof.total_rate();
   }
 }
@@ -145,16 +145,21 @@ std::vector<TileId> MappingService::budgeted_assign(
   *moved_out = count_migrations(app.threads, old_tiles, best);
   if (*moved_out <= budget) return best;
   if (budget > 0) {
-    const double penalty = smallest_fitting_penalty([&](double lambda) {
-      std::vector<TileId> sticky =
-          penalized_assign(app, tiles, old_tiles, lambda);
-      const std::size_t moved =
-          count_migrations(app.threads, old_tiles, sticky);
-      if (moved > budget) return false;
-      best = std::move(sticky);
-      *moved_out = moved;
-      return true;
-    });
+    const double penalty = smallest_fitting_penalty(
+        penalty_line(app.threads, best, chip_, old_tiles), [&](double lambda) {
+          std::vector<TileId> sticky =
+              penalized_assign(app, tiles, old_tiles, lambda);
+          const std::size_t moved =
+              count_migrations(app.threads, old_tiles, sticky);
+          const PenaltyProbe probe{
+              penalty_line(app.threads, sticky, chip_, old_tiles),
+              moved <= budget};
+          if (probe.fits) {
+            best = std::move(sticky);
+            *moved_out = moved;
+          }
+          return probe;
+        });
     if (std::isfinite(penalty)) return best;
   }
   // `old_tiles` covers the same tile set (the caller's contract), so

@@ -33,9 +33,12 @@
 //    suppressed until the resident set changes again.
 //
 // Cost matrices come from core/sam.h's sam_cost_view, and an over-budget
-// phase change runs remap_budgeted's λ search (smallest_fitting_penalty).
-// One always-warm AssignmentWorkspace is carried across *all* events, so
-// the kernel's column potentials persist between decisions.
+// phase change runs remap_budgeted's λ search (smallest_fitting_penalty, a
+// walk over the breakpoints of the penalized cost, each priced by
+// core/sam.h's penalty_line). One always-warm AssignmentWorkspace is
+// carried across *all* events, so the kernel's column potentials persist
+// between decisions; the rectangular relaxed-bound solves run cold and
+// prune the columns no optimal matching can use (assign/hungarian.h).
 //
 // Determinism: decisions are a pure function of (chip, config, event
 // sequence). The only parallel component is the fallback's SSS solve,

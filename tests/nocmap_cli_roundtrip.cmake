@@ -1,8 +1,8 @@
 # Drives nocmap_cli through both of its CSV formats: write a sample
 # workload, map it and save the mapping, then evaluate the saved mapping.
 # Every step must exit 0, and the last two must print the same max-APL line.
-# A negative latency-model override must be refused: exit 1 with an error
-# that names the parameter.
+# A negative latency-model override, and one so large that the model's sums
+# overflow, must be refused: exit 1 with an error that names the parameter.
 #
 #   cmake -DCLI=<nocmap_cli> -DDIR=<scratch dir> -P nocmap_cli_roundtrip.cmake
 cmake_minimum_required(VERSION 3.16)
@@ -25,12 +25,14 @@ run_cli(ignored --sample ${workload})
 run_cli(solved ${workload} --output ${mapping})
 run_cli(loaded ${workload} --mapping ${mapping})
 
-execute_process(COMMAND ${CLI} ${workload} --td_q -5
-  OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
-if(NOT rc EQUAL 1 OR NOT err MATCHES "td_q")
-  message(FATAL_ERROR "nocmap_cli --td_q -5 exited with ${rc} instead of "
-                      "refusing it:\n${out}${err}")
-endif()
+foreach(bad -5 1e308)
+  execute_process(COMMAND ${CLI} ${workload} --td_q ${bad}
+    OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 1 OR NOT err MATCHES "td_q")
+    message(FATAL_ERROR "nocmap_cli --td_q ${bad} exited with ${rc} instead "
+                        "of refusing it:\n${out}${err}")
+  endif()
+endforeach()
 
 string(REGEX MATCH "max-APL [^\n]*" solved_line "${solved}")
 string(REGEX MATCH "max-APL [^\n]*" loaded_line "${loaded}")

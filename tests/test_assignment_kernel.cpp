@@ -2,7 +2,7 @@
 // indexing, workspace solves vs. the brute-force reference on adversarial
 // cost families, warm-start == cold-start assignment identity, rectangular
 // solves, the ThreadCostCache prefix-sum / lazy-view plumbing, and parity
-// pins of four solves the mappers run.
+// pins of solves the mappers and the online service run.
 #include "assign/hungarian.h"
 
 #include <gtest/gtest.h>
@@ -193,13 +193,40 @@ TEST(Workspace, SolveAfterASolveRunsCold) {
 // solve square.
 class RectangularProperty : public ::testing::TestWithParam<int> {};
 
-TEST_P(RectangularProperty, MatchesZeroPaddedSquare) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 613 + 3);
-  const std::size_t rows = 2 + GetParam() % 3;  // 2..4
-  const std::size_t cols = rows + 1 + GetParam() % 4;
+/// Copies cols/2 random columns of the row-major rows×cols `table` onto
+/// random others, so whole columns tie exactly (the tie at a row's pruning
+/// threshold).
+void copy_random_columns(std::vector<double>& table, std::size_t rows,
+                         std::size_t cols, Rng& rng) {
+  const auto pick = [&] {
+    return rng.uniform_u32(static_cast<std::uint32_t>(cols));
+  };
+  for (std::size_t dup = 0; dup < cols / 2; ++dup) {
+    const std::size_t src = pick();
+    const std::size_t dst = pick();
+    for (std::size_t r = 0; r < rows; ++r) {
+      table[r * cols + dst] = table[r * cols + src];
+    }
+  }
+}
 
+/// A rows×cols table whose odd parameters have copied columns and whose
+/// parameters ≡ 0 mod 3 are one column wider than tall.
+std::vector<double> rectangular_table(int param, std::size_t& rows,
+                                      std::size_t& cols) {
+  Rng rng(static_cast<std::uint64_t>(param) * 613 + 3);
+  rows = 2 + param % 4;  // 2..5
+  cols = param % 3 == 0 ? rows + 1 : rows + 2 + param % 4;
   std::vector<double> table(rows * cols);
   for (double& x : table) x = rng.uniform(0.0, 10.0);
+  if (param % 2 == 1) copy_random_columns(table, rows, cols, rng);
+  return table;
+}
+
+TEST_P(RectangularProperty, MatchesZeroPaddedSquare) {
+  std::size_t rows = 0;
+  std::size_t cols = 0;
+  const std::vector<double> table = rectangular_table(GetParam(), rows, cols);
 
   AssignmentWorkspace ws;
   const Assignment rect =
@@ -217,7 +244,7 @@ TEST_P(RectangularProperty, MatchesZeroPaddedSquare) {
   EXPECT_NEAR(rect.total_cost, reference.total_cost, 1e-9);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, RectangularProperty, ::testing::Range(0, 12));
+INSTANTIATE_TEST_SUITE_P(Seeds, RectangularProperty, ::testing::Range(0, 24));
 
 TEST(Workspace, ReusableAcrossChangingSizes) {
   Rng rng(5);
@@ -420,6 +447,65 @@ TEST(KernelPins, RectangularApplicationOverTheWholeChip) {
       ws.solve(CostView(cache.row(lo), 16, 64, cache.row_stride()));
   expect_pin(pin(rect, before), "0x77d0a2d29c0d3c45",
              "0x1.cb77fc0e32944p+10", 120);
+}
+
+TEST(KernelPins, ServiceBoundRouteOverTheWholeChip) {
+  // The relaxed per-application bound as the online service solves it:
+  // eq. 13 from thread profiles over all 64 tiles of the 8x8 chip, whose
+  // mirror-symmetric tiles tie exactly, in one workspace for every bound.
+  const TileLatencyModel model(Mesh::square(8), LatencyParams{});
+  std::vector<TileId> tiles(64);
+  std::iota(tiles.begin(), tiles.end(), TileId{0});
+  struct Case {
+    std::size_t threads;
+    const char* digest;
+    const char* total_cost;
+    std::uint64_t path_steps;
+  };
+  const Case cases[] = {
+      {2, "0xc1371a674032e98c", "0x1.d979b3e900d3p+7", 2},
+      {9, "0x04ae7df33f56f50c", "0x1.c91779fb80133p+9", 21},
+      {16, "0xe0c86b046562b171", "0x1.07d0c8e034b51p+11", 67}};
+  Rng rng(17);
+  std::vector<double> cost;
+  AssignmentWorkspace ws;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.threads);
+    std::vector<ThreadProfile> threads(c.threads);
+    for (ThreadProfile& t : threads) {
+      t = {rng.uniform(0.1, 10.0), rng.uniform(0.0, 2.0)};
+    }
+    const std::uint64_t before = path_steps_so_far();
+    const Assignment& bound =
+        ws.solve_warm(sam_cost_view(threads, tiles, model, cost));
+    expect_pin(pin(bound, before), c.digest, c.total_cost, c.path_steps);
+  }
+}
+
+TEST(KernelPins, RectangularTiesAcrossShapes) {
+  // 300 small rectangular instances, 1-6 rows by up to 8 spare columns,
+  // with costs from a four-value set or with columns copied onto others:
+  // every exact tie of the rectangular path folded into one pin.
+  Rng rng(29);
+  AssignmentWorkspace ws;
+  Assignment all;
+  const std::uint64_t before = path_steps_so_far();
+  for (int instance = 0; instance < 300; ++instance) {
+    const std::size_t rows = 1 + rng.uniform_u32(6);
+    const std::size_t cols = rows + 1 + rng.uniform_u32(8);
+    std::vector<double> table(rows * cols);
+    const bool few_values = instance % 2 == 0;
+    for (double& x : table) {
+      x = few_values ? 1.5 * rng.uniform_u32(4) : rng.uniform(0.0, 10.0);
+    }
+    if (!few_values) copy_random_columns(table, rows, cols, rng);
+    const Assignment& a = ws.solve(CostView(table.data(), rows, cols, cols));
+    all.row_to_col.insert(all.row_to_col.end(), a.row_to_col.begin(),
+                          a.row_to_col.end());
+    all.total_cost += a.total_cost;
+  }
+  expect_pin(pin(all, before), "0xb2c6b0b117b81f2a", "0x1.f4116fe20ac0fp+9",
+             1490);
 }
 
 TEST(KernelPins, GatheredSamView) {

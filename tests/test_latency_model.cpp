@@ -19,8 +19,9 @@ TEST(LatencyParams, PerHop) {
 }
 
 // td_q and td_s come from outside (nocmap_cli's --td_q/--td_s): a negative
-// or non-finite delay is refused, naming the parameter; 0 stays legal (the
-// Fig.-5 anchors use td_q = 0).
+// or non-finite delay, or one above 10^9 cycles that would overflow the
+// model's sums, is refused, naming the parameter; 0 stays legal (the Fig.-5
+// anchors use td_q = 0), and so does 10^9.
 TEST(TileLatencyModel, RejectsNegativeOrNonFiniteDelays) {
   const Mesh mesh = Mesh::square(4);
   auto error_of = [&](const LatencyParams& p) -> std::string {
@@ -32,7 +33,8 @@ TEST(TileLatencyModel, RejectsNegativeOrNonFiniteDelays) {
     return "";
   };
   for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
-                           std::numeric_limits<double>::infinity()}) {
+                           std::numeric_limits<double>::infinity(), 1e300,
+                           1e308}) {
     SCOPED_TRACE(bad);
     EXPECT_NE(error_of({.td_q = bad, .td_s = 1.0}).find("td_q"),
               std::string::npos);
@@ -40,6 +42,7 @@ TEST(TileLatencyModel, RejectsNegativeOrNonFiniteDelays) {
               std::string::npos);
   }
   EXPECT_EQ(error_of({.td_q = 0.0, .td_s = 0.0}), "");
+  EXPECT_EQ(error_of({.td_q = 1e9, .td_s = 1e9}), "");
 }
 
 TEST(TileLatencyModel, TcFormulaOn4x4) {

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "workload/synthesis.h"
 
 namespace nocmap {
@@ -32,34 +35,105 @@ TEST(CountMoved, Basics) {
   EXPECT_EQ(count_migrations(padded, shorter, a), 2u);
 }
 
-TEST(PenaltySearch, FindsTheSmallestFittingProbe) {
-  // Fits from λ = 20 up: 1 and 16 fail, 256 fits, and 24 bisections of
-  // [16, 256] close in on 20 from above.
+/// A toy penalty probe over explicit solutions: at each λ it returns the
+/// line minimizing cost + λ·weight (the first one on a tie), records λ, and
+/// keeps the last fitting solution, as the search's callers do.
+struct ToyEnvelope {
+  struct Solution {
+    PenaltyLine line;
+    bool fits = false;
+  };
+  explicit ToyEnvelope(std::vector<Solution> all) : solutions(std::move(all)) {}
+
+  std::vector<Solution> solutions;
   std::vector<double> probes;
-  const double lambda = smallest_fitting_penalty([&](double penalty) {
-    probes.push_back(penalty);
-    return penalty >= 20.0;
-  });
-  ASSERT_EQ(probes.size(), 3u + 24u);
-  EXPECT_EQ(probes[0], 1.0);
-  EXPECT_EQ(probes[1], 16.0);
-  EXPECT_EQ(probes[2], 256.0);
-  EXPECT_GE(lambda, 20.0);
-  EXPECT_LT(lambda, 20.0 + 240.0 / (1 << 24));
-  // The returned λ is the last probe that fitted.
-  for (std::size_t i = probes.size(); i-- > 0;) {
-    if (probes[i] >= 20.0) {
-      EXPECT_EQ(probes[i], lambda);
-      break;
+  std::size_t kept = SIZE_MAX;
+
+  PenaltyProbe operator()(double lambda) {
+    probes.push_back(lambda);
+    std::size_t best = 0;
+    for (std::size_t s = 1; s < solutions.size(); ++s) {
+      const PenaltyLine& a = solutions[s].line;
+      const PenaltyLine& b = solutions[best].line;
+      if (a.cost + lambda * a.weight < b.cost + lambda * b.weight) best = s;
     }
+    if (solutions[best].fits) kept = best;
+    return {solutions[best].line, solutions[best].fits};
   }
+};
+
+std::uint64_t counter(const char* name) {
+  for (const obs::MetricRow& row : obs::snapshot()) {
+    if (row.name == name) return row.count;
+  }
+  return 0;
+}
+
+TEST(PenaltySearch, WalksTheEnvelopeToTheExactBreakpoint) {
+  // (C, W) = (0, 10) and (5, 6) move too much; (12, 3) and (30, 0) fit.
+  // λ = 1 still picks (0, 10), 16 picks (30, 0); their lines cross at 3,
+  // where (12, 3) fits; (0, 10) and (12, 3) cross at 12/7, where (5, 6)
+  // does not; (5, 6) and (12, 3) cross at 7/3, where they tie: adjacent.
+  ToyEnvelope toy({{{0, 10}, false},
+                   {{5, 6}, false},
+                   {{12, 3}, true},
+                   {{30, 0}, true}});
+  const std::uint64_t searches = counter("remap.penalty_searches");
+  const std::uint64_t probes = counter("remap.penalty_probes");
+  const double lambda = smallest_fitting_penalty(
+      toy.solutions[0].line, [&](double l) { return toy(l); });
+  EXPECT_EQ(toy.probes,
+            (std::vector<double>{1.0, 16.0, 3.0, 12.0 / 7.0, 7.0 / 3.0}));
+  EXPECT_EQ(lambda, 7.0 / 3.0);
+  EXPECT_EQ(toy.kept, 2u);
+  if (obs::compiled_in()) {
+    EXPECT_EQ(counter("remap.penalty_searches") - searches, 1u);
+    EXPECT_EQ(counter("remap.penalty_probes") - probes, 5u);
+  }
+}
+
+TEST(PenaltySearch, ParallelLinesEndTheWalk) {
+  // Two solutions with one line, only one of which fits: no crossing to
+  // probe, so the walk stops at the first fitting probe.
+  std::vector<double> probes;
+  const double lambda =
+      smallest_fitting_penalty({2.0, 4.0}, [&](double l) {
+        probes.push_back(l);
+        return PenaltyProbe{{2.0, 4.0}, l >= 16.0};
+      });
+  EXPECT_EQ(probes, (std::vector<double>{1.0, 16.0}));
+  EXPECT_EQ(lambda, 16.0);
+}
+
+TEST(PenaltySearch, TieAtTheCrossingTerminates) {
+  // (0, 10), (6, 5) and (12, 0) all cost 12 at λ = 6/5, where the first
+  // and last cross. The tie there returns (6, 5), which fits; it crosses
+  // (0, 10) at 6/5 again, the end of their range: the breakpoint.
+  ToyEnvelope toy({{{6, 5}, true}, {{0, 10}, false}, {{12, 0}, true}});
+  const double lambda = smallest_fitting_penalty(
+      toy.solutions[1].line, [&](double l) { return toy(l); });
+  EXPECT_EQ(toy.probes, (std::vector<double>{1.0, 16.0, 6.0 / 5.0}));
+  EXPECT_EQ(lambda, 6.0 / 5.0);
+  EXPECT_EQ(toy.kept, 0u);
+}
+
+TEST(PenaltySearch, CrossingAtTheBracketEndIsNotProbed) {
+  // (0, 10) and (10, 0) cross at λ = 1, where the first probe picked the
+  // one that does not fit: 1 is the breakpoint, and (10, 0), found at 16,
+  // is optimal there too.
+  ToyEnvelope toy({{{0, 10}, false}, {{10, 0}, true}});
+  const double lambda = smallest_fitting_penalty(
+      toy.solutions[0].line, [&](double l) { return toy(l); });
+  EXPECT_EQ(toy.probes, (std::vector<double>{1.0, 16.0}));
+  EXPECT_EQ(lambda, 1.0);
+  EXPECT_EQ(toy.kept, 1u);
 }
 
 TEST(PenaltySearch, ReturnsInfinityWhenNothingFits) {
   std::size_t calls = 0;
-  const double lambda = smallest_fitting_penalty([&](double) {
+  const double lambda = smallest_fitting_penalty({0.0, 1.0}, [&](double) {
     ++calls;
-    return false;
+    return PenaltyProbe{{0.0, 1.0}, false};
   });
   EXPECT_TRUE(std::isinf(lambda));
   // Probes 16^0 .. 16^24; 16^25 exceeds 1e30.
