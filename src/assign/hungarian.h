@@ -18,10 +18,9 @@
 //    straight out of any row-major table (e.g. the memoized ThreadCostCache)
 //    through an optional column gather, so no per-call matrix is ever
 //    materialized. `solve_warm` additionally carries the column potentials
-//    from the previous solve: on the repeated near-identical instances
-//    produced by the SSS passes and the bound evaluations, augmenting paths
-//    then terminate almost immediately and the solve drops from O(n³)
-//    toward O(n²).
+//    from the previous solve, which can shorten the augmenting paths only
+//    when consecutive solves list their columns in the same order (SSS's
+//    stage-4 repair does not, and gains little; DESIGN.md §8).
 //
 // Each shortest-path step of a row insertion is one pass over an ascending
 // list of the columns the row's search has not reached: it applies the

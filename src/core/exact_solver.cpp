@@ -34,8 +34,8 @@ struct SearchState {
   // yet-assigned thread of the app took its global cheapest tile.
   std::vector<std::vector<double>> optimistic_tail;
 
-  // Problem-wide lower bound (volume + per-app relaxations, warm-started
-  // assignment solves): once the incumbent reaches it, every subtree prunes
+  // Problem-wide lower bound (volume + per-app assignment relaxations, each
+  // a cold solve): once the incumbent reaches it, every subtree prunes
   // at its first node and the search ends immediately.
   double global_lb = 0.0;
 
@@ -139,7 +139,7 @@ ExactResult solve_obm_exact(const ObmProblem& problem,
         cache.row(j)[st.tile_order[j][0]];
   }
 
-  // Problem-wide bound from the warm-started assignment relaxations.
+  // Problem-wide bound from the per-application assignment relaxations.
   {
     AssignmentWorkspace ws;
     st.global_lb = max_apl_lower_bound(problem, cache, ws);

@@ -41,38 +41,29 @@ std::size_t parse_thread_count(const char* text) {
   }
 }
 
-ParallelTrialRunner::ParallelTrialRunner(const ParallelConfig& config)
-    : threads_(config.resolved_threads()) {
-  if (threads_ > 1) team_ = std::make_unique<CycleWorkerTeam>(threads_);
-}
-
-ParallelTrialRunner::~ParallelTrialRunner() = default;
-
 void ParallelTrialRunner::for_each(
     std::size_t count, const std::function<void(std::size_t)>& body) {
   // A throwing unit must not stop its worker from draining the batch, so
   // errors are caught per unit and the first one is rethrown at the end.
   std::mutex error_mutex;
   std::exception_ptr first_error;
-  const auto run_unit = [&](std::size_t i) {
-    try {
-      body(i);
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(error_mutex);
-      if (!first_error) first_error = std::current_exception();
+  std::atomic<std::size_t> next{0};
+  auto drain = [&](std::size_t /*worker*/) {
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+         i < count; i = next.fetch_add(1, std::memory_order_relaxed)) {
+      try {
+        body(i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mutex);
+        if (!first_error) first_error = std::current_exception();
+      }
     }
   };
 
-  if (team_ == nullptr || count < 2) {
-    for (std::size_t i = 0; i < count; ++i) run_unit(i);
+  if (count < 2) {
+    drain(0);
   } else {
-    std::atomic<std::size_t> next{0};
-    team_->run([&](std::size_t /*worker*/) {
-      for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-           i < count; i = next.fetch_add(1, std::memory_order_relaxed)) {
-        run_unit(i);
-      }
-    });
+    team_.run(drain);
   }
   if (first_error) std::rethrow_exception(first_error);
 }

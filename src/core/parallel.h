@@ -18,7 +18,9 @@
 // ParallelConfig is the knob threaded through every mapper's options and the
 // bench layer; ParallelTrialRunner is the execution engine the mappers, the
 // benches' scenario fan-outs and the sweep runner share. It runs on the same
-// CycleWorkerTeam (util/cycle_barrier.h) that steps the partitioned netsim.
+// CycleWorkerTeam (util/cycle_barrier.h) that steps the partitioned netsim,
+// at every width: one worker is a one-worker team, which spawns no thread,
+// so a one-worker run takes the multi-worker code path.
 //
 // Threads start only on request: a default ParallelConfig is one worker, so
 // every default-constructed mapper and service runs inline. A program reads
@@ -28,7 +30,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <span>
 #include <string_view>
 
@@ -37,8 +38,8 @@
 namespace nocmap {
 
 /// Parallelism policy for a mapper: a worker count. Every algorithm follows
-/// its canonical serial protocol at any count, so the mapping is
-/// bit-identical to the 1-thread run.
+/// its canonical protocol at any count, so the mapping is bit-identical to
+/// the 1-thread run.
 struct ParallelConfig {
   /// Worker count: 1 (the default) runs everything inline on the calling
   /// thread, 0 means std::thread::hardware_concurrency().
@@ -68,31 +69,27 @@ std::size_t parse_worker_count(std::string_view text, std::string_view what);
 /// (all hardware threads), never a wrapped or partly parsed count.
 std::size_t parse_thread_count(const char* text);
 
-/// Runs batches of independent work units for a mapper, inline when the
-/// config resolves to one thread and on an owned CycleWorkerTeam otherwise:
-/// every worker, the caller included, takes unit indices from one shared
-/// counter until the batch is drained. The unit body must be pure up to its
-/// own result slot (discipline above); under that contract for_each is
-/// deterministic by construction.
+/// Runs batches of independent work units for a mapper on an owned
+/// CycleWorkerTeam of the config's width: every worker, the caller
+/// included, takes unit indices from one shared counter until the batch is
+/// drained (a one-worker team is the caller alone, so it runs inline). The
+/// unit body must be pure up to its own result slot (discipline above);
+/// under that contract for_each is deterministic by construction.
 ///
 /// Not re-entrant: no runner may be shared across threads, and no unit may
 /// call back into the runner that is running it (CycleWorkerTeam::run is
 /// not re-entrant). A unit may build and use a runner of its own.
 class ParallelTrialRunner {
  public:
-  explicit ParallelTrialRunner(const ParallelConfig& config);
-  ~ParallelTrialRunner();
+  explicit ParallelTrialRunner(const ParallelConfig& config)
+      : team_(config.resolved_threads()) {}
 
-  ParallelTrialRunner(const ParallelTrialRunner&) = delete;
-  ParallelTrialRunner& operator=(const ParallelTrialRunner&) = delete;
-
-  std::size_t num_threads() const { return threads_; }
-  bool parallel() const { return team_ != nullptr; }
+  std::size_t num_threads() const { return team_.size(); }
 
   /// Runs body(i) once for each i in [0, count) and blocks until all
-  /// complete. Batches of fewer than two units run inline even on a
-  /// parallel runner: there is nothing to overlap, and the result is
-  /// identical either way. Units in this codebase are chunky (trial shards,
+  /// complete. Batches of fewer than two units run on the caller at any
+  /// width: there is nothing to overlap, and the result is identical
+  /// either way. Units in this codebase are chunky (trial shards,
   /// SA chains, Hungarian solves, window rounds), so any batch of two or
   /// more is worth dispatching. If units throw, every other unit still
   /// runs, and the first exception caught is rethrown on the caller once
@@ -117,8 +114,7 @@ class ParallelTrialRunner {
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
  private:
-  std::size_t threads_ = 1;
-  std::unique_ptr<CycleWorkerTeam> team_;  // null on the serial path
+  CycleWorkerTeam team_;
 };
 
 }  // namespace nocmap

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -57,7 +58,7 @@ struct Window {
 };
 
 /// The canonical stage-3 window order — step size ascending, start position
-/// ascending — exactly the order the serial greedy sweep visits them in.
+/// ascending — the order the greedy sweep commits in.
 std::vector<Window> window_schedule(std::size_t n, std::size_t w,
                                     std::size_t max_step) {
   std::vector<Window> windows;
@@ -86,6 +87,10 @@ struct WindowScratch {
   std::vector<double> scores;
   std::size_t num_candidates;  // w! - 1
   std::uint64_t skipped = 0;   // windows can_improve() ruled out
+  // The last round's slice scan: windows scored, and whether the last of
+  // them improved (window_threads and best_tiles then describe it).
+  std::size_t scored = 0;
+  bool hit = false;
 
   explicit WindowScratch(std::size_t w)
       : perm_idx(w), window_tiles(w), window_threads(w), best_tiles(w) {
@@ -114,8 +119,8 @@ struct WindowScratch {
 /// is enumerated: every candidate would score >= the baseline, so the
 /// strict-< test could not fire and the outcome is the same.
 ///
-/// Because evaluation is read-only, the parallel speculation workers all
-/// score windows through the one shared evaluator.
+/// Because evaluation is read-only, the sweep's workers all score windows
+/// through the one shared evaluator.
 bool evaluate_window(const MappingEvaluator& eval,
                      std::span<const TileId> sorted, const Window& win,
                      WindowScratch& s) {
@@ -162,116 +167,84 @@ bool evaluate_window(const MappingEvaluator& eval,
   return improved;
 }
 
-/// The canonical serial sweep: evaluate each window in order, greedily
-/// committing improvements.
-void sweep_windows_serial(MappingEvaluator& eval,
-                          std::span<const TileId> sorted,
-                          std::span<const Window> windows, std::size_t w) {
-  WindowScratch s(w);
-  std::uint64_t committed = 0;
-  for (const Window& win : windows) {
-    if (evaluate_window(eval, sorted, win, s)) {
-      eval.apply_group(s.window_threads, s.best_tiles);
-      ++committed;
-    }
-  }
-  c_windows_evaluated.add(windows.size());
-  c_windows_skipped.add(s.skipped);
-  c_windows_committed.add(committed);
-}
-
-/// Speculative parallel sweep (speculate-then-commit rounds).
+/// Stage 3's greedy sweep in slice-and-stop rounds. Each round splits the
+/// next `round` windows into one contiguous slice per worker, and each
+/// worker scores its slice in canonical order through the one shared,
+/// frozen evaluator until its first improving window. Every window before
+/// the lowest slice's hit saw the current state and found nothing, so that
+/// hit is exactly the window a one-at-a-time greedy sweep commits next: its
+/// permutation is committed verbatim and the next round starts right after
+/// it. Hits in higher slices saw the pre-commit state and are discarded. By
+/// induction the committed sequence, and so the mapping, is the same at any
+/// worker count; one worker has one slice and scores every window once.
 ///
-/// Each round speculatively evaluates a block of upcoming windows in
-/// parallel against the current evaluator state, then walks the results in
-/// canonical order. Windows that found no improvement are exact — a serial
-/// sweep would have evaluated them against the same state and left it
-/// untouched. The first improving window is therefore also exact and its
-/// permutation is committed verbatim. The rest of the round is discarded
-/// (it was scored against the pre-commit state) and the next round starts
-/// after the commit, which replays the serial greedy protocol bit-exactly
-/// at any thread count.
-///
-/// The round size adapts: it shrinks to a couple of windows per worker
-/// while commits are frequent (early, step-1 windows) and doubles while
-/// rounds come back dry (the long converged tail), bounding the speculation
-/// wasted on stale rounds.
-void sweep_windows_parallel(MappingEvaluator& eval,
-                            std::span<const TileId> sorted,
-                            std::span<const Window> windows, std::size_t w,
-                            ParallelTrialRunner& runner) {
-  struct WindowResult {
-    bool improved = false;
-    std::vector<TileId> best_tiles;
-  };
-
-  const std::size_t threads = runner.num_threads();
-  const std::size_t min_round = threads * 4;
+/// The round size adapts: it shrinks to a few windows per worker while
+/// commits are frequent (early, step-1 windows) and doubles while rounds
+/// come back dry (the long converged tail), bounding the work discarded
+/// with higher slices.
+void sweep_windows(MappingEvaluator& eval, std::span<const TileId> sorted,
+                   std::span<const Window> windows, std::size_t w,
+                   ParallelTrialRunner& runner) {
+  const std::size_t workers = runner.num_threads();
+  const std::size_t min_round = workers * 4;
   const std::size_t max_round = std::max<std::size_t>(min_round, 2048);
-  std::vector<WindowResult> results(windows.size());
-  std::vector<std::size_t> window_threads(w);
-  // One enumeration scratch per task slot, reused across rounds: a round
-  // runs each task index on exactly one worker.
-  std::vector<WindowScratch> scratch(threads * 2, WindowScratch(w));
+  // One result slot per slice, reused across rounds: after a round, a
+  // slice whose scan hit holds that window's threads and permutation.
+  std::vector<WindowScratch> slices(workers, WindowScratch(w));
+
+  std::size_t pos = 0;
+  std::size_t end = 0;
+  std::size_t per_slice = 0;
+  const std::function<void(std::size_t)> scan = [&](std::size_t t) {
+    WindowScratch& s = slices[t];
+    const std::size_t lo = std::min(pos + t * per_slice, end);
+    const std::size_t hi = std::min(lo + per_slice, end);
+    s.hit = false;
+    s.scored = 0;
+    for (std::size_t i = lo; i < hi && !s.hit; ++i) {
+      s.hit = evaluate_window(eval, sorted, windows[i], s);
+      ++s.scored;
+    }
+  };
 
   std::uint64_t rounds = 0;
   std::uint64_t evaluated = 0;
-  std::uint64_t n_committed = 0;
+  std::uint64_t committed = 0;
   std::uint64_t stale = 0;
-
-  std::size_t pos = 0;
   std::size_t round = min_round;
   while (pos < windows.size()) {
-    const std::size_t end = std::min(pos + round, windows.size());
-    const std::size_t count = end - pos;
+    end = std::min(pos + round, windows.size());
+    per_slice = (end - pos + workers - 1) / workers;
     ++rounds;
-    evaluated += count;
+    runner.for_each(workers, scan);
 
-    // Fan out: window scoring is read-only (score_group_candidates never
-    // mutates the evaluator), so every task scores directly against the
-    // shared evaluator — frozen for the duration of the fan-out — and
-    // fills its result slots; only the enumeration scratch is per-task.
-    const std::size_t tasks = std::min(count, scratch.size());
-    const std::size_t per_task = (count + tasks - 1) / tasks;
-    runner.for_each(tasks, [&, pos, end, per_task](std::size_t t) {
-      const std::size_t lo = pos + t * per_task;
-      const std::size_t hi = std::min(lo + per_task, end);
-      if (lo >= hi) return;
-      WindowScratch& s = scratch[t];
-      for (std::size_t i = lo; i < hi; ++i) {
-        WindowResult& r = results[i];
-        r.improved = evaluate_window(eval, sorted, windows[i], s);
-        if (r.improved) r.best_tiles = s.best_tiles;
+    // Canonical commit: the lowest slice's hit; higher slices are stale.
+    const WindowScratch* hit = nullptr;
+    std::size_t next = end;
+    for (std::size_t t = 0; t < workers; ++t) {
+      const WindowScratch& s = slices[t];
+      evaluated += s.scored;
+      if (hit != nullptr) {
+        stale += s.scored;
+      } else if (s.hit) {
+        hit = &s;
+        next = pos + t * per_slice + s.scored;
       }
-    });
-
-    // Serial canonical commit walk: every window before the first improving
-    // one left the state untouched, so that speculation saw the exact serial
-    // state and commits verbatim; later speculations are stale.
-    std::size_t i = pos;
-    while (i < end && !results[i].improved) ++i;
-    const bool committed = i < end;
-    if (committed) {
-      const Window& win = windows[i];
-      for (std::size_t x = 0; x < w; ++x) {
-        window_threads[x] = eval.thread_on(sorted[win.start + x * win.step]);
-      }
-      eval.apply_group(window_threads, results[i].best_tiles);
-      ++n_committed;
-      stale += end - (i + 1);
-      pos = i + 1;
-    } else {
-      pos = end;
     }
-    round = committed ? min_round : std::min(round * 2, max_round);
+    if (hit != nullptr) {
+      eval.apply_group(hit->window_threads, hit->best_tiles);
+      ++committed;
+    }
+    pos = next;
+    round = hit != nullptr ? min_round : std::min(round * 2, max_round);
   }
 
   std::uint64_t skipped = 0;
-  for (const WindowScratch& s : scratch) skipped += s.skipped;
+  for (const WindowScratch& s : slices) skipped += s.skipped;
   c_rounds.add(rounds);
   c_windows_evaluated.add(evaluated);
   c_windows_skipped.add(skipped);
-  c_windows_committed.add(n_committed);
+  c_windows_committed.add(committed);
   c_stale_discarded.add(stale);
 }
 
@@ -295,7 +268,7 @@ Mapping SortSelectSwapMapper::map(const ObmProblem& problem) {
   // and stage-4 solves for application i always reuse sam_ws[i], so the
   // warm-start history (and therefore the selected optimum, even on tied
   // cost matrices) is identical no matter which worker runs the solve —
-  // which keeps the parallel mapping bit-identical to the serial one.
+  // which keeps the mapping bit-identical at every worker count.
   std::vector<AssignmentWorkspace> sam_ws(num_apps);
 
   // ---- Stage 1: sort tiles by cache APL.
@@ -353,20 +326,18 @@ Mapping SortSelectSwapMapper::map(const ObmProblem& problem) {
     const std::size_t max_step =
         options_.max_step > 0 ? options_.max_step
                               : std::max<std::size_t>(n / 4, 1);
-    const std::vector<Window> windows = window_schedule(n, w, max_step);
-    if (runner.parallel()) {
-      sweep_windows_parallel(eval, sorted, windows, w, runner);
-    } else {
-      sweep_windows_serial(eval, sorted, windows, w);
-    }
+    sweep_windows(eval, sorted, window_schedule(n, w, max_step), w, runner);
     mapping = eval.mapping();
   }
 
   // ---- Stage 4: final SAM repair inside each application — independent
   // per-application solves over disjoint mapping ranges, so they fan out.
-  // Warm-started from each application's stage-2 potentials: the window
-  // swaps only perturb a few tiles per application, so the stage-2 duals
-  // are near-optimal and the repair solve is close to O(n²).
+  // Each solve runs warm in its application's stage-2 workspace, but the
+  // column potentials it inherits are indexed in stage 2's select order
+  // while these columns are in thread order, so the start is barely better
+  // than cold (C1–C8: 3,874 path steps warm vs 4,193 cold at 8×8, 62,152 vs
+  // 62,196 at 16×16). It stays warm because a cold or re-aligned start
+  // breaks ties differently and so changes the mapping.
   if (options_.final_sam) {
     const obs::ScopedTimer sam_scope(t_final_sam);
     runner.for_each(num_apps, [&](std::size_t i) {

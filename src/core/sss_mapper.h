@@ -35,11 +35,12 @@ struct SssOptions {
   std::size_t window_size = 4;
   /// Largest window step; 0 means the paper's N/4.
   std::size_t max_step = 0;
-  /// Worker count (default: one, inline). Any count produces a mapping
-  /// bit-identical to the serial sweep: stage 2/4 SAM solves fan out per
-  /// application, and the stage-3 sweep speculatively scores window rounds
-  /// through the one shared const evaluator, committing in canonical serial
-  /// order (see DESIGN.md, "Parallelism & determinism").
+  /// Worker count (default: one, inline). Every count runs the same code
+  /// and produces the same mapping: stage 2/4 SAM solves fan out per
+  /// application, and each stage-3 round gives every worker a slice of the
+  /// upcoming windows, scored through the one shared const evaluator up to
+  /// the slice's first improving window, and commits the lowest slice's
+  /// hit (see DESIGN.md, "Parallelism & determinism").
   ParallelConfig parallel = {};
 };
 

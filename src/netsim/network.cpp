@@ -23,6 +23,13 @@ const Mesh& require_simulable(const Mesh& mesh) {
   return mesh;
 }
 
+/// Row bands the mesh splits into: min(workers, global rows), where global
+/// rows count layers*rows.
+std::size_t band_count(const Mesh& mesh, std::size_t sim_workers) {
+  return std::min<std::size_t>(ParallelConfig{sim_workers}.resolved_threads(),
+                               std::size_t{mesh.rows()} * mesh.layers());
+}
+
 }  // namespace
 
 Network::Domain::Domain(const Mesh& mesh, const NetworkConfig& config,
@@ -38,7 +45,8 @@ Network::Network(const Mesh& mesh, const NetworkConfig& config,
     : mesh_(&require_simulable(mesh)),
       config_(config),
       cols_(mesh.cols()),
-      layer_tiles_(static_cast<TileId>(mesh.tiles_per_layer())) {
+      layer_tiles_(static_cast<TileId>(mesh.tiles_per_layer())),
+      team_(band_count(mesh, sim_workers)) {
   NOCMAP_REQUIRE(
       config.routing != RoutingAlgo::kO1Turn || config.vcs_per_port >= 2,
       "O1TURN needs at least two VCs to partition between sub-routes");
@@ -48,16 +56,13 @@ Network::Network(const Mesh& mesh, const NetworkConfig& config,
     ni.credits.assign(config.vcs_per_port, kBufferDepth);
   }
 
-  // Row-band partition: min(workers, global rows) contiguous bands, the
-  // remainder rows spread over the leading bands. Global rows count
-  // layers*rows — the layer-major layout makes a band of them a contiguous
-  // (layer, row) slab of a stacked mesh. Any partition yields bit-identical
-  // results (header determinism argument); the band count only sets how
-  // many workers can help.
+  // Row-band partition: one contiguous band per team worker, the remainder
+  // rows spread over the leading bands. The layer-major layout makes a band
+  // of global rows a contiguous (layer, row) slab of a stacked mesh. Any
+  // partition yields bit-identical results (header determinism argument);
+  // the band count only sets how many workers can help.
   const std::uint32_t rows = mesh.rows() * mesh.layers();
-  const auto num_domains = static_cast<std::uint32_t>(
-      std::min<std::size_t>(ParallelConfig{sim_workers}.resolved_threads(),
-                            rows));
+  const auto num_domains = static_cast<std::uint32_t>(team_.size());
   domains_.reserve(num_domains);
   row_domain_.reserve(rows);
   const std::uint32_t base = rows / num_domains;
@@ -68,9 +73,6 @@ Network::Network(const Mesh& mesh, const NetworkConfig& config,
     domains_.emplace_back(mesh, config, row * cols_, (row + band) * cols_);
     for (std::uint32_t r = 0; r < band; ++r) row_domain_.push_back(d);
     row += band;
-  }
-  if (domains_.size() > 1) {
-    team_ = std::make_unique<CycleWorkerTeam>(domains_.size());
   }
 }
 
@@ -296,11 +298,7 @@ void Network::commit_cycle() {
 }
 
 void Network::step() {
-  if (team_ != nullptr) {
-    team_->run([this](std::size_t d) { step_domain(domains_[d]); });
-  } else {
-    for (Domain& d : domains_) step_domain(d);
-  }
+  team_.run([this](std::size_t d) { step_domain(domains_[d]); });
   commit_cycle();
   ++now_;
 }

@@ -14,21 +14,22 @@
 // that cross a domain boundary (flits and credits to the adjacent row band)
 // are staged in per-domain outboxes during the parallel phase and committed
 // into the target domains' buckets at a per-cycle barrier — the same
-// snapshot/commit discipline the mapper engine uses (core/parallel.h). With
-// one domain (the default) the code path is the serial engine, unchanged.
+// snapshot/commit discipline the mapper engine uses (core/parallel.h). One
+// domain (the default) is the same code on a one-worker team, whose phase
+// is a direct call on the caller.
 //
-// Determinism: the partitioned step is bit-identical to the serial engine
-// at any domain count. Within a cycle a router's tick reads and writes only
+// Determinism: the partitioned step is bit-identical to the one-domain
+// engine at any domain count. Within a cycle a router's tick reads and writes only
 // its own domain's state; staged boundary events land at cycle now+1, so no
 // domain ever observes another domain's current-cycle writes.
-// Event delivery order within a bucket differs from the serial engine only
+// Event delivery order within a bucket differs from one domain's only
 // across domains, and every cross-domain event commutes: flit and credit
 // deliveries target distinct (router, port, VC) state, and a directed link
 // carries at most one flit per cycle. Ejections — whose order feeds
 // floating-point accumulation downstream — are produced only by a tile's
 // own domain (a local-port departure never crosses a boundary), collected
 // per domain in ascending-tile order, and concatenated in domain order at
-// the commit barrier: exactly the serial engine's ascending-tile order.
+// the commit barrier: exactly one domain's ascending-tile order.
 //
 // Traffic enters through NI source queues (open-loop injection: queues are
 // unbounded, so offered load is never throttled by the network — matching
@@ -45,7 +46,6 @@
 #pragma once
 
 #include <deque>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -79,23 +79,23 @@ class Network {
   /// into min(sim_workers, layers*rows) contiguous row-band domains
   /// ((layer, row) slabs on a stacked mesh) stepped on a
   /// persistent worker team (0 resolves to the hardware concurrency).
-  /// Results are bit-identical at every worker count; 1 (the default) is
-  /// the serial engine with no threads spawned.
+  /// Results are bit-identical at every worker count; 1 (the default)
+  /// spawns no thread.
   Network(const Mesh& mesh, const NetworkConfig& config,
           std::size_t sim_workers = 1);
 
   const Mesh& mesh() const { return *mesh_; }
   Cycle now() const { return now_; }
 
-  /// Row-band domains the mesh is partitioned into (1 = serial).
+  /// Row-band domains the mesh is partitioned into (1 by default).
   std::size_t num_domains() const { return domains_.size(); }
   /// Tiles [first, end) of domain `d` (contiguous, ascending with d).
   TileId domain_first_tile(std::size_t d) const { return domains_[d].first; }
   TileId domain_end_tile(std::size_t d) const { return domains_[d].end; }
-  /// The per-cycle worker team, or nullptr when stepping serially. The
-  /// traffic layer fans its per-tile draws over the same domains/team so
-  /// one barrier discipline covers the whole cycle.
-  CycleWorkerTeam* team() { return team_.get(); }
+  /// The per-cycle worker team, one worker per domain. The traffic layer
+  /// fans its per-tile draws over the same domains/team so one barrier
+  /// discipline covers the whole cycle.
+  CycleWorkerTeam& team() { return team_; }
 
   /// Flits staged across a domain boundary so far (halo exchange volume;
   /// 0 when running with one domain).
@@ -107,8 +107,8 @@ class Network {
   void inject_packet(const PacketInfo& info);
 
   /// Advances the network by one cycle: every domain delivers its due
-  /// events, injects from its NIs and ticks its routers (in parallel when
-  /// a team exists), then boundary events and ejections commit serially.
+  /// events, injects from its NIs and ticks its routers (one team worker
+  /// per domain), then boundary events and ejections commit serially.
   void step();
 
   /// Ejections completed since the last call (cleared by the call).
@@ -222,12 +222,14 @@ class Network {
 
   std::vector<Domain> domains_;
   std::vector<std::size_t> row_domain_;  ///< mesh row -> owning domain
-  std::unique_ptr<CycleWorkerTeam> team_;  // null when stepping serially
 
   std::vector<Ni> nis_;
   std::vector<Ejection> ejections_;
   std::uint64_t packets_injected_ = 0;
   std::uint64_t boundary_flits_ = 0;
+  /// One worker per domain; last, so its threads are joined before the
+  /// state their phases touch is destroyed.
+  CycleWorkerTeam team_;
 };
 
 }  // namespace nocmap

@@ -25,8 +25,8 @@ struct SimConfig {
   /// Workers stepping *this one simulation*: the mesh is spatially
   /// partitioned into min(sim_workers, rows) row-band domains advanced in
   /// parallel each cycle (DESIGN.md §16). Results are bit-identical at
-  /// every value; 0 resolves to the hardware concurrency. Default 1 is the
-  /// serial engine — exactly the pre-partitioning behavior. Orthogonal to
+  /// every value; 0 resolves to the hardware concurrency. Default 1 is one
+  /// domain on a one-worker team, which spawns no thread. Orthogonal to
   /// across-scenario parallelism (a ParallelTrialRunner::for_each over
   /// run_simulation calls): use sim_workers for one large mesh, scenario
   /// workers for many scenarios.

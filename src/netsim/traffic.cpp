@@ -131,27 +131,22 @@ void TrafficEngine::generate(Network& net, Cycle now,
 
   if (!generating_) return;
 
-  // Draw phase: per-tile RNG advances, fanned over the network's domains.
-  // The serial path (one domain, no team) runs the identical code.
+  // Draw phase: per-tile RNG advances, fanned over the network's domains
+  // on its team (one domain: a direct call on the caller).
   const std::size_t nd = net.num_domains();
   draw_entries_.resize(std::max(draw_entries_.size(), nd));
-  auto draw_domain = [&](std::size_t d) {
+  net.team().run([&](std::size_t d) {
     std::vector<DrawEntry>& out = draw_entries_[d];
     out.clear();
     const TileId end = net.domain_end_tile(d);
     for (TileId tile = net.domain_first_tile(d); tile < end; ++tile) {
       draw_tile(tile, out);
     }
-  };
-  if (CycleWorkerTeam* team = net.team()) {
-    team->run(draw_domain);
-  } else {
-    for (std::size_t d = 0; d < nd; ++d) draw_domain(d);
-  }
+  });
 
   // Commit phase (serial): domains ascend and tiles ascend within each, so
-  // ids and local-access records land in ascending-tile order — the serial
-  // engine's exact sequence.
+  // ids and local-access records land in ascending-tile order — one
+  // domain's exact sequence.
   for (std::size_t d = 0; d < nd; ++d) {
     for (const DrawEntry& e : draw_entries_[d]) {
       const TileSource& src = sources_[e.tile];

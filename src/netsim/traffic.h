@@ -73,7 +73,7 @@ class TrafficEngine {
   /// that tile's RNG stream, so the per-tile loop fans out over the
   /// network's row-band domains on its worker team; packet ids are then
   /// assigned and packets injected in a serial commit that walks domains —
-  /// and tiles within them — in ascending order, reproducing the serial
+  /// and tiles within them — in ascending order, reproducing the one-domain
   /// engine's id sequence and local-access order bit for bit.
   void generate(Network& net, Cycle now, std::vector<LocalAccess>& locals);
 

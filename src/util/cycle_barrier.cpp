@@ -72,11 +72,6 @@ void CycleWorkerTeam::worker_loop(std::size_t index) {
 }
 
 void CycleWorkerTeam::run_impl(void (*fn)(void*, std::size_t), void* ctx) {
-  if (size_ == 1) {
-    fn(ctx, 0);  // no handshake needed — and no stored error possible
-    return;
-  }
-
   fn_ = fn;
   ctx_ = ctx;
   arrived_.store(0, std::memory_order_relaxed);

@@ -8,7 +8,12 @@
 // fan-outs (core/parallel.h), whose workers drain a shared unit counter
 // inside one phase.
 //
-// Protocol per run() call (one parallel phase):
+// Every width runs through a team: a one-worker team spawns no thread, and
+// its run() is a direct call of f(0) on the caller, so the default
+// one-worker mapper, runner and simulator take the code path their
+// multi-worker runs take, minus the handshake.
+//
+// Protocol per run() call (one parallel phase) on a team of two or more:
 //
 //   1. The caller publishes the phase function and bumps the epoch counter
 //      (release). Worker w = 0 is the caller itself, so a team of size N
@@ -59,6 +64,10 @@ class CycleWorkerTeam {
   /// Not re-entrant: run() must not be called from inside f.
   template <typename F>
   void run(F&& f) {
+    if (size_ == 1) {
+      f(std::size_t{0});  // one worker: no handshake, no thread
+      return;
+    }
     using Fn = std::remove_reference_t<F>;
     run_impl(
         [](void* ctx, std::size_t w) { (*static_cast<Fn*>(ctx))(w); },

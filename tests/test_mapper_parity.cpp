@@ -1,6 +1,8 @@
 // Parity pins: FNV-1a/64 digests of thread_to_tile for fixed mapper runs on
 // C1 8x8 (seed 21), on C1 16x16 (4 x 64 threads: one n = 256 Global solve
-// and the full-size SSS sweep), on the QoS-weighted C4 8x8 problem, on a
+// and the full-size SSS sweep), on the QoS-weighted C4 8x8 problem, on the
+// determinism suite's 20 seeded SSS problems per mesh and its SSS stage
+// combinations (one digest over each set of one-worker mappings), on a
 // 12-tile exact instance with an idle application, of two service churn
 // replays (one whose fallbacks run SSS on padded problems, one with no
 // migration budget), of the migration-aware remaps (a fixed penalty and a
@@ -72,13 +74,40 @@ std::string hexfloat(double x) {
   return buf;
 }
 
-std::string digest(const Mapping& m) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a/64 over the tile ids
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+/// FNV-1a/64 over the tile ids, continued from `h`.
+std::uint64_t fnv1a(std::uint64_t h, const Mapping& m) {
   for (const TileId t : m.thread_to_tile) {
     for (int byte = 0; byte < 4; ++byte) {
       h ^= (t >> (8 * byte)) & 0xffu;
       h *= 0x100000001b3ULL;
     }
+  }
+  return h;
+}
+
+std::string digest(const Mapping& m) { return hex(fnv1a(kFnvBasis, m)); }
+
+/// test_parallel_determinism's seeded problems: a square mesh, four
+/// applications, C1..C8 rate statistics cycled by seed.
+ObmProblem seeded_problem(std::uint32_t side, std::uint64_t seed) {
+  const Mesh mesh = Mesh::square(side);
+  SynthesisOptions opt;
+  opt.num_applications = 4;
+  opt.threads_per_app = mesh.num_tiles() / 4;
+  const auto configs = parsec_table3_configs();
+  const ConfigSpec& spec = configs[seed % configs.size()];
+  return ObmProblem(TileLatencyModel(mesh, LatencyParams{}),
+                    synthesize_workload(spec, 1000 + seed, opt));
+}
+
+/// One digest over the one-worker SSS mappings of the 20 seeded problems
+/// that ParallelDeterminismSss compares every other worker count against.
+std::string seeded_sss_digest(std::uint32_t side) {
+  std::uint64_t h = kFnvBasis;
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    h = fnv1a(h, SortSelectSwapMapper().map(seeded_problem(side, seed)));
   }
   return hex(h);
 }
@@ -139,6 +168,27 @@ TEST(MapperParity, SssAt16x16SerialAndParallel) {
     SortSelectSwapMapper sss(SssOptions{.parallel = ParallelConfig{workers}});
     EXPECT_EQ(digest(sss.map(p)), "0x5a86bddee0e63055") << workers;
   }
+}
+
+TEST(MapperParity, SssSeededProblemsAt4x4) {
+  EXPECT_EQ(seeded_sss_digest(4), "0xeb57ee2a38888405");
+}
+
+TEST(MapperParity, SssSeededProblemsAt8x8) {
+  EXPECT_EQ(seeded_sss_digest(8), "0x1474fb7651a52665");
+}
+
+TEST(MapperParity, SssAblationVariants) {
+  // ParallelDeterminismSss.AblationVariantsMatchToo's stage combinations.
+  const ObmProblem p = seeded_problem(8, 3);
+  std::uint64_t h = kFnvBasis;
+  for (const SssOptions& opt : {SssOptions{.window_swaps = false},
+                                SssOptions{.final_sam = false},
+                                SssOptions{.window_size = 3},
+                                SssOptions{.max_step = 2}}) {
+    h = fnv1a(h, SortSelectSwapMapper(opt).map(p));
+  }
+  EXPECT_EQ(hex(h), "0x60575e9d9e572df5");
 }
 
 TEST(MapperParity, GeneticOneAndFourWorkers) {

@@ -1,8 +1,8 @@
 // Race-proofing regression layer for the deterministic parallel mapping
 // engine: for every parallelized algorithm (SSS window sweep + SAM fan-out,
-// Monte-Carlo shards, SA restarts, GA fitness), the mapping produced at 2
-// and 8 workers must be byte-identical to the 1-worker/serial mapping on
-// every seeded workload. Any scheduling-dependent read, stale snapshot
+// Monte-Carlo shards, SA restarts, GA fitness), the mapping produced at 2,
+// 3 and 8 workers must be byte-identical to the 1-worker mapping on every
+// seeded workload. Any scheduling-dependent read, stale snapshot
 // commit, or non-canonical merge shows up here as a mapping mismatch long
 // before it would show up as a subtle quality regression.
 //
@@ -28,9 +28,9 @@ namespace nocmap {
 namespace {
 
 constexpr std::size_t kNumSeeds = 20;
-// 1 covers the "parallel-configured but single-worker" path (the batched
-// fan-outs still run through the runner); 2 and 8 cover real interleavings.
-constexpr std::array<std::size_t, 3> kWorkerCounts = {1, 2, 8};
+// 1 repeats the reference run; 2, 3 and 8 cover real interleavings, and 3
+// splits SSS rounds and netsim row bands unevenly.
+constexpr std::array<std::size_t, 4> kWorkerCounts = {1, 2, 3, 8};
 
 /// Square mesh of the given side, four applications, C1..C8 rate statistics
 /// cycled by seed so the 20 workloads span the paper's configuration table.
@@ -60,7 +60,7 @@ void expect_identical(const ObmProblem& problem, const Mapping& serial,
 }
 
 // ---------------------------------------------------------------------------
-// SSS: the stage-3 speculative window sweep plus the stage-2/4 SAM fan-out.
+// SSS: the stage-3 slice-and-stop window sweep plus the stage-2/4 SAM fan-out.
 
 void check_sss_determinism(std::uint32_t side) {
   for (std::uint64_t seed = 0; seed < kNumSeeds; ++seed) {

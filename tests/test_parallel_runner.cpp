@@ -67,7 +67,6 @@ TEST_P(ParallelTrialRunnerTest, EveryIndexRunsExactlyOnce) {
 
 TEST_P(ParallelTrialRunnerTest, EmptyAndSingleUnitBatchesRunInline) {
   EXPECT_EQ(runner_.num_threads(), GetParam());
-  EXPECT_EQ(runner_.parallel(), GetParam() > 1);  // one worker, no team
 
   int calls = 0;
   runner_.for_each(0, [&](std::size_t) { ++calls; });
@@ -154,7 +153,7 @@ TEST(ParallelConfig, ZeroResolvesToTheHardwareThreadCount) {
 }
 
 // Threads start only on request: every default worker policy is one
-// worker and builds a runner with no team.
+// worker and builds a one-worker runner.
 TEST(ParallelConfig, EveryDefaultIsOneWorker) {
   const std::pair<const char*, ParallelConfig> defaults[] = {
       {"ParallelConfig", ParallelConfig{}},
@@ -167,7 +166,7 @@ TEST(ParallelConfig, EveryDefaultIsOneWorker) {
   for (const auto& [name, config] : defaults) {
     SCOPED_TRACE(name);
     EXPECT_EQ(config.resolved_threads(), 1u);
-    EXPECT_FALSE(ParallelTrialRunner(config).parallel());
+    EXPECT_EQ(ParallelTrialRunner(config).num_threads(), 1u);
   }
 }
 

@@ -5,6 +5,7 @@
 #include "core/global_mapper.h"
 #include "core/metrics.h"
 #include "core/random_mapper.h"
+#include "obs/metrics.h"
 #include "workload/synthesis.h"
 
 namespace nocmap {
@@ -14,6 +15,43 @@ ObmProblem make_problem(const std::string& config, std::uint64_t seed) {
   const Mesh mesh = Mesh::square(8);
   return ObmProblem(TileLatencyModel(mesh, LatencyParams{}),
                     synthesize_workload(parsec_config(config), seed));
+}
+
+std::uint64_t counter(const char* name) {
+  for (const obs::MetricRow& row : obs::snapshot()) {
+    if (row.name == name) return row.count;
+  }
+  return 0;
+}
+
+// Stage 3 at one worker scores every window of its schedule exactly once
+// and discards none; every width commits the same windows.
+TEST(Sss, OneWorkerScoresEveryWindowOnce) {
+  const ObmProblem p = make_problem("C1", 1);
+  // 64 tiles, 4-tile windows, steps 1..16: 64 - 3·step starts per step.
+  std::uint64_t schedule = 0;
+  for (std::uint64_t step = 1; step <= 16; ++step) schedule += 64 - 3 * step;
+  ASSERT_EQ(schedule, 616u);
+
+  std::uint64_t one_worker_commits = 0;
+  for (const std::size_t workers : {1u, 2u, 3u, 8u}) {
+    SCOPED_TRACE(workers);
+    const std::uint64_t evaluated = counter("sss.windows_evaluated");
+    const std::uint64_t stale = counter("sss.windows_discarded_stale");
+    const std::uint64_t committed = counter("sss.windows_committed");
+    (void)SortSelectSwapMapper(SssOptions{.parallel = {workers}}).map(p);
+    if (!obs::compiled_in()) continue;
+    const std::uint64_t commits =
+        counter("sss.windows_committed") - committed;
+    EXPECT_GT(commits, 0u);
+    if (workers == 1) {
+      EXPECT_EQ(counter("sss.windows_evaluated") - evaluated, schedule);
+      EXPECT_EQ(counter("sss.windows_discarded_stale") - stale, 0u);
+      one_worker_commits = commits;
+    } else {
+      EXPECT_EQ(commits, one_worker_commits);
+    }
+  }
 }
 
 TEST(Sss, ProducesValidPermutation) {

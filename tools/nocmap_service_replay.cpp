@@ -140,26 +140,27 @@ int main(int argc, char** argv) {
     std::cout << "\ndecision digest: " << std::hex << stats.digest
               << std::dec << "\n";
 
-    bool simulated = false;
     SimResult sim;
     if (simulate) {
       // Measured ground truth for the final chip state the analytic
-      // decisions produced.
-      SimConfig sim_config;
-      sim_config.warmup_cycles = 500;
-      sim_config.measure_cycles = 5000;
-      sim = run_simulation(engine.snapshot_problem(),
-                           engine.snapshot_mapping(), sim_config);
-      simulated = sim.packets_measured > 0;
-      std::cout << "\nfinal-snapshot netsim:\n";
-      TextTable st({"metric", "value"});
-      st.add_row({"measured G-APL [cycles]", fmt(sim.g_apl)});
-      st.add_row({"measured max APL [cycles]", fmt(sim.max_apl)});
-      st.add_row({"packets measured",
-                  std::to_string(sim.packets_measured)});
-      st.add_row({"link utilization", fmt(sim.load.link_utilization, 4)});
-      st.print(std::cout);
-      if (!simulated) {
+      // decisions produced. A trace can leave the chip empty, and an empty
+      // chip has no problem to simulate.
+      if (!engine.residents().empty()) {
+        SimConfig sim_config;
+        sim_config.warmup_cycles = 500;
+        sim_config.measure_cycles = 5000;
+        sim = run_simulation(engine.snapshot_problem(),
+                             engine.snapshot_mapping(), sim_config);
+        std::cout << "\nfinal-snapshot netsim:\n";
+        TextTable st({"metric", "value"});
+        st.add_row({"measured G-APL [cycles]", fmt(sim.g_apl)});
+        st.add_row({"measured max APL [cycles]", fmt(sim.max_apl)});
+        st.add_row({"packets measured",
+                    std::to_string(sim.packets_measured)});
+        st.add_row({"link utilization", fmt(sim.load.link_utilization, 4)});
+        st.print(std::cout);
+      }
+      if (sim.packets_measured == 0) {
         std::cout << "(snapshot has no resident traffic to simulate)\n";
       }
     }
