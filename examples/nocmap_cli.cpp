@@ -4,9 +4,11 @@
 // Usage:
 //   nocmap_cli --sample workload.csv          # write an example CSV
 //   nocmap_cli workload.csv [options]
+//   nocmap_cli --help
 //
 // Options:
-//   --mesh N           mesh side (default: smallest square fitting threads)
+//   --mesh N           mesh side, 2-64 (default: smallest square fitting
+//                      the threads)
 //   --algorithm NAME   sss | global | mc | sa | ga   (default sss)
 //   --seed S           algorithm seed (default 1)
 //   --td_q Q --td_s S  latency-model overrides
@@ -25,6 +27,7 @@
 #include "core/mapping_io.h"
 #include "core/monte_carlo_mapper.h"
 #include "core/sss_mapper.h"
+#include "topology/mesh.h"
 #include "util/parse.h"
 #include "workload/io.h"
 #include "workload/synthesis.h"
@@ -33,12 +36,18 @@ namespace {
 
 using namespace nocmap;
 
-int usage(const char* argv0) {
-  std::cerr << "usage: " << argv0 << " <workload.csv> [--mesh N]"
-            << " [--algorithm sss|global|mc|sa|ga] [--seed S]"
-            << " [--td_q Q] [--td_s S] [--output map.csv]"
-            << " [--mapping map.csv]\n"
-            << "       " << argv0 << " --sample <workload.csv>\n";
+void usage(std::ostream& os, const char* argv0) {
+  os << "usage: " << argv0 << " <workload.csv> [--mesh N]"
+     << " [--algorithm sss|global|mc|sa|ga] [--seed S]"
+     << " [--td_q Q] [--td_s S] [--output map.csv]"
+     << " [--mapping map.csv]\n"
+     << "       " << argv0 << " --sample <workload.csv>\n"
+     << "  --mesh N is the mesh side, 2-" << kMaxMeshSide
+     << " (default: the smallest square that fits the threads)\n";
+}
+
+int bad_usage(const char* argv0) {
+  usage(std::cerr, argv0);
   return 2;
 }
 
@@ -61,7 +70,13 @@ std::unique_ptr<Mapper> make_mapper(const std::string& name,
 
 int main(int argc, char** argv) {
   try {
-    if (argc >= 3 && std::strcmp(argv[1], "--sample") == 0) {
+    if (argc < 2) return bad_usage(argv[0]);
+    if (std::strcmp(argv[1], "--help") == 0) {
+      usage(std::cout, argv[0]);
+      return 0;
+    }
+    if (std::strcmp(argv[1], "--sample") == 0) {
+      if (argc != 3) return bad_usage(argv[0]);
       const Workload sample =
           synthesize_workload(parsec_config("C1"), 1);
       save_workload_csv(sample, argv[2]);
@@ -69,7 +84,6 @@ int main(int argc, char** argv) {
                 << "\n";
       return 0;
     }
-    if (argc < 2) return usage(argv[0]);
 
     std::string path = argv[1];
     std::uint32_t mesh_side = 0;
@@ -85,7 +99,7 @@ int main(int argc, char** argv) {
         return argv[++i];
       };
       if (arg == "--mesh") {
-        mesh_side = parse_number<std::uint32_t>(next(), arg);
+        mesh_side = parse_mesh_side(next(), arg);
       } else if (arg == "--algorithm") {
         algorithm = next();
       } else if (arg == "--seed") {
@@ -99,15 +113,20 @@ int main(int argc, char** argv) {
       } else if (arg == "--mapping") {
         mapping_path = next();
       } else {
-        return usage(argv[0]);
+        return bad_usage(argv[0]);
       }
     }
 
     Workload workload = load_workload_csv(path);
     if (mesh_side == 0) {
-      mesh_side = static_cast<std::uint32_t>(std::ceil(
-          std::sqrt(static_cast<double>(workload.num_threads()))));
-      mesh_side = std::max(mesh_side, 2u);
+      const double side =
+          std::ceil(std::sqrt(static_cast<double>(workload.num_threads())));
+      NOCMAP_REQUIRE(side <= kMaxMeshSide,
+                     "workload has " +
+                         std::to_string(workload.num_threads()) +
+                         " threads, more than the tiles of the largest "
+                         "--mesh (" + std::to_string(kMaxMeshSide) + ")");
+      mesh_side = std::max(static_cast<std::uint32_t>(side), 2u);
     }
     const Mesh mesh = Mesh::square(mesh_side);
     NOCMAP_REQUIRE(workload.num_threads() <= mesh.num_tiles(),

@@ -300,13 +300,6 @@ const Assignment& AssignmentWorkspace::solve_warm(const CostView& view) {
   return result_;
 }
 
-Assignment solve_assignment(const CostMatrix& cost) {
-  NOCMAP_REQUIRE(cost.rows() == cost.cols(),
-                 "Hungarian solver requires a square matrix");
-  AssignmentWorkspace ws;
-  return ws.solve(CostView::of(cost));
-}
-
 Assignment solve_assignment_brute_force(const CostMatrix& cost) {
   NOCMAP_REQUIRE(cost.rows() == cost.cols(),
                  "brute-force solver requires a square matrix");

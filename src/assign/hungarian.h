@@ -7,20 +7,17 @@
 // (Jonker–Volgenant style), which is exact and fast enough for thousands of
 // tiles.
 //
-// Two call surfaces exist:
-//
-//  * `solve_assignment(CostMatrix)` — the classic one-shot API, kept for
-//    convenience and tests.
-//  * `AssignmentWorkspace::solve{,_warm}(CostView)` — the hot-path kernel.
-//    The workspace owns every scratch array (potentials, minv, the free and
-//    reached column lists, path, result), so after the first solve of a
-//    given size there is zero heap traffic per call; `CostView` reads costs
-//    straight out of any row-major table (e.g. the memoized ThreadCostCache)
-//    through an optional column gather, so no per-call matrix is ever
-//    materialized. `solve_warm` additionally carries the column potentials
-//    from the previous solve, which can shorten the augmenting paths only
-//    when consecutive solves list their columns in the same order (SSS's
-//    stage-4 repair does not, and gains little; DESIGN.md §8).
+// The one call surface is `AssignmentWorkspace::solve{,_warm}(CostView)`.
+// The workspace owns every scratch array (potentials, minv, the free and
+// reached column lists, path, result), so after the first solve of a given
+// size there is zero heap traffic per call; `CostView` reads costs straight
+// out of any row-major table (e.g. the memoized ThreadCostCache) through an
+// optional column gather, so no per-call matrix is ever materialized.
+// `solve_warm` additionally carries the column potentials from the previous
+// solve, which shortens the augmenting paths when consecutive solves list
+// their columns in the same order — the online service's placement and
+// phase-change solves (DESIGN.md §8). `CostMatrix` is an owning dense
+// table for the brute-force reference and for tests.
 //
 // Each shortest-path step of a row insertion is one pass over an ascending
 // list of the columns the row's search has not reached: it applies the
@@ -129,16 +126,14 @@ struct Assignment {
 /// speed heuristic and never affects optimality). Rectangular solves always
 /// run cold: optimality there requires zero potential on whichever columns
 /// end up unmatched, which carried potentials cannot guarantee.
-/// Because the returned assignment may differ between warm and cold starts
-/// only when the instance has multiple optima, callers that need
-/// schedule-independent results must key workspaces by logical solve site
-/// (e.g. one workspace per application), never per worker thread.
+/// The returned assignment may differ between warm and cold starts only
+/// when the instance has multiple optima, so a warm solve's tie choice
+/// depends on the workspace's previous solve.
 class AssignmentWorkspace {
  public:
   AssignmentWorkspace() = default;
 
-  /// Cold solve: potentials reset to zero first. Bit-identical to the
-  /// classic `solve_assignment` on the same values. Throws when no
+  /// Cold solve: potentials reset to zero first. Throws when no
   /// finite-cost assignment exists; the warm state is then dropped.
   const Assignment& solve(const CostView& view);
 
@@ -178,11 +173,6 @@ class AssignmentWorkspace {
   Assignment result_;
   std::size_t warm_cols_ = 0;  // column count the stored v_ is valid for
 };
-
-/// Exact minimum-cost assignment on a square matrix, O(n³). Throws on a
-/// non-square or empty matrix. One-shot convenience wrapper over
-/// AssignmentWorkspace; hot paths should hold a workspace instead.
-Assignment solve_assignment(const CostMatrix& cost);
 
 /// Exhaustive O(n!) reference solver; usable for n ≤ 10. Exists so property
 /// tests can verify the Hungarian implementation against ground truth.

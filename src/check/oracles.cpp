@@ -187,8 +187,6 @@ OracleResult run_hungarian(const ScenarioSpec& spec) {
       }
     }
     const Assignment truth = solve_assignment_brute_force(cost);
-    const Assignment one_shot = solve_assignment(cost);
-
     const double cold_cost = workspace.solve(CostView::of(cost)).total_cost;
 
     // Prime the warm path on a perturbed sibling instance, then re-solve
@@ -209,8 +207,7 @@ OracleResult run_hungarian(const ScenarioSpec& spec) {
       used[col] = true;
     }
     for (const auto& [label, value] :
-         {std::pair<const char*, double>{"one-shot", one_shot.total_cost},
-          {"workspace-cold", cold_cost},
+         {std::pair<const char*, double>{"workspace-cold", cold_cost},
           {"workspace-warm", warm.total_cost}}) {
       if (!rel_close(value, truth.total_cost)) {
         std::ostringstream os;
@@ -318,6 +315,30 @@ OracleResult run_netsim_conservation(const ScenarioSpec& spec) {
   return {};
 }
 
+// netsim_rank compares two mean latencies, so its window is sized by the
+// samples it yields, not by cycles: a fixed 12,000-cycle window gave light
+// scenarios 300-odd packets, where traffic noise alone crossed the 5%
+// margin. Every request records at least two samples (itself and its
+// reply; a multicast request one per tree segment), so a window of
+// kRankSamples / (2 · scale · Σ rates) cycles yields at least kRankSamples
+// in expectation. The window never shrinks below the old 12,000 cycles and
+// is capped for scenarios with almost no traffic.
+constexpr double kRankSamples = 3000.0;
+constexpr Cycle kRankMinCycles = 12000;
+constexpr Cycle kRankMaxCycles = 400000;
+
+Cycle rank_window_cycles(const Workload& workload, double injection_scale) {
+  double rate_sum = 0.0;  // requests per kilocycle
+  for (const ThreadProfile& t : workload.threads()) rate_sum += t.total_rate();
+  const double samples_per_cycle = 2.0 * injection_scale * rate_sum / 1000.0;
+  if (samples_per_cycle * static_cast<double>(kRankMaxCycles) <=
+      kRankSamples) {
+    return kRankMaxCycles;
+  }
+  return std::max(kRankMinCycles, static_cast<Cycle>(std::ceil(
+                                      kRankSamples / samples_per_cycle)));
+}
+
 OracleResult run_netsim_rank(const ScenarioSpec& spec) {
   const ObmProblem problem = build_problem(spec);
   GlobalMapper global;
@@ -334,10 +355,11 @@ OracleResult run_netsim_rank(const ScenarioSpec& spec) {
 
   SimConfig config;
   config.warmup_cycles = 2000;
-  config.measure_cycles = 12000;
   config.traffic.seed = spec.seed;  // paired traffic for both mappings
   config.traffic.injection_scale = std::min(spec.injection_scale, 0.9);
   config.traffic.bursty = spec.bursty;
+  config.measure_cycles = rank_window_cycles(problem.workload(),
+                                             config.traffic.injection_scale);
   const SimResult sim_good = run_simulation(problem, good, config);
   const SimResult sim_bad = run_simulation(problem, bad, config);
   if (sim_bad.g_apl < sim_good.g_apl * 0.95) {
@@ -369,40 +391,23 @@ OracleResult run_batch_eval(const ScenarioSpec& spec) {
   // multiple of the internal lane block.
   static constexpr std::size_t kBatchSizes[] = {1, 7, 32, 129};
   for (const std::size_t count : kBatchSizes) {
-    CandidateBatch batch(n, count);
-    std::vector<std::vector<TileId>> perms(count);
+    // Candidate-major rows, the layout MC and GA score.
+    std::vector<TileId> rows(count * n);
     for (std::size_t b = 0; b < count; ++b) {
       const std::vector<std::size_t> p = random_permutation(n, rng);
-      perms[b].assign(p.begin(), p.end());
-      batch.load(b, perms[b]);
+      std::copy(p.begin(), p.end(), &rows[b * n]);
     }
 
     std::vector<double> scores(count);
-    batch_eval.score(batch, count, scores);
+    batch_eval.score_rows(rows.data(), n, count, scores);
     for (std::size_t b = 0; b < count; ++b) {
       Mapping m;
-      m.thread_to_tile = perms[b];
+      m.thread_to_tile.assign(&rows[b * n], &rows[b * n] + n);
       const double reference = evaluate(problem, m).objective;
       if (scores[b] != reference) {
         std::ostringstream os;
         os << "batch score[" << b << "] of " << count << " = " << scores[b]
            << " != evaluate() objective " << reference;
-        return fail(os.str());
-      }
-    }
-
-    // score_rows (candidate-major, the GA pool layout) must agree exactly.
-    std::vector<TileId> rows(count * n);
-    for (std::size_t b = 0; b < count; ++b) {
-      std::copy(perms[b].begin(), perms[b].end(), &rows[b * n]);
-    }
-    std::vector<double> row_scores(count);
-    batch_eval.score_rows(rows.data(), n, count, row_scores);
-    for (std::size_t b = 0; b < count; ++b) {
-      if (row_scores[b] != scores[b]) {
-        std::ostringstream os;
-        os << "score_rows[" << b << "] = " << row_scores[b]
-           << " != transposed batch score " << scores[b];
         return fail(os.str());
       }
     }

@@ -79,7 +79,7 @@ ScenarioSpec generate_scenario(std::uint64_t seed) {
 }
 
 void validate_scenario(const ScenarioSpec& spec) {
-  NOCMAP_REQUIRE(spec.mesh_side >= 2 && spec.mesh_side <= 64,
+  NOCMAP_REQUIRE(spec.mesh_side >= 2 && spec.mesh_side <= kMaxMeshSide,
                  "mesh_side out of range");
   NOCMAP_REQUIRE(spec.mesh_layers >= 1 && spec.mesh_layers <= kMaxLayers,
                  "mesh_layers out of range");

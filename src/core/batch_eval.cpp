@@ -8,9 +8,7 @@ void CandidateBatch::load(std::size_t lane, std::span<const TileId> perm) {
   NOCMAP_REQUIRE(lane < capacity_, "candidate lane out of range");
   NOCMAP_REQUIRE(perm.size() == num_threads_,
                  "candidate arity does not match the batch");
-  for (std::size_t j = 0; j < num_threads_; ++j) {
-    tiles_[j * capacity_ + lane] = perm[j];
-  }
+  std::copy(perm.begin(), perm.end(), tiles_.begin() + lane * num_threads_);
 }
 
 BatchEvaluator::BatchEvaluator(const ObmProblem& problem,
@@ -69,9 +67,8 @@ double BatchEvaluator::max_apl(std::span<const double> num) const {
   return worst;
 }
 
-template <typename TileAt>
-void BatchEvaluator::score_block(std::size_t lanes, double* out,
-                                 const TileAt& tile_at) const {
+void BatchEvaluator::score_block(const TileId* rows, std::size_t stride,
+                                 std::size_t lanes, double* out) const {
   NOCMAP_ASSERT(lanes <= kMaxLanes);
   double worst[kMaxLanes];
   double acc[kMaxLanes];
@@ -81,7 +78,7 @@ void BatchEvaluator::score_block(std::size_t lanes, double* out,
     for (std::uint32_t j = app.first; j < app.last; ++j) {
       const double* row = cache_->row(j);
       for (std::size_t b = 0; b < lanes; ++b) {
-        acc[b] += row[tile_at(j, b)];
+        acc[b] += row[rows[b * stride + j]];
       }
     }
     // objective()'s fold, one lane per accumulator.
@@ -97,15 +94,8 @@ void BatchEvaluator::score(const CandidateBatch& batch, std::size_t count,
                            std::span<double> out) const {
   NOCMAP_REQUIRE(batch.num_threads() == num_threads(),
                  "batch arity does not match the problem");
-  NOCMAP_REQUIRE(count <= batch.capacity() && out.size() >= count,
-                 "batch score count out of range");
-  for (std::size_t b0 = 0; b0 < count; b0 += kMaxLanes) {
-    const std::size_t lanes = std::min(kMaxLanes, count - b0);
-    score_block(lanes, out.data() + b0,
-                [&batch, b0](std::uint32_t j, std::size_t b) {
-                  return batch.lane_row(j)[b0 + b];
-                });
-  }
+  NOCMAP_REQUIRE(count <= batch.capacity(), "batch score count out of range");
+  score_rows(batch.rows(), batch.num_threads(), count, out);
 }
 
 void BatchEvaluator::score_rows(const TileId* rows, std::size_t stride,
@@ -116,10 +106,7 @@ void BatchEvaluator::score_rows(const TileId* rows, std::size_t stride,
   NOCMAP_REQUIRE(out.size() >= count, "batch score count out of range");
   for (std::size_t b0 = 0; b0 < count; b0 += kMaxLanes) {
     const std::size_t lanes = std::min(kMaxLanes, count - b0);
-    score_block(lanes, out.data() + b0,
-                [rows, stride, b0](std::uint32_t j, std::size_t b) {
-                  return rows[(b0 + b) * stride + j];
-                });
+    score_block(rows + b0 * stride, stride, lanes, out.data() + b0);
   }
 }
 

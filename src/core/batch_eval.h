@@ -16,17 +16,15 @@
 //
 // Scored one candidate at a time the reduction is latency-bound: each +=
 // waits ~4 cycles on the previous one, and the cost row pointer chases the
-// candidate's tiles. score() restructures the pass around *transposed*
-// candidate storage (CandidateBatch): a batch of K candidate mappings is
-// stored tile-major, tiles[j·K + b] = candidate b's tile for thread j, so the
-// scorer makes ONE contiguous pass over the padded cost rows (thread-outer,
+// candidate's tiles. score_rows() restructures the pass: for K candidate
+// mappings stored candidate-major (the GA's genome pool, MC's shuffled
+// rows), it makes ONE pass over the padded cost rows (thread-outer,
 // candidate-inner) with K independent accumulators. The inner loop is a
-// contiguous gather-and-add with no cross-iteration dependence, which the
-// compiler auto-vectorizes and the core overlaps — ~6× per candidate versus
-// the scalar loop at K ≥ 8.
+// gather-and-add with no cross-iteration dependence, which the core
+// overlaps.
 //
-// Bit-identity contract: for every lane b, score() and score_rows() perform
-// the floating-point operations of objective() on the lane's canonical
+// Bit-identity contract: for every lane b, score_rows() performs the
+// floating-point operations of objective() on the lane's canonical
 // numerators (numerator() of every slot) in the identical order, so the
 // batched and scalar scores are the same double. evaluate() (core/metrics.h)
 // recomputes the objective from the raw model and is the reference: the
@@ -46,9 +44,9 @@
 
 namespace nocmap {
 
-/// Transposed (tile-major) storage for a batch of candidate mappings:
-/// lane b of K holds one thread→tile permutation, stored so that all lanes'
-/// tiles for one thread are contiguous. Candidates enter through load().
+/// Owning storage for a batch of candidate mappings, one thread→tile
+/// permutation per lane, stored candidate-major as score_rows() reads them.
+/// Candidates enter through load().
 class CandidateBatch {
  public:
   CandidateBatch(std::size_t num_threads, std::size_t capacity)
@@ -58,19 +56,16 @@ class CandidateBatch {
   std::size_t num_threads() const { return num_threads_; }
   std::size_t capacity() const { return capacity_; }
 
-  /// All lanes' tiles for one thread (capacity() entries, contiguous).
-  const TileId* lane_row(std::size_t thread) const {
-    NOCMAP_ASSERT(thread < num_threads_);
-    return &tiles_[thread * capacity_];
-  }
+  /// Lane b's permutation starts at rows() + b·num_threads().
+  const TileId* rows() const { return tiles_.data(); }
 
-  /// Scatters a candidate-major permutation into lane b.
+  /// Copies a permutation into lane b.
   void load(std::size_t lane, std::span<const TileId> perm);
 
  private:
   std::size_t num_threads_;
   std::size_t capacity_;
-  std::vector<TileId> tiles_;  // [thread][lane]
+  std::vector<TileId> tiles_;  // [lane][thread]
 };
 
 class BatchEvaluator {
@@ -110,25 +105,21 @@ class BatchEvaluator {
   /// The unweighted max-APL max_s num[s]/V_s.
   double max_apl(std::span<const double> num) const;
 
-  /// Scores lanes [0, count) of the batch; out[b] is bit-identical to
-  /// objective() of lane b's canonical numerators.
+  /// Scores lanes [0, count) of the batch through score_rows().
   void score(const CandidateBatch& batch, std::size_t count,
              std::span<double> out) const;
 
   /// Scores `count` candidate-major permutations stored in consecutive
-  /// rows: candidate b's tile for thread j is rows[b·stride + j]. Same
-  /// bit-identity contract as score(); used where candidates already live
-  /// candidate-major (the GA's genome pool, MC's shuffled rows) so no
-  /// transpose is paid.
+  /// rows: candidate b's tile for thread j is rows[b·stride + j]. out[b] is
+  /// bit-identical to objective() of candidate b's canonical numerators.
   void score_rows(const TileId* rows, std::size_t stride, std::size_t count,
                   std::span<double> out) const;
 
   std::size_t num_threads() const { return slot_of_.size(); }
 
  private:
-  template <typename TileAt>
-  void score_block(std::size_t lanes, double* out,
-                   const TileAt& tile_at) const;
+  void score_block(const TileId* rows, std::size_t stride, std::size_t lanes,
+                   double* out) const;
 
   const ThreadCostCache* cache_;
   std::vector<App> apps_;  // only applications with volume > 0

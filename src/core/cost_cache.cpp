@@ -61,18 +61,4 @@ CostView ThreadCostCache::sam_view(std::size_t first_thread,
   return CostView(row(first_thread), n, n, row_stride_, tiles.data());
 }
 
-CostMatrix ThreadCostCache::sam_matrix(std::size_t first_thread,
-                                       std::span<const TileId> tiles) const {
-  const std::size_t n = tiles.size();
-  NOCMAP_REQUIRE(first_thread + n <= num_threads_,
-                 "SAM thread range out of cache bounds");
-  CostMatrix matrix(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t k = 0; k < n; ++k) {
-      matrix.at(j, k) = cost(first_thread + j, tiles[k]);
-    }
-  }
-  return matrix;
-}
-
 }  // namespace nocmap

@@ -12,15 +12,14 @@
 //
 // The assignment kernel reads the table in place through `sam_view` (a
 // strided CostView gathering the application's tile columns), so no per-call
-// matrix is materialized; `sam_matrix` remains for callers that want an
-// owning copy. Per-thread request rates are cached with a prefix-sum so any
-// contiguous range's traffic volume (the APL denominator) is O(1).
+// matrix is materialized. Per-thread request rates are cached with a
+// prefix-sum so any contiguous range's traffic volume (the APL denominator)
+// is O(1).
 //
 // Batch layout: rows are stored with a stride padded up to a multiple of
 // kRowBlock doubles (one cache line), so every row starts on its own block
 // and a batch-evaluation pass (core/batch_eval.h) can stream thread rows
-// j = 0..N-1 exactly once while scoring K transposed candidates against each
-// row — the candidates, not the cost table, are the transposed operand. The
+// j = 0..N-1 exactly once while scoring K candidates against each row. The
 // padding cells are zero-filled and never addressed by cost()/row().
 #pragma once
 
@@ -89,10 +88,6 @@ class ThreadCostCache {
   /// outlive the returned view.
   CostView sam_view(std::size_t first_thread,
                     std::span<const TileId> tiles) const;
-
-  /// Dense owning copy of the same n×n SAM cost block.
-  CostMatrix sam_matrix(std::size_t first_thread,
-                        std::span<const TileId> tiles) const;
 
  private:
   std::size_t num_threads_;

@@ -84,13 +84,12 @@ class MappingEvaluator {
   /// Scores `count` candidate re-assignments of one thread group without
   /// mutating the evaluator. All candidates share the thread set: candidate
   /// b re-assigns threads[x] to tiles[x·count + b] (transposed, one
-  /// contiguous row of candidate tiles per group position, like
-  /// CandidateBatch). out[b] is bit-identical to the objective() this
-  /// evaluator would report after apply_group(threads, candidate b): each
-  /// affected application's numerator is re-summed in the canonical
-  /// thread-ascending order with the candidate's tiles substituted — never
-  /// by delta arithmetic — and folded with the untouched applications'
-  /// stored numerators. Being const, any number of workers may score
+  /// contiguous row of candidate tiles per group position). out[b] is
+  /// bit-identical to the objective() this evaluator would report after
+  /// apply_group(threads, candidate b): each affected application's
+  /// numerator is re-summed in the canonical thread-ascending order with
+  /// the candidate's tiles substituted — never by delta arithmetic — and
+  /// folded with the untouched applications' stored numerators. Being const, any number of workers may score
   /// windows through one shared evaluator concurrently. `threads` must be
   /// distinct and at most kMaxGroup long.
   void score_group_candidates(std::span<const std::size_t> threads,

@@ -5,11 +5,9 @@
 namespace nocmap {
 
 SamResult solve_sam(const ThreadCostCache& cache, std::size_t first_thread,
-                    std::span<const TileId> tiles, AssignmentWorkspace& ws,
-                    bool warm) {
+                    std::span<const TileId> tiles, AssignmentWorkspace& ws) {
   NOCMAP_REQUIRE(!tiles.empty(), "SAM on empty application");
-  const CostView view = cache.sam_view(first_thread, tiles);
-  const Assignment& assignment = warm ? ws.solve_warm(view) : ws.solve(view);
+  const Assignment& assignment = ws.solve(cache.sam_view(first_thread, tiles));
   // Translate the assignment's column permutation back to tile ids.
   SamResult result;
   result.tiles.resize(tiles.size());

@@ -92,20 +92,12 @@ inline PenaltyLine penalty_line(std::span<const ThreadProfile> threads,
 }
 
 /// Optimally assigns the contiguous global thread range
-/// [first_thread, first_thread + tiles.size()) to `tiles`: solves in place
-/// over the shared memoized ThreadCostCache through a lazy CostView (no
-/// matrix materialization) in a caller-owned workspace. Pure with respect to
-/// the cache, so concurrent calls with distinct workspaces (e.g. the
-/// per-application SAM solves of the parallel SSS stages) are safe. With
-/// `warm` the workspace's column potentials from its previous solve seed
-/// the kernel — use for repeated near-identical solves of the *same logical
-/// site* (e.g. the same application across SSS passes). Warm starts never
-/// change the optimal APL; on instances with tied optima they may select a
-/// different optimal permutation than a cold solve, so determinism requires
-/// the workspace's solve history to be schedule-independent (key workspaces
-/// per application, not per worker).
+/// [first_thread, first_thread + tiles.size()) to `tiles`: a cold solve in
+/// place over the shared memoized ThreadCostCache through a lazy CostView
+/// (no matrix materialization) in a caller-owned workspace. Pure with
+/// respect to the cache, so concurrent calls with distinct workspaces (e.g.
+/// the per-application SAM solves of the parallel SSS stages) are safe.
 SamResult solve_sam(const ThreadCostCache& cache, std::size_t first_thread,
-                    std::span<const TileId> tiles, AssignmentWorkspace& ws,
-                    bool warm = false);
+                    std::span<const TileId> tiles, AssignmentWorkspace& ws);
 
 }  // namespace nocmap

@@ -264,11 +264,9 @@ Mapping SortSelectSwapMapper::map(const ObmProblem& problem) {
   const ThreadCostCache cache(wl, problem.model());
   ParallelTrialRunner runner(options_.parallel);
 
-  // One assignment workspace per application, not per worker: the stage-2
-  // and stage-4 solves for application i always reuse sam_ws[i], so the
-  // warm-start history (and therefore the selected optimum, even on tied
-  // cost matrices) is identical no matter which worker runs the solve —
-  // which keeps the mapping bit-identical at every worker count.
+  // Scratch for the per-application SAM solves of stages 2 and 4, one
+  // workspace per application so concurrent solves never share one. Every
+  // solve is cold, so the result never depends on a workspace's history.
   std::vector<AssignmentWorkspace> sam_ws(num_apps);
 
   // ---- Stage 1: sort tiles by cache APL.
@@ -332,12 +330,10 @@ Mapping SortSelectSwapMapper::map(const ObmProblem& problem) {
 
   // ---- Stage 4: final SAM repair inside each application — independent
   // per-application solves over disjoint mapping ranges, so they fan out.
-  // Each solve runs warm in its application's stage-2 workspace, but the
-  // column potentials it inherits are indexed in stage 2's select order
-  // while these columns are in thread order, so the start is barely better
-  // than cold (C1–C8: 3,874 path steps warm vs 4,193 cold at 8×8, 62,152 vs
-  // 62,196 at 16×16). It stays warm because a cold or re-aligned start
-  // breaks ties differently and so changes the mapping.
+  // The solves run cold: stage 2's column potentials are indexed in its
+  // select order while these columns are in thread order, so a warm start
+  // saved only 319 of 4,193 path steps at 8×8 and 44 of 62,196 at 16×16
+  // (C1–C8).
   if (options_.final_sam) {
     const obs::ScopedTimer sam_scope(t_final_sam);
     runner.for_each(num_apps, [&](std::size_t i) {
@@ -347,8 +343,7 @@ Mapping SortSelectSwapMapper::map(const ObmProblem& problem) {
       for (std::size_t t = 0; t < dn; ++t) {
         tiles[t] = mapping.thread_to_tile[lo + t];
       }
-      const SamResult sam = solve_sam(cache, lo, tiles, sam_ws[i],
-                                      /*warm=*/true);
+      const SamResult sam = solve_sam(cache, lo, tiles, sam_ws[i]);
       for (std::size_t t = 0; t < dn; ++t) {
         mapping.thread_to_tile[lo + t] = sam.tiles[t];
       }

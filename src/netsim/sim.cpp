@@ -41,10 +41,8 @@ RouterLoadSummary summarize_load(const ActivityRecord& window,
     const double per_cycle = static_cast<double>(a.crossbar_traversals) /
                              cycles;
     crossbar_sum += per_cycle;
-    if (per_cycle > load.max_crossbar_per_cycle) {
-      load.max_crossbar_per_cycle = per_cycle;
-      load.hottest_router = static_cast<TileId>(t);
-    }
+    load.max_crossbar_per_cycle =
+        std::max(load.max_crossbar_per_cycle, per_cycle);
     load.max_avg_queue_wait =
         std::max(load.max_avg_queue_wait, a.avg_queue_wait());
     load.max_queue_occupancy =

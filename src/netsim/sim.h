@@ -53,8 +53,6 @@ struct RouterLoadSummary {
   /// Fraction of directed mesh links busy, averaged over the window:
   /// link_traversals / (Mesh::num_directed_links · measured_cycles).
   double link_utilization = 0.0;
-  /// Router with the most crossbar traversals (hotspot location).
-  TileId hottest_router = 0;
 };
 
 struct SimResult {

@@ -18,15 +18,11 @@ TrafficEngine::TrafficEngine(const ObmProblem& problem, const Mapping& mapping,
                  "traffic engine needs a valid mapping");
   NOCMAP_REQUIRE(config.injection_scale > 0.0,
                  "injection scale must be positive");
-  NOCMAP_REQUIRE(
-      config.forward_probability >= 0.0 && config.forward_probability <= 1.0,
-      "forward probability must be in [0,1]");
   NOCMAP_REQUIRE(!config.bursty || (config.burst_duty > 0.0 &&
                                     config.burst_duty < 1.0),
                  "burst duty must be in (0,1)");
 
   const Rng base(splitmix64(config.seed) ^ 0x9d3f5c1e2b4a6879ULL);
-  coherence_rng_ = base.fork(0xc0ffee);
   sources_.resize(problem.num_tiles());
   thread_tile_.resize(problem.num_threads());
   const Workload& wl = problem.workload();
@@ -115,14 +111,15 @@ void TrafficEngine::draw_tile(TileId tile, std::vector<DrawEntry>& out) {
 
 void TrafficEngine::generate(Network& net, Cycle now,
                              std::vector<LocalAccess>& locals) {
-  // Issue follow-ups (replies / forwards) that have finished service.
+  // Issue replies that have finished service.
   for (auto it = pending_replies_.begin();
        it != pending_replies_.end() && it->first <= now;
        it = pending_replies_.erase(it)) {
     PacketInfo pkt = it->second;
     pkt.created = now;
     if (pkt.src == pkt.dst) {
-      // Degenerate follow-up (e.g. owner == requester tile): zero latency.
+      // A multicast reply from an MC on the requester's own tile: zero
+      // latency.
       locals.push_back({pkt.cls, pkt.app, pkt.thread});
       continue;
     }
@@ -153,8 +150,7 @@ void TrafficEngine::generate(Network& net, Cycle now,
       if (e.cls == PacketClass::kMemoryRequest &&
           config_.memory_mode == MemoryTrafficMode::kMulticast) {
         emit_multicast(net, e.tile, problem_->mesh().mc_tiles(), now, now,
-                       src.app, src.thread, &locals,
-                       /*record_local_delivery=*/true);
+                       src.app, src.thread, &locals);
         continue;
       }
       if (e.dst == e.tile) {
@@ -186,8 +182,7 @@ void TrafficEngine::emit_multicast(Network& net, TileId from,
                                    std::span<const TileId> dests,
                                    Cycle created, Cycle now, std::size_t app,
                                    std::size_t thread,
-                                   std::vector<LocalAccess>* locals,
-                                   bool record_local_delivery) {
+                                   std::vector<LocalAccess>* locals) {
   const Mesh& mesh = problem_->mesh();
   const TileId requester = thread_tile_[thread];
   const TileId responder = mesh.nearest_mc(requester);
@@ -195,7 +190,7 @@ void TrafficEngine::emit_multicast(Network& net, TileId from,
   // Delivery at this tile itself (the root is an MC, or a branch point
   // landed exactly on one).
   if (std::find(dests.begin(), dests.end(), from) != dests.end()) {
-    if (record_local_delivery && locals != nullptr) {
+    if (locals != nullptr) {
       locals->push_back({PacketClass::kMemoryRequest, app, thread});
     }
     if (from == responder) {
@@ -232,8 +227,7 @@ void TrafficEngine::schedule(Cycle due, PacketClass cls, TileId src,
   pkt.cls = cls;
   pkt.src = src;
   pkt.dst = dst;
-  pkt.flits = cls == PacketClass::kCacheForward ? kShortPacketFlits
-                                                : kLongPacketFlits;
+  pkt.flits = kLongPacketFlits;
   pkt.app = app;
   pkt.thread = thread;
   pending_replies_.emplace(due, pkt);
@@ -252,33 +246,14 @@ void TrafficEngine::on_ejection(Network& net, const Ejection& ejection,
     MulticastBranch branch = std::move(it->second);
     multicast_.erase(it);
     emit_multicast(net, pkt.dst, branch.dests, branch.created,
-                   now, pkt.app, pkt.thread, nullptr,
-                   /*record_local_delivery=*/false);
+                   now, pkt.app, pkt.thread, nullptr);
     return;
   }
 
   switch (pkt.cls) {
-    case PacketClass::kCacheRequest: {
-      const Cycle due = now + kL2ServiceLatency;
-      if (config_.forward_probability > 0.0 &&
-          coherence_rng_.bernoulli(config_.forward_probability)) {
-        // Line dirty in another private L1: the bank forwards to the owner
-        // tile, which will supply the data (paper Section II.B's
-        // checking/forwarding packets).
-        const auto owner = static_cast<TileId>(coherence_rng_.uniform_u32(
-            static_cast<std::uint32_t>(problem_->num_tiles())));
-        schedule(due, PacketClass::kCacheForward, pkt.dst, owner, pkt.app,
-                 pkt.thread);
-      } else {
-        schedule(due, PacketClass::kCacheReply, pkt.dst, requester, pkt.app,
-                 pkt.thread);
-      }
-      break;
-    }
-    case PacketClass::kCacheForward:
-      // The owner L1 supplies the line to the requester after its lookup.
-      schedule(now + 1, PacketClass::kCacheReply, pkt.dst, requester,
-               pkt.app, pkt.thread);
+    case PacketClass::kCacheRequest:
+      schedule(now + kL2ServiceLatency, PacketClass::kCacheReply, pkt.dst,
+               requester, pkt.app, pkt.thread);
       break;
     case PacketClass::kMemoryRequest:
       schedule(now + kMemoryServiceLatency,

@@ -15,9 +15,7 @@
 // is recorded as a zero-latency access, exactly as the analytic model's
 // H = 0 / no-serialization case. When a request ejects at its destination,
 // the serviced reply (5-flit data packet) is scheduled back after the L2 or
-// memory service latency (6 and 128 cycles, paper Table 2). Optionally, a
-// fraction of cache requests take the coherence forwarding path of Section
-// II.B: bank → owner L1 (short forward) → requester (data reply).
+// memory service latency (6 and 128 cycles, paper Table 2).
 #pragma once
 
 #include <map>
@@ -36,11 +34,6 @@ struct TrafficConfig {
   std::uint64_t seed = 1;
   /// Multiplier applied to workload rates (rates are per kilocycle).
   double injection_scale = 1.0;
-  /// Fraction of cache requests whose line is dirty in another private L1:
-  /// the L2 bank sends a short forward to the owner tile, which supplies
-  /// the data reply to the requester directly (paper Section II.B's
-  /// "checking/forwarding packets"). 0 disables the three-hop chain.
-  double forward_probability = 0.0;
   /// Bursty (two-state Markov on/off) injection. When enabled, each thread
   /// alternates between ON phases at rate/duty and OFF phases at zero,
   /// preserving its mean rate, with a mean ON+OFF period of 200 cycles —
@@ -77,8 +70,8 @@ class TrafficEngine {
   /// engine's id sequence and local-access order bit for bit.
   void generate(Network& net, Cycle now, std::vector<LocalAccess>& locals);
 
-  /// Feeds back an ejected request (or forward) so the next packet of its
-  /// transaction gets scheduled. Multicast segments re-inject their child
+  /// Feeds back an ejected request so the next packet of its transaction
+  /// gets scheduled. Multicast segments re-inject their child
   /// segments into `net` directly (serial phase).
   void on_ejection(Network& net, const Ejection& ejection, Cycle now);
 
@@ -119,8 +112,7 @@ class TrafficEngine {
   /// and writes only sources_[tile] and `out`.
   void draw_tile(TileId tile, std::vector<DrawEntry>& out);
 
-  /// Schedules a follow-up packet of a transaction, sized by its class: a
-  /// forward is short, a reply long.
+  /// Schedules a transaction's data reply (a long packet) of class `cls`.
   void schedule(Cycle due, PacketClass cls, TileId src, TileId dst,
                 std::size_t app, std::size_t thread);
 
@@ -129,22 +121,21 @@ class TrafficEngine {
   /// (kMemoryRequest when the endpoint is an MC delivery, kMemoryForward
   /// when it is a pure branch router). Segments carry the original request
   /// creation cycle so each delivery's recorded latency is end-to-end.
-  /// `record_local_delivery` is true only for the root call (an ejection
-  /// already counts as the delivery sample otherwise). Serial-phase only.
+  /// A delivery at `from` itself is recorded into `locals` only by the root
+  /// call, which passes it; a segment's ejection already counts as its
+  /// delivery sample, so on_ejection passes nullptr. Serial-phase only.
   void emit_multicast(Network& net, TileId from,
                       std::span<const TileId> dests, Cycle created,
                       Cycle now, std::size_t app, std::size_t thread,
-                      std::vector<LocalAccess>* locals,
-                      bool record_local_delivery);
+                      std::vector<LocalAccess>* locals);
 
   const ObmProblem* problem_;
   TrafficConfig config_;
   std::vector<TileSource> sources_;   // indexed by tile
   std::vector<TileId> thread_tile_;   // requester tile per thread
-  Rng coherence_rng_{0};              // owner-tile / dirty-line draws
   PacketId next_id_ = 1;
   bool generating_ = true;
-  // Follow-up packets due at a cycle.
+  // Replies due at a cycle.
   std::multimap<Cycle, PacketInfo> pending_replies_;
   /// In-flight multicast tree segments: the sub-destinations the segment's
   /// endpoint must fan out to (plus the original creation cycle).

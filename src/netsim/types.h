@@ -27,35 +27,20 @@ inline constexpr Cycle kNeverCycle = std::numeric_limits<Cycle>::max();
 /// Flits per VC input buffer (paper Table 2).
 inline constexpr std::uint32_t kBufferDepth = 5;
 
-/// The packet kinds of the paper's traffic model (Section II.B): requests,
-/// data replies, and the coherence checking/forwarding packets an L2 bank
-/// sends to the private L1 that owns a dirty line (which then supplies the
-/// data to the requester directly).
+/// The packet kinds of the paper's latency model (Section II.C, eq. 3–4):
+/// cache and memory requests and their data replies.
 enum class PacketClass : std::uint8_t {
   kCacheRequest,   ///< core → hashed L2 bank, short (1 flit)
-  kCacheReply,     ///< L2 bank (or owner L1) → core, long (5 flits)
+  kCacheReply,     ///< L2 bank → core, long (5 flits)
   kMemoryRequest,  ///< core → MC (delivery segment), short (1 flit)
   kMemoryReply,    ///< MC → core, long (5 flits)
-  kCacheForward,   ///< L2 bank → owner L1, short (1 flit)
   /// Multicast-tree forwarding segment: a memory request travelling toward
   /// a branch router where the NI replicates it (multicast memory mode
   /// only). Segments whose endpoint is an MC use kMemoryRequest so the
   /// per-class delivery statistics stay end-to-end.
   kMemoryForward,
 };
-inline constexpr std::size_t kNumPacketClasses = 6;
-
-inline const char* packet_class_name(PacketClass c) {
-  switch (c) {
-    case PacketClass::kCacheRequest: return "cache_request";
-    case PacketClass::kCacheReply: return "cache_reply";
-    case PacketClass::kMemoryRequest: return "memory_request";
-    case PacketClass::kMemoryReply: return "memory_reply";
-    case PacketClass::kCacheForward: return "cache_forward";
-    case PacketClass::kMemoryForward: return "memory_forward";
-  }
-  return "?";
-}
+inline constexpr std::size_t kNumPacketClasses = 5;
 
 /// Immutable description of one packet in flight.
 struct PacketInfo {
@@ -74,15 +59,6 @@ struct PacketInfo {
 /// O1TURN picks XY or YX per packet (balanced by packet id) and stays
 /// deadlock-free by partitioning the VCs between the two sub-routes.
 enum class RoutingAlgo : std::uint8_t { kXY, kYX, kO1Turn };
-
-inline const char* routing_name(RoutingAlgo r) {
-  switch (r) {
-    case RoutingAlgo::kXY: return "XY";
-    case RoutingAlgo::kYX: return "YX";
-    case RoutingAlgo::kO1Turn: return "O1TURN";
-  }
-  return "?";
-}
 
 /// One flow-control unit. Wormhole switching moves these individually.
 /// Packed into 24 bytes: the router engine's flit pool, every in-flight

@@ -80,14 +80,14 @@ std::vector<bool> read_bool_axis(const obs::JsonValue& v,
 void parse_axes(const obs::JsonValue& axes, CampaignSpec& spec) {
   for (const auto& [key, value] : axes.members()) {
     if (key == "mesh_side") {
-      spec.mesh_side = read_u32_axis(value, key, 2, 64);
+      spec.mesh_side = read_u32_axis(value, key, 2, kMaxMeshSide);
     } else if (key == "mesh_layers") {
       spec.mesh_layers = read_u32_axis(value, key, 1, 8);
     } else if (key == "tsv_hop_cost") {
       spec.tsv_hop_cost = read_double_axis(value, key, 0.0, 16.0);
     } else if (key == "mc_count") {
       const std::uint64_t count = value.as_uint();
-      NOCMAP_REQUIRE(count >= 1 && count <= 64 * 64,
+      NOCMAP_REQUIRE(count >= 1 && count <= kMaxMeshSide * kMaxMeshSide,
                      "mc_count out of range");
       spec.mc_count = static_cast<std::uint32_t>(count);
     } else if (key == "traffic_mode") {

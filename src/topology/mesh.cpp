@@ -4,6 +4,8 @@
 #include <array>
 #include <limits>
 
+#include "util/parse.h"
+
 namespace nocmap {
 
 namespace {
@@ -13,6 +15,15 @@ std::uint32_t abs_diff(std::uint32_t a, std::uint32_t b) {
 }
 
 }  // namespace
+
+std::uint32_t parse_mesh_side(std::string_view text, std::string_view what) {
+  const auto side = parse_number<std::uint32_t>(text, what);
+  NOCMAP_REQUIRE(side >= 2 && side <= kMaxMeshSide,
+                 std::string(what) + " is " + std::string(text) +
+                     ", outside the mesh sides 2.." +
+                     std::to_string(kMaxMeshSide));
+  return side;
+}
 
 const char* mc_placement_name(McPlacement placement) {
   switch (placement) {
@@ -102,6 +113,12 @@ void Mesh::init() {
   NOCMAP_REQUIRE(!(is_torus() && is_3d()), "torus wraparound is 2D-only");
   NOCMAP_REQUIRE(tsv_hop_cost_ > 0.0, "TSV hop cost must be positive");
   NOCMAP_REQUIRE(!mc_tiles_.empty(), "mesh needs at least one MC tile");
+  // Every per-tile loop counts in TileId, so the tile count must fit it;
+  // checked in 64 bits, where rows·cols cannot overflow, before allocating.
+  const std::uint64_t per_layer = std::uint64_t{rows_} * cols_;
+  NOCMAP_REQUIRE(
+      per_layer <= std::numeric_limits<TileId>::max() / layers_,
+      "mesh has more tiles than a TileId can number");
   const std::size_t n = num_tiles();
   is_mc_.assign(n, 0);
   for (TileId t : mc_tiles_) {

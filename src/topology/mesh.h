@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/error.h"
@@ -33,6 +34,14 @@
 namespace nocmap {
 
 using TileId = std::uint32_t;
+
+/// Largest mesh side that scenario files, sweep specs and the command-line
+/// tools accept (4,096 tiles per layer).
+inline constexpr std::uint32_t kMaxMeshSide = 64;
+
+/// Parses a mesh-side option: a whole number in [2, kMaxMeshSide]. Anything
+/// else throws Error naming `what`, the option the text came from.
+std::uint32_t parse_mesh_side(std::string_view text, std::string_view what);
 
 /// Row/column(/layer) coordinate, 0-based, row 0 at the top, layer 0 at the
 /// bottom of the stack. `layer` is last so 2D aggregate initializers
@@ -80,7 +89,8 @@ class Mesh {
 
   /// General 2D constructor. `mc_tiles` must be non-empty and free of
   /// duplicates (TM computation requires ≥1 MC; duplicates would silently
-  /// double-count in every loop over mc_tiles()).
+  /// double-count in every loop over mc_tiles()). Every constructor refuses,
+  /// before allocating, a shape whose tile count does not fit TileId.
   Mesh(std::uint32_t rows, std::uint32_t cols, std::vector<TileId> mc_tiles,
        Wraparound wraparound = Wraparound::kNone);
 

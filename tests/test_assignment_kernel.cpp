@@ -291,7 +291,7 @@ TEST(ThreadCostCache, RateSumMatchesDirectSummation) {
   }
 }
 
-TEST(ThreadCostCache, SamViewAgreesWithSamMatrix) {
+TEST(ThreadCostCache, SamViewMatchesEq13) {
   Rng rng(9);
   const Workload wl = random_workload(rng, 6, 5);
   const Mesh mesh = Mesh::square(4);
@@ -301,21 +301,15 @@ TEST(ThreadCostCache, SamViewAgreesWithSamMatrix) {
   const std::size_t lo = wl.first_thread(1);
   const std::vector<TileId> tiles{14, 3, 9, 0, 7};
   const CostView view = cache.sam_view(lo, tiles);
-  const CostMatrix matrix = cache.sam_matrix(lo, tiles);
 
-  ASSERT_EQ(view.rows(), matrix.rows());
-  ASSERT_EQ(view.cols(), matrix.cols());
+  ASSERT_EQ(view.rows(), tiles.size());
+  ASSERT_EQ(view.cols(), tiles.size());
   for (std::size_t r = 0; r < view.rows(); ++r) {
     for (std::size_t c = 0; c < view.cols(); ++c) {
-      EXPECT_DOUBLE_EQ(view.at(r, c), matrix.at(r, c));
+      EXPECT_DOUBLE_EQ(view.at(r, c),
+                       sam_cost(wl.thread(lo + r), model, tiles[c]));
     }
   }
-
-  AssignmentWorkspace ws;
-  const Assignment via_view = ws.solve(view);
-  const Assignment via_matrix = solve_assignment(matrix);
-  EXPECT_EQ(via_view.row_to_col, via_matrix.row_to_col);
-  EXPECT_NEAR(via_view.total_cost, via_matrix.total_cost, 1e-9);
 }
 
 TEST(Sam, WorkspaceOverloadMatchesClassicPath) {
@@ -348,11 +342,11 @@ TEST(Sam, WorkspaceOverloadMatchesClassicPath) {
   EXPECT_EQ(cold.tiles, classic_tiles);
   EXPECT_NEAR(cold.apl, classic_apl, 1e-9);
 
-  // Warm re-solves of the same site must keep returning the same answer.
+  // Re-solves in the same workspace must keep returning the same answer.
   for (int pass = 0; pass < 3; ++pass) {
-    const SamResult warm = solve_sam(cache, lo, tiles, ws, /*warm=*/true);
-    EXPECT_EQ(warm.tiles, classic_tiles);
-    EXPECT_NEAR(warm.apl, classic_apl, 1e-9);
+    const SamResult again = solve_sam(cache, lo, tiles, ws);
+    EXPECT_EQ(again.tiles, classic_tiles);
+    EXPECT_NEAR(again.apl, classic_apl, 1e-9);
   }
 }
 

@@ -102,29 +102,6 @@ TEST(BatchEvaluator, RaggedFinalBlockAndSingleLane) {
   }
 }
 
-TEST(BatchEvaluator, ScoreRowsMatchesTransposedScore) {
-  const ObmProblem p = make_problem(8, 2);
-  const std::size_t n = p.num_threads();
-  const ThreadCostCache cache(p.workload(), p.model());
-  const BatchEvaluator evaluator(p, cache);
-  Rng rng(31);
-
-  constexpr std::size_t kCount = 23;  // deliberately not a lane multiple
-  std::vector<TileId> rows(kCount * n);
-  CandidateBatch batch(n, kCount);
-  for (std::size_t b = 0; b < kCount; ++b) {
-    const std::vector<TileId> perm = random_perm(n, rng);
-    std::copy(perm.begin(), perm.end(), rows.begin() + b * n);
-    batch.load(b, perm);
-  }
-  std::vector<double> transposed(kCount), row_major(kCount);
-  evaluator.score(batch, kCount, transposed);
-  evaluator.score_rows(rows.data(), n, kCount, row_major);
-  for (std::size_t b = 0; b < kCount; ++b) {
-    EXPECT_EQ(row_major[b], transposed[b]) << "lane " << b;
-  }
-}
-
 TEST(BatchEvaluator, FoldsMatchEvaluateOnCanonicalNumerators) {
   const ObmProblem p = make_problem(8, 3);
   const ThreadCostCache cache(p.workload(), p.model());

@@ -12,6 +12,12 @@
 namespace nocmap {
 namespace {
 
+// A cold solve of the whole matrix in a fresh workspace.
+Assignment solve(const CostMatrix& m) {
+  AssignmentWorkspace ws;
+  return ws.solve(CostView::of(m));
+}
+
 bool is_permutation_of_range(const std::vector<std::size_t>& p) {
   std::vector<char> seen(p.size(), 0);
   for (std::size_t c : p) {
@@ -35,7 +41,7 @@ TEST(CostMatrix, EmptyRejected) { EXPECT_THROW(CostMatrix(0, 3), Error); }
 TEST(Hungarian, TrivialOneByOne) {
   CostMatrix m(1, 1);
   m.at(0, 0) = 7.0;
-  const Assignment a = solve_assignment(m);
+  const Assignment a = solve(m);
   EXPECT_EQ(a.row_to_col, std::vector<std::size_t>{0});
   EXPECT_DOUBLE_EQ(a.total_cost, 7.0);
 }
@@ -47,7 +53,7 @@ TEST(Hungarian, KnownTwoByTwo) {
   m.at(0, 1) = 100.0;
   m.at(1, 0) = 100.0;
   m.at(1, 1) = 1.0;
-  const Assignment a = solve_assignment(m);
+  const Assignment a = solve(m);
   EXPECT_EQ(a.row_to_col[0], 0u);
   EXPECT_EQ(a.row_to_col[1], 1u);
   EXPECT_DOUBLE_EQ(a.total_cost, 2.0);
@@ -60,14 +66,9 @@ TEST(Hungarian, ClassicTextbookInstance) {
   for (std::size_t r = 0; r < 3; ++r) {
     for (std::size_t c = 0; c < 3; ++c) m.at(r, c) = vals[r][c];
   }
-  const Assignment a = solve_assignment(m);
+  const Assignment a = solve(m);
   EXPECT_DOUBLE_EQ(a.total_cost, 5.0);  // 1 + 2 + 2
   EXPECT_TRUE(is_permutation_of_range(a.row_to_col));
-}
-
-TEST(Hungarian, NonSquareRejected) {
-  CostMatrix m(2, 3);
-  EXPECT_THROW(solve_assignment(m), Error);
 }
 
 TEST(Hungarian, HandlesNegativeCosts) {
@@ -76,13 +77,13 @@ TEST(Hungarian, HandlesNegativeCosts) {
   m.at(0, 1) = 1.0;
   m.at(1, 0) = 1.0;
   m.at(1, 1) = -5.0;
-  const Assignment a = solve_assignment(m);
+  const Assignment a = solve(m);
   EXPECT_DOUBLE_EQ(a.total_cost, -10.0);
 }
 
 TEST(Hungarian, TiesStillProduceValidPermutation) {
   CostMatrix m(4, 4, 1.0);  // all equal: any permutation optimal
-  const Assignment a = solve_assignment(m);
+  const Assignment a = solve(m);
   EXPECT_TRUE(is_permutation_of_range(a.row_to_col));
   EXPECT_DOUBLE_EQ(a.total_cost, 4.0);
 }
@@ -94,7 +95,7 @@ TEST(Hungarian, RowWithNoFiniteCostThrows) {
   for (std::size_t c = 0; c < 3; ++c) {
     m.at(1, c) = std::numeric_limits<double>::infinity();
   }
-  EXPECT_THROW(solve_assignment(m), Error);
+  EXPECT_THROW(solve(m), Error);
 }
 
 std::uint64_t warm_hits() {
@@ -125,7 +126,7 @@ TEST(Hungarian, ThrowLeavesNoWarmState) {
   if (obs::compiled_in()) {
     EXPECT_EQ(warm_hits(), hits);
   }
-  const Assignment cold = solve_assignment(good);
+  const Assignment cold = solve(good);
   EXPECT_EQ(after.row_to_col, cold.row_to_col);
   EXPECT_EQ(after.total_cost, cold.total_cost);
 }
@@ -174,7 +175,7 @@ TEST_P(HungarianRandomProperty, MatchesBruteForce) {
       m.at(r, c) = rng.uniform(-10.0, 10.0);
     }
   }
-  const Assignment fast = solve_assignment(m);
+  const Assignment fast = solve(m);
   const Assignment slow = solve_assignment_brute_force(m);
   EXPECT_TRUE(is_permutation_of_range(fast.row_to_col));
   EXPECT_NEAR(fast.total_cost, slow.total_cost, 1e-9);
@@ -194,7 +195,7 @@ TEST(Hungarian, BeatsRandomPermutationsOnLargeInstance) {
       m.at(r, c) = rng.uniform(0.0, 100.0);
     }
   }
-  const Assignment opt = solve_assignment(m);
+  const Assignment opt = solve(m);
   for (int trial = 0; trial < 200; ++trial) {
     const auto perm = random_permutation(n, rng);
     EXPECT_LE(opt.total_cost, assignment_cost(m, perm) + 1e-9);
@@ -210,10 +211,10 @@ TEST(Hungarian, RowShiftInvariance) {
   for (std::size_t r = 0; r < n; ++r) {
     for (std::size_t c = 0; c < n; ++c) m.at(r, c) = rng.uniform(0.0, 9.0);
   }
-  const Assignment base = solve_assignment(m);
+  const Assignment base = solve(m);
   CostMatrix shifted = m;
   for (std::size_t c = 0; c < n; ++c) shifted.at(3, c) += 42.0;
-  const Assignment moved = solve_assignment(shifted);
+  const Assignment moved = solve(shifted);
   EXPECT_NEAR(moved.total_cost, base.total_cost + 42.0, 1e-9);
 }
 

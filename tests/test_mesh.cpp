@@ -16,6 +16,30 @@ TEST(Mesh, SquareBasics) {
 
 TEST(Mesh, TooSmallThrows) { EXPECT_THROW(Mesh::square(1), Error); }
 
+// Shapes whose tile count does not fit TileId are refused before anything
+// is allocated, including one whose rows·cols·layers overflows 64 bits.
+TEST(Mesh, TileCountBeyondTileIdRefused) {
+  EXPECT_THROW(Mesh::square(65536), Error);
+  EXPECT_THROW(Mesh::square(70000), Error);
+  EXPECT_THROW(Mesh(2, 65536, 32768, {0}), Error);
+  constexpr std::uint32_t kHuge = 0xffffffffu;
+  EXPECT_THROW(Mesh(kHuge, kHuge, kHuge, {0}), Error);
+}
+
+TEST(Mesh, MeshSideOptionBounded) {
+  EXPECT_EQ(parse_mesh_side("2", "--mesh"), 2u);
+  EXPECT_EQ(parse_mesh_side("64", "--mesh"), kMaxMeshSide);
+  for (const char* bad : {"0", "1", "65", "70000", "-8", "8x"}) {
+    try {
+      parse_mesh_side(bad, "--mesh");
+      ADD_FAILURE() << bad << " accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("--mesh"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Mesh, CoordinateRoundTrip) {
   const Mesh m = Mesh::square(8);
   for (TileId t = 0; t < m.num_tiles(); ++t) {

@@ -256,7 +256,6 @@ void expect_sim_results_identical(const SimResult& s, const SimResult& q) {
   EXPECT_EQ(q.activity.queue_wait_cycles, s.activity.queue_wait_cycles);
   EXPECT_EQ(q.load.max_crossbar_per_cycle, s.load.max_crossbar_per_cycle);
   EXPECT_EQ(q.load.link_utilization, s.load.link_utilization);
-  EXPECT_EQ(q.load.hottest_router, s.load.hottest_router);
   ASSERT_EQ(q.per_app_histogram.size(), s.per_app_histogram.size());
   for (std::size_t a = 0; a < s.per_app_histogram.size(); ++a) {
     const Histogram& hs = s.per_app_histogram[a];

@@ -33,12 +33,6 @@ std::vector<Ejection> run_until_drained(Network& net, Cycle limit = 100000) {
   return all;
 }
 
-TEST(RoutingNames, AllNamed) {
-  EXPECT_STREQ(routing_name(RoutingAlgo::kXY), "XY");
-  EXPECT_STREQ(routing_name(RoutingAlgo::kYX), "YX");
-  EXPECT_STREQ(routing_name(RoutingAlgo::kO1Turn), "O1TURN");
-}
-
 TEST(VcRange, PartitionedOnlyForO1Turn) {
   NetworkConfig c = config_for(RoutingAlgo::kXY);
   std::uint32_t lo = 9, hi = 9;

@@ -61,8 +61,7 @@ TEST(Sim, AllFourPacketClassesObserved) {
   const ObmProblem p = small_problem();
   const SimResult r = run_simulation(p, p.identity_mapping(), quick_config());
   for (std::size_t cls = 0; cls < 4; ++cls) {
-    EXPECT_GT(r.per_class[cls].count(), 0u)
-        << packet_class_name(static_cast<PacketClass>(cls));
+    EXPECT_GT(r.per_class[cls].count(), 0u) << "packet class " << cls;
   }
 }
 
@@ -195,7 +194,6 @@ TEST(Sim, DrainLengthDoesNotAffectMeasuredActivityOrLoad) {
   EXPECT_EQ(a.load.max_avg_queue_wait, b.load.max_avg_queue_wait);
   EXPECT_EQ(a.load.max_queue_occupancy, b.load.max_queue_occupancy);
   EXPECT_EQ(a.load.link_utilization, b.load.link_utilization);
-  EXPECT_EQ(a.load.hottest_router, b.load.hottest_router);
 }
 
 TEST(Sim, InjectionScaleIncreasesTraffic) {
@@ -314,68 +312,6 @@ TEST(TrafficEngine, BurstParamsValidated) {
   EXPECT_THROW(TrafficEngine(p, p.identity_mapping(), cfg), Error);
   cfg.burst_duty = 1.0;
   EXPECT_THROW(TrafficEngine(p, p.identity_mapping(), cfg), Error);
-}
-
-TEST(TrafficEngine, ForwardProbabilityValidated) {
-  const ObmProblem p = small_problem();
-  TrafficConfig cfg;
-  cfg.forward_probability = 1.5;
-  EXPECT_THROW(TrafficEngine(p, p.identity_mapping(), cfg), Error);
-  cfg.forward_probability = -0.1;
-  EXPECT_THROW(TrafficEngine(p, p.identity_mapping(), cfg), Error);
-}
-
-TEST(Sim, NoForwardPacketsByDefault) {
-  const ObmProblem p = small_problem();
-  const SimResult r = run_simulation(p, p.identity_mapping(), quick_config());
-  const auto fwd = static_cast<std::size_t>(PacketClass::kCacheForward);
-  EXPECT_EQ(r.per_class[fwd].count(), 0u);
-}
-
-TEST(Sim, CoherenceForwardingProducesThreeHopChains) {
-  const ObmProblem p = small_problem();
-  SimConfig c = quick_config();
-  c.traffic.forward_probability = 0.5;
-  const SimResult r = run_simulation(p, p.identity_mapping(), c);
-  const auto fwd = static_cast<std::size_t>(PacketClass::kCacheForward);
-  const auto req = static_cast<std::size_t>(PacketClass::kCacheRequest);
-  EXPECT_GT(r.per_class[fwd].count(), 0u);
-  // Roughly half the non-local cache requests should trigger a forward.
-  const double ratio = static_cast<double>(r.per_class[fwd].count()) /
-                       static_cast<double>(r.per_class[req].count());
-  EXPECT_GT(ratio, 0.3);
-  EXPECT_LT(ratio, 0.7);
-  EXPECT_FALSE(r.drain_incomplete);
-}
-
-TEST(Sim, ForwardingAddsPacketsNotFewer) {
-  // The three-hop chain inserts an extra short packet per forwarded
-  // transaction. Note the per-packet mean g-APL can *drop* (the added
-  // packets are short); what must grow is the packet count — transaction
-  // latency is the per-class sum, checked below.
-  const ObmProblem p = small_problem();
-  SimConfig c = quick_config();
-  const SimResult base = run_simulation(p, p.identity_mapping(), c);
-  c.traffic.forward_probability = 0.8;
-  const SimResult fwd = run_simulation(p, p.identity_mapping(), c);
-  EXPECT_GT(fwd.packets_measured, base.packets_measured);
-
-  // Per-transaction view: request + (forward +) reply means forwarded runs
-  // pay at least one extra traversal on average.
-  auto transaction_latency = [](const SimResult& r) {
-    const auto req = static_cast<std::size_t>(PacketClass::kCacheRequest);
-    const auto f = static_cast<std::size_t>(PacketClass::kCacheForward);
-    const auto rep = static_cast<std::size_t>(PacketClass::kCacheReply);
-    const double forwards_per_request =
-        r.per_class[req].count() > 0
-            ? static_cast<double>(r.per_class[f].count()) /
-                  static_cast<double>(r.per_class[req].count())
-            : 0.0;
-    return r.per_class[req].mean() +
-           forwards_per_request * r.per_class[f].mean() +
-           r.per_class[rep].mean();
-  };
-  EXPECT_GT(transaction_latency(fwd), transaction_latency(base));
 }
 
 // --- Memory-traffic modes --------------------------------------------------

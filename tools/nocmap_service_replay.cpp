@@ -33,7 +33,8 @@ void usage(std::ostream& os) {
   os << "usage: nocmap_service_replay [options]\n"
      << "  --events N      trace length (default 10000)\n"
      << "  --seed S        trace seed (default 1)\n"
-     << "  --mesh N        square mesh side (default 8)\n"
+     << "  --mesh N        square mesh side, 2-" << kMaxMeshSide
+     << " (default 8)\n"
      << "  --budget M      per-event migration budget (default 8)\n"
      << "  --threshold X   fallback degradation threshold (default 1.25)\n"
      << "  --config CN     fixed Table-3 config C1..C8 (default: cycle)\n"
@@ -70,7 +71,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--seed") {
         trace_config.seed = parse_number<std::uint64_t>(value(), arg);
       } else if (arg == "--mesh") {
-        mesh_side = parse_number<std::uint32_t>(value(), arg);
+        mesh_side = parse_mesh_side(value(), arg);
       } else if (arg == "--budget") {
         service_config.migration_budget =
             parse_number<std::size_t>(value(), arg);
